@@ -10,21 +10,13 @@ from renyi import SUITES, replay, run_suite
 SEED = 1
 
 print("suite            trials  failures  max_violation  equality")
-for name in ("lemma2", "lemma3", "lemma4", "t1", "t2_2", "t3", "triangle"):
+for name in ("lemma2", "lemma3", "lemma4", "t1", "t2_2", "t3", "triangle", "t6"):
     report = run_suite(name, 300, seed=SEED)
     print(
         f"{name:15s} {report.trials:7d} {len(report.failures):9d}"
         f"  {report.max_violation:12.3e}"
         f"   {report.equality_flagged}/{report.injected_equality}"
     )
-
-# The optimizer-backed suite is slower per trial; a handful is enough here.
-report = run_suite("t6", 12, seed=SEED)
-print(
-    f"{'t6':15s} {report.trials:7d} {len(report.failures):9d}"
-    f"  {report.max_violation:12.3e}"
-    f"   {report.equality_flagged}/{report.injected_equality}"
-)
 
 # Every trial derives its own random substream from (seed, trial index), so
 # reports are reproducible and failure records replay bit for bit.  Force

@@ -8,6 +8,7 @@ logarithms throughout, matching the classical definitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +20,13 @@ from .exceptions import (
     EmptySupport,
     InvalidDistribution,
 )
-from .linalg import ZERO_THRESHOLD
+from .linalg import ZERO_THRESHOLD, log_power_sum
 
 SUM_TOL = 1e-10
 CLIP_FLOOR = -1e-12
 BETA_ONE_BAND = 1e-9
+
+_LN2 = math.log(2.0)
 
 
 def probability_vector(values) -> np.ndarray:
@@ -120,7 +123,7 @@ def renyi_entropy(p, beta: float) -> float:
     beta = _check_beta(beta, require_not_one=False)
     if abs(beta - 1.0) < BETA_ONE_BAND:
         return shannon_entropy(p)
-    return float(np.log2(np.sum(p**beta)) / (1.0 - beta))
+    return log_power_sum(p, beta) / ((1.0 - beta) * _LN2)
 
 
 def t1_bound(p, beta: float) -> float:

@@ -30,19 +30,26 @@ from .fileformat import (
     matrix_from_payload,
     matrix_payload,
 )
-from .linalg import lemma2_check, lemma3_check, lemma4_check
+from .linalg import (
+    CHAIN_TOL,
+    EQ_TOL,
+    HERM_TOL,
+    PSD_TOL,
+    ZERO_THRESHOLD,
+    lemma2_check,
+    lemma3_check,
+    lemma4_check,
+)
 from .quantum import DensityMatrix, log_dim_cap, quantum_renyi_entropy, t3_bound
 
 _LN2 = math.log(2.0)
 
 LINALG_TOLERANCES = {
-    "herm_tol": 1e-10,
-    "psd_tol": 1e-10,
-    "recon_tol": 1e-9,
-    "chain_tol": 1e-8,
-    "eq_tol": 1e-7,
-    "zero_threshold": 1e-12,
-    "opt_tol": 1e-4,
+    "herm_tol": HERM_TOL,
+    "psd_tol": PSD_TOL,
+    "chain_tol": CHAIN_TOL,
+    "eq_tol": EQ_TOL,
+    "zero_threshold": ZERO_THRESHOLD,
 }
 
 
@@ -226,9 +233,6 @@ def _optimized(args, mode: str) -> int:
         f"value {_fmt(shown)}",
         f"units {units}",
         f"alpha {_fmt(args.alpha)}",
-        f"iterations {outcome.iterations}",
-        f"restarts {outcome.restarts_used}",
-        f"converged {outcome.converged}",
     ] + _matrix_lines("sigma_b", sigma)
     _emit(
         args,
@@ -239,9 +243,6 @@ def _optimized(args, mode: str) -> int:
             "units": units,
             "value": shown,
             "sigma_b": matrix_payload(sigma),
-            "iterations": outcome.iterations,
-            "restarts_used": outcome.restarts_used,
-            "converged": outcome.converged,
             "inputs": {"state": payload, "dims": list(rho.dims)},
         },
     )

@@ -88,10 +88,6 @@ class MarginalSingular(RenyiError):
     pass
 
 
-class OptimizerFailure(RenyiError):
-    pass
-
-
 # harness
 class BadRank(RenyiError):
     pass

@@ -28,7 +28,6 @@ from .classical import (
     info_function_beta,
 )
 from .divergence import (
-    OPT_TOL,
     renyi_relative_entropy,
     t4_lower_bound,
     t6_lower_bound,
@@ -476,7 +475,7 @@ SUITES: dict[str, Suite] = {
     "t3": Suite(CHAIN_TOL, _gen_t3, _check_t3),
     "t3_2": Suite(CHAIN_TOL, _gen_t3_2, _check_t3_2),
     "t4": Suite(CHAIN_TOL, _gen_t4, _check_t4),
-    "t6": Suite(OPT_TOL, _gen_t6, _check_t6),
+    "t6": Suite(CHAIN_TOL, _gen_t6, _check_t6),
     "triangle": Suite(CHAIN_TOL, _gen_triangle, _check_triangle),
     "info_fn_eq": Suite(1e-9, _gen_info_fn_eq, _check_info_fn_eq),
     "eq4_roundtrip": Suite(1e-10, _gen_eq4, _check_eq4),

@@ -31,7 +31,6 @@ from .report import BoundReport, chain_report
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10
-RECON_TOL = 1e-9
 CHAIN_TOL = 1e-8
 EQ_TOL = 1e-7
 ZERO_THRESHOLD = 1e-12
@@ -159,13 +158,6 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     )
 
 
-def _decompose_trusted(a: np.ndarray) -> SpectralDecomposition:
-    """Decompose a matrix already known to be Hermitian complex128."""
-    w, v, sweeps = _jacobi(a.copy())
-    order = np.argsort(w, kind="stable")
-    return SpectralDecomposition(w[order], np.ascontiguousarray(v[:, order]), sweeps)
-
-
 def spectral_decompose(matrix, tol: float = HERM_TOL) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix: ``A = V diag(w) V†``, ``w`` ascending."""
     a = as_hermitian(matrix, tol)
@@ -226,6 +218,16 @@ def power_spectrum(w: np.ndarray, r: float) -> np.ndarray:
     out[~zero] = w[~zero] ** r
     out[zero] = 1.0 if r == 0.0 else 0.0
     return out
+
+
+def log_power_sum(w: np.ndarray, r: float) -> float:
+    """``ln sum_i w_i^r`` for a nonnegative vector with a positive entry.
+
+    Factors out the largest entry, ``r ln w_max + ln sum_i (w_i/w_max)^r``,
+    so no power overflows and the dominant term never underflows to zero.
+    """
+    w_max = float(np.max(w))
+    return r * math.log(w_max) + math.log(float(np.sum((w / w_max) ** r)))
 
 
 def matrix_power(matrix, r: float) -> np.ndarray:

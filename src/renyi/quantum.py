@@ -26,6 +26,7 @@ from .linalg import (
     ZERO_THRESHOLD,
     SpectralDecomposition,
     as_hermitian,
+    log_power_sum,
     spectral_decompose,
 )
 from .report import BoundReport, chain_report, normalized_slack
@@ -147,8 +148,7 @@ def quantum_renyi_entropy(
     alpha = _check_alpha(alpha, require_not_one=False)
     if abs(alpha - 1.0) < ALPHA_ONE_BAND:
         return EntropyValue(von_neumann_entropy(rho, units), units, alpha)
-    w = rho.eigenvalues
-    value = math.log(float(np.sum(w**alpha))) / (1.0 - alpha)
+    value = log_power_sum(rho.eigenvalues, alpha) / (1.0 - alpha)
     return EntropyValue(value * scale, units, alpha)
 
 

@@ -43,10 +43,10 @@ def test_criterion_1_worked_example():
         mi, out_mi = mutual_information(rho, 2.0)
         ce, out_ce = conditional_entropy(rho, 2.0)
         elapsed = time.perf_counter() - start
-        assert abs(mi) <= 1e-4
-        assert abs(ce - math.log(2)) <= 1e-4
+        assert abs(mi) <= 1e-12
+        assert abs(ce - math.log(2)) <= 1e-12
         for out in (out_mi, out_ce):
-            assert np.abs(out.optimizer_sigma.matrix - np.eye(2) / 2).max() <= 1e-3
+            assert np.abs(out.optimizer_sigma.matrix - np.eye(2) / 2).max() <= 1e-12
         assert elapsed < 10.0
 
 
@@ -84,19 +84,19 @@ def test_criterion_3_inequality_suites():
 
 
 def test_criterion_4_t6_suite():
-    with criterion(4, "mutual-information bound suite (t6), 200 optimizer trials"):
+    with criterion(4, "mutual-information bound suite (t6), 200 trials"):
         start = time.perf_counter()
-        report = run_suite("t6", 200, seed=1, tolerance=1e-4)
+        report = run_suite("t6", 200, seed=1, tolerance=1e-8)
         elapsed = time.perf_counter() - start
         assert report.failures == []
-        assert report.max_violation <= 1e-4
+        assert report.max_violation <= 1e-8
         assert report.injected_equality == 2
         assert report.equality_flagged == 2
         assert elapsed < 900.0, f"t6 suite took {elapsed:.1f}s"
 
 
 def test_criterion_5_optimizer_vs_grid_oracle():
-    with criterion(5, "Nelder-Mead vs Bloch-ball grid search on 20 states"):
+    with criterion(5, "closed-form minimizer vs Bloch-ball grid search on 20 states"):
         worst = 0.0
         for seed in range(20):
             rho = DensityMatrix(
@@ -105,7 +105,7 @@ def test_criterion_5_optimizer_vs_grid_oracle():
             value, _ = mutual_information(rho, 2.0)
             grid = bloch_grid_minimum(rho, 2.0, "mutual", step=0.01)
             worst = max(worst, abs(value - grid))
-        assert worst <= 1e-3, f"worst |NM - grid| = {worst:.2e}"
+        assert worst <= 1e-3, f"worst |closed form - grid| = {worst:.2e}"
 
 
 def test_criterion_6_closed_form_cross_checks():
@@ -113,12 +113,12 @@ def test_criterion_6_closed_form_cross_checks():
         for beta in (0.3, 0.5, 2.0, 5.0):
             assert abs(entropy_type_beta([0.5, 0.5], beta) - 1.0) <= 1e-12
         for n in (2, 4, 8, 16):
-            for beta in (0.3, 0.5, 0.9, 1.5, 2.0, 3.0, 5.0):
+            for beta in (0.3, 0.5, 0.9, 1.5, 2.0, 3.0, 5.0, 1e4):
                 got = renyi_entropy([1.0 / n] * n, beta)
                 assert abs(got - math.log2(n)) <= 1e-12
         for d in (2, 3, 4, 5, 6, 7, 8):
             rho = DensityMatrix(np.eye(d) / d)
-            for alpha in (0.3, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0, 5.0):
+            for alpha in (0.3, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0, 5.0, 400.0):
                 got = quantum_renyi_entropy(rho, alpha).value
                 assert abs(got - math.log(d)) <= 1e-10
 

@@ -53,6 +53,17 @@ class TestEntropyCommands:
         assert code == 0
         assert out.splitlines()[0] == "value 1.38629436112"
 
+    def test_quantum_extreme_order_is_finite(self, capsys, tmp_path):
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        rho = g @ g.conj().T
+        state = write_matrix(tmp_path / "rho8.json", rho / np.trace(rho).real)
+        code, out, _ = run(
+            capsys, ["entropy", "quantum", "--state", state, "--alpha", "2000"]
+        )
+        assert code == 0
+        assert math.isfinite(float(out.splitlines()[0].split()[1]))
+
     def test_twelve_significant_digits(self, capsys, tmp_path):
         dist = write_dist(tmp_path / "p.json", [0.75, 0.25])
         code, out, _ = run(capsys, ["entropy", "classical", "--dist", dist, "--beta", "2"])

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -198,13 +200,11 @@ class TestOptimizedQuantities:
     def test_worked_example_maximally_mixed(self):
         rho = DensityMatrix(np.eye(4) / 4, dims=(2, 2))
         mi, out_mi = mutual_information(rho, 2.0)
-        assert abs(mi) <= 1e-4
+        assert abs(mi) <= 1e-12
         ce, out_ce = conditional_entropy(rho, 2.0)
-        assert abs(ce - math.log(2)) <= 1e-4
+        assert abs(ce - math.log(2)) <= 1e-12
         for out in (out_mi, out_ce):
-            assert np.abs(out.optimizer_sigma.matrix - np.eye(2) / 2).max() <= 1e-3
-            assert out.converged
-            assert out.restarts_used == 5
+            assert np.abs(out.optimizer_sigma.matrix - np.eye(2) / 2).max() <= 1e-12
 
     def test_product_state_mutual_information_zero(self):
         rng = np.random.default_rng(55)
@@ -212,8 +212,8 @@ class TestOptimizedQuantities:
         rho_b = random_density(rng, 2).matrix
         rho = DensityMatrix(kron(rho_a, rho_b), dims=(2, 2))
         mi, out = mutual_information(rho, 2.0)
-        assert abs(mi) <= 1e-4
-        assert np.abs(out.optimizer_sigma.matrix - rho_b).max() <= 1e-2
+        assert abs(mi) <= 1e-10
+        assert np.abs(out.optimizer_sigma.matrix - rho_b).max() <= 1e-10
 
     def test_conditional_on_pure_b_leg(self):
         # rho_A (x) |0><0| : the optimum concentrates sigma_B on the support
@@ -221,14 +221,14 @@ class TestOptimizedQuantities:
             kron(np.diag([0.5, 0.5]), np.diag([1.0, 0.0])), dims=(2, 2)
         )
         value, out = conditional_entropy(rho, 2.0)
-        assert value <= math.log(2) + 1e-9
-        assert value == pytest.approx(math.log(2), abs=5e-3)
-        sigma = out.optimizer_sigma.matrix
-        assert sigma[0, 0].real > 0.99
+        assert value == pytest.approx(math.log(2), abs=1e-12)
+        np.testing.assert_allclose(
+            out.optimizer_sigma.matrix, np.diag([1.0, 0.0]), atol=1e-12
+        )
 
     def test_monotone_acceptance(self):
-        # optimizer value never exceeds the value at any probe it touched,
-        # in particular the flat start sigma_B = I/d
+        # the minimum never exceeds the divergence at any other sigma_B, in
+        # particular the flat sigma_B = I/d
         rng = np.random.default_rng(56)
         for _ in range(5):
             rho = random_density(rng, 4, dims=(2, 2))
@@ -255,6 +255,59 @@ class TestOptimizedQuantities:
             if mode == "conditional":
                 grid = math.log(2) - grid
             assert abs(value - grid) <= 1e-4
+
+    @pytest.mark.parametrize("mode", ["mutual", "conditional"])
+    def test_sibson_identity(self, mode):
+        # D(rho || ref (x) sigma) = optimum + D(sigma* || sigma) for every PD
+        # sigma_B, so the closed form is the exact minimum
+        rng = np.random.default_rng(59)
+        for d_a, d_b in ((2, 2), (3, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8)):
+            rho = random_density(rng, d_a * d_b, dims=(d_a, d_b))
+            for alpha in (1.5, 2.0, 3.0):
+                if mode == "mutual":
+                    value, out = mutual_information(rho, alpha)
+                    optimum = value
+                    ref = partial_trace_b(rho.matrix, d_a, d_b)
+                else:
+                    value, out = conditional_entropy(rho, alpha)
+                    optimum = math.log(d_a) - value
+                    ref = np.eye(d_a) / d_a
+                sigma = random_pd(rng, d_b)
+                sigma /= np.trace(sigma).real
+                lhs = renyi_relative_entropy(rho, kron(ref, sigma), alpha).value
+                excess = renyi_relative_entropy(
+                    out.optimizer_sigma, sigma, alpha
+                ).value
+                assert excess >= 0.0
+                assert abs(lhs - (optimum + excess)) <= 1e-10
+
+    @pytest.mark.parametrize("mode", ["mutual", "conditional"])
+    def test_against_t5_closed_form(self, mode):
+        # t5 evaluates the divergence at the sigma_B that makes the
+        # determinant bound tight.  For maximally mixed states that sigma_B is
+        # the minimizer and the values agree; for mu_A (x) tau_B it is not
+        # (the minimizer is tau_B), so t5 lies on the feasible side.
+        solver = mutual_information if mode == "mutual" else conditional_entropy
+        rng = np.random.default_rng(60)
+        for d_a, d_b in ((2, 2), (2, 3), (3, 2)):
+            mixed = DensityMatrix(np.eye(d_a * d_b) / (d_a * d_b), dims=(d_a, d_b))
+            tau = random_density(rng, d_b).matrix
+            product = DensityMatrix(kron(np.eye(d_a) / d_a, tau), dims=(d_a, d_b))
+            sign = 1.0 if mode == "mutual" else -1.0
+            for alpha in (1.5, 2.0, 3.0):
+                closed = t5_closed_form(mixed, alpha, mode)
+                value, _ = solver(mixed, alpha)
+                assert abs(value - closed.value) <= 1e-10
+                closed = t5_closed_form(product, alpha, mode)
+                value, _ = solver(product, alpha)
+                assert sign * (closed.value - value) >= -1e-10
+
+    def test_cli_import_leaves_out_scipy(self):
+        code = "import sys, renyi.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestT5ClosedForm:
