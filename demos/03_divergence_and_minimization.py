@@ -47,8 +47,9 @@ print("  I_2(A;B)  =", mi)
 print("  H_2(A|B)  =", ce, " (ln 2 =", math.log(2), ")")
 print("  sigma_B   =\n", np.round(out.optimizer_sigma.matrix.real, 6))
 
-# The proportionality condition holds here, so the closed form applies and
-# agrees: c1 = c2 = (1/4)^(1-2a) = 64 at alpha = 2.
+# t5_closed_form evaluates the quantity where the determinant bound is tight.
+# For the maximally mixed state that sigma_B is also the minimizer, so it
+# agrees with the optimum: c1 = c2 = (1/4)^(1-2a) = 64 at alpha = 2.
 closed = t5_closed_form(mm, alpha, "mutual")
 print("  closed form: value", closed.value, " c =", closed.c)
 

@@ -39,7 +39,6 @@ from .linalg import (
     EQ_TOL,
     PSD_TOL,
     SpectralDecomposition,
-    as_hermitian,
     clip_spectrum,
     log_power_sum,
     max_abs,
@@ -97,7 +96,7 @@ def _density_power(rho: DensityMatrix, exponent: float) -> np.ndarray:
 
 def _sigma_spectrum(sigma, alpha: float) -> SpectralDecomposition:
     """Validate a PSD reference matrix, enforcing PD when alpha > 1."""
-    dec = spectral_decompose(as_hermitian(sigma))
+    dec = spectral_decompose(sigma)
     if float(dec.eigenvalues[0]) < -PSD_TOL:
         raise NotPsd(f"sigma has eigenvalue {dec.eigenvalues[0]:.3e}")
     if alpha > 1.0 and float(dec.eigenvalues[0]) <= PSD_TOL:
@@ -105,15 +104,30 @@ def _sigma_spectrum(sigma, alpha: float) -> SpectralDecomposition:
     return dec
 
 
-def _equality_case(
-    sigma_pow: np.ndarray, rho_pow: np.ndarray
-) -> tuple[bool, float]:
-    """Proportionality test ``sigma^(1-alpha) == c rho^alpha``."""
-    tr_rho = float(np.trace(rho_pow).real)
-    c = float(np.trace(sigma_pow).real) / tr_rho
-    scaled = c * rho_pow
-    scale = 1.0 + max(max_abs(sigma_pow), max_abs(scaled))
-    return max_abs(sigma_pow - scaled) <= EQ_TOL * scale, c
+def _divergence_terms(
+    rho: DensityMatrix, dec: SpectralDecomposition, alpha: float
+) -> tuple[float, bool, float | None]:
+    """``D_alpha(rho || sigma)``, the proportionality flag and ``c`` from
+    sigma's decomposition.
+
+    The flag tests ``sigma^(1-alpha) == c rho^alpha`` with
+    ``c = tr(sigma^(1-alpha)) / tr(rho^alpha)``; both are only computed for
+    alpha > 1 (otherwise False and None).
+    """
+    if dec.eigenvalues.size != rho.dim:
+        raise DimensionMismatch("rho and sigma must share dimensions")
+    rho_pow = _density_power(rho, alpha)
+    sigma_pow = recombine(dec, power_spectrum(clip_spectrum(dec.eigenvalues), 1.0 - alpha))
+    t = trace_product(rho_pow, sigma_pow)
+    if t <= 0.0:
+        raise TraceNonpositive(f"tr(rho^a sigma^(1-a)) = {t!r} is not positive")
+    equality, c = False, None
+    if alpha > 1.0:
+        c = float(np.trace(sigma_pow).real) / float(np.trace(rho_pow).real)
+        scaled = c * rho_pow
+        scale = 1.0 + max(max_abs(sigma_pow), max_abs(scaled))
+        equality = max_abs(sigma_pow - scaled) <= EQ_TOL * scale
+    return math.log(t) / (alpha - 1.0), equality, c
 
 
 def renyi_relative_entropy(
@@ -128,18 +142,8 @@ def renyi_relative_entropy(
     tight; it is only meaningful (and only computed) for alpha > 1.
     """
     alpha = _check_alpha_nonneg(alpha)
-    dec = _sigma_spectrum(sigma, alpha)
-    if dec.eigenvalues.size != rho.dim:
-        raise DimensionMismatch("rho and sigma must share dimensions")
-    rho_pow = _density_power(rho, alpha)
-    sigma_pow = recombine(dec, power_spectrum(clip_spectrum(dec.eigenvalues), 1.0 - alpha))
-    t = trace_product(rho_pow, sigma_pow)
-    if t <= 0.0:
-        raise TraceNonpositive(f"tr(rho^a sigma^(1-a)) = {t!r} is not positive")
-    equality = False
-    if alpha > 1.0:
-        equality, _ = _equality_case(sigma_pow, rho_pow)
-    return DivergenceResult(math.log(t) / (alpha - 1.0), alpha, equality)
+    value, equality, _ = _divergence_terms(rho, _sigma_spectrum(sigma, alpha), alpha)
+    return DivergenceResult(value, alpha, equality)
 
 
 def equality_condition_check(
@@ -150,12 +154,11 @@ def equality_condition_check(
     Returns the flag and ``c = tr(sigma^(1-alpha)) / tr(rho^alpha)``.
     """
     alpha = _check_alpha_gt1(alpha)
-    dec = spectral_decompose(as_hermitian(sigma))
+    dec = spectral_decompose(sigma)
     if float(dec.eigenvalues[0]) <= PSD_TOL:
         raise NotPd("equality condition requires a positive definite sigma")
-    sigma_pow = recombine(dec, dec.eigenvalues ** (1.0 - alpha))
-    rho_pow = _density_power(rho, alpha)
-    return _equality_case(sigma_pow, rho_pow)
+    _, equality, c = _divergence_terms(rho, dec, alpha)
+    return equality, c
 
 
 def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
@@ -167,7 +170,7 @@ def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     alpha = _check_alpha_gt1(alpha)
     if not rho.is_positive_definite:
         raise NotPd("rho must be positive definite")
-    dec = spectral_decompose(as_hermitian(sigma))
+    dec = spectral_decompose(sigma)
     if float(dec.eigenvalues[0]) <= PSD_TOL:
         raise NotPd("sigma must be positive definite")
     if dec.eigenvalues.size != rho.dim:
@@ -178,14 +181,13 @@ def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     bound = (
         math.log(d) + alpha / d * logdet_rho + (1.0 - alpha) / d * logdet_sigma
     ) / (alpha - 1.0)
-    result = renyi_relative_entropy(rho, sigma, alpha)
-    eq, c = equality_condition_check(rho, sigma, alpha)
+    value, eq, c = _divergence_terms(rho, dec, alpha)
     return chain_report(
         "t4",
-        [("t4", bound, result.value)],
+        [("t4", bound, value)],
         CHAIN_TOL,
         eq,
-        extras={"divergence": result.value, "bound": bound, "c": c},
+        extras={"divergence": value, "bound": bound, "c": c},
     )
 
 
@@ -342,21 +344,26 @@ def divergence_vs_identity(rho: DensityMatrix, alpha: float) -> float:
     return log_power_sum(rho.eigenvalues, alpha) / (alpha - 1.0)
 
 
+def _identity_divergence(dec: SpectralDecomposition, alpha: float) -> float:
+    return math.log(float(np.sum(dec.eigenvalues ** (1.0 - alpha)))) / (alpha - 1.0)
+
+
 def identity_vs_divergence(sigma, alpha: float) -> float:
     """``D_alpha(identity || sigma) = (alpha-1)^(-1) ln tr sigma^(1-alpha)``."""
     alpha = _check_alpha_gt1(alpha)
-    dec = spectral_decompose(as_hermitian(sigma))
+    dec = spectral_decompose(sigma)
     if float(dec.eigenvalues[0]) <= PSD_TOL:
         raise NotPd("identity reference needs a positive definite sigma")
-    return math.log(float(np.sum(dec.eigenvalues ** (1.0 - alpha)))) / (alpha - 1.0)
+    return _identity_divergence(dec, alpha)
 
 
 def triangle_bound_check(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     """Check ``D(rho||sigma) <= D(rho||I) + D(I||sigma)`` for alpha > 1."""
     alpha = _check_alpha_gt1(alpha)
-    lhs = renyi_relative_entropy(rho, sigma, alpha).value
+    dec = _sigma_spectrum(sigma, alpha)
+    lhs, _, _ = _divergence_terms(rho, dec, alpha)
     d_rho_i = divergence_vs_identity(rho, alpha)
-    d_i_sigma = identity_vs_divergence(sigma, alpha)
+    d_i_sigma = _identity_divergence(dec, alpha)
     rhs = d_rho_i + d_i_sigma
     eq = abs(normalized_slack(lhs, rhs)) <= EQ_TOL
     return chain_report(

@@ -89,11 +89,23 @@ class MarginalSingular(RenyiError):
 
 
 # harness
+class BadDim(RenyiError):
+    pass
+
+
 class BadRank(RenyiError):
     pass
 
 
 class BadZeros(RenyiError):
+    pass
+
+
+class BadCap(RenyiError):
+    pass
+
+
+class BadTrials(RenyiError):
     pass
 
 

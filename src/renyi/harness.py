@@ -33,7 +33,7 @@ from .divergence import (
     t6_lower_bound,
     triangle_bound_check,
 )
-from .exceptions import BadRank, BadZeros, UnknownSuite
+from .exceptions import BadCap, BadDim, BadRank, BadTrials, BadZeros, UnknownSuite
 from .fileformat import (
     distribution_from_payload,
     distribution_payload,
@@ -73,11 +73,12 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def _density_from_rng(rng, dim: int, rank: int) -> DensityMatrix:
+def _density_from_rng(rng, dim: int, rank: int) -> np.ndarray:
+    """Unit-trace Ginibre state ``(m + m†)/2``: a valid density matrix as is."""
     g = _ginibre(rng, dim, rank)
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return DensityMatrix(m)
+    return (m + m.conj().T) / 2.0
 
 
 def _basis_from_rng(rng, dim: int) -> np.ndarray:
@@ -86,8 +87,8 @@ def _basis_from_rng(rng, dim: int) -> np.ndarray:
 
 
 def _pd_from_rng(rng, dim: int, condition_cap: float) -> np.ndarray:
-    if condition_cap < 1.0:
-        raise ValueError("condition_cap must be at least 1")
+    if not math.isfinite(condition_cap) or condition_cap < 1.0:
+        raise BadCap(f"condition cap must be finite and >= 1, got {condition_cap!r}")
     basis = _basis_from_rng(rng, dim)
     lo, hi = 1.0 / math.sqrt(condition_cap), math.sqrt(condition_cap)
     spectrum = rng.uniform(lo, hi, dim)
@@ -106,23 +107,31 @@ def _simplex_from_rng(rng, n: int, zeros: int) -> np.ndarray:
     return probability_vector(p)
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise BadDim(f"dimension must be at least 1, got {dim}")
+
+
 def random_density(
     dim: int, seed: int, rank: int | None = None
 ) -> DensityMatrix:
     """Ginibre-construction random density matrix, deterministic per seed."""
+    _check_dim(dim)
     rank = dim if rank is None else int(rank)
     if not 1 <= rank <= dim:
         raise BadRank(f"rank must lie in [1, {dim}], got {rank}")
-    return _density_from_rng(derive_rng(seed), dim, rank)
+    return DensityMatrix(_density_from_rng(derive_rng(seed), dim, rank))
 
 
 def random_pd(dim: int, seed: int, condition_cap: float = 100.0) -> np.ndarray:
     """Random PD matrix with eigenvalue ratio at most ``condition_cap``."""
+    _check_dim(dim)
     return _pd_from_rng(derive_rng(seed), dim, condition_cap)
 
 
 def random_simplex(n: int, seed: int, zeros: int = 0) -> np.ndarray:
     """Uniform (Dirichlet) distribution with ``zeros`` exact zero entries."""
+    _check_dim(n)
     return _simplex_from_rng(derive_rng(seed), n, zeros)
 
 
@@ -261,11 +270,11 @@ def _gen_t3(rng, i: int) -> dict:
         w = np.zeros(dim)
         w[:rank] = 1.0 / rank
         m = (basis * w) @ basis.conj().T
-        rho = DensityMatrix((m + m.conj().T) / 2.0)
+        rho = (m + m.conj().T) / 2.0
     else:
         rho = _density_from_rng(rng, dim, rank)
     return {
-        "rho": matrix_payload(rho.matrix),
+        "rho": matrix_payload(rho),
         "alpha": alpha,
         "equality_injected": eq,
     }
@@ -286,11 +295,11 @@ def _gen_t3_2(rng, i: int) -> dict:
     dim = DIMS_CYCLE[i % 8]
     alpha = ORDERS_CYCLE[i % 7]
     if eq:
-        rho = DensityMatrix(np.eye(dim) / dim)
+        rho = np.eye(dim) / dim
     else:
         rho = _density_from_rng(rng, dim, int(rng.integers(1, dim + 1)))
     return {
-        "rho": matrix_payload(rho.matrix),
+        "rho": matrix_payload(rho),
         "alpha": alpha,
         "equality_injected": eq,
     }
@@ -303,13 +312,13 @@ def _gen_t4(rng, i: int) -> dict:
     if eq:
         # maximally mixed against a scaled identity: the bound is exactly
         # tight there and the proportionality flag fires
-        rho = DensityMatrix(np.eye(dim) / dim)
+        rho = np.eye(dim) / dim
         sigma = rng.uniform(0.5, 2.0) * np.eye(dim)
     else:
         rho = _density_from_rng(rng, dim, dim)
         sigma = _pd_from_rng(rng, dim, CONDITION_CAPS[i % 3])
     return {
-        "rho": matrix_payload(rho.matrix),
+        "rho": matrix_payload(rho),
         "sigma": matrix_payload(sigma),
         "alpha": alpha,
         "equality_injected": eq,
@@ -326,18 +335,14 @@ def _gen_triangle(rng, i: int) -> dict:
     eq = i % _EQUALITY_EVERY == 0
     dim = 1 if eq else DIMS_CYCLE[i % 8]
     alpha = ORDERS_ABOVE_ONE[i % 4]
-    rho = (
-        DensityMatrix(np.array([[1.0]]))
-        if eq
-        else _density_from_rng(rng, dim, dim)
-    )
+    rho = np.array([[1.0]]) if eq else _density_from_rng(rng, dim, dim)
     sigma = (
         np.array([[rng.uniform(0.5, 2.0)]])
         if eq
         else _pd_from_rng(rng, dim, CONDITION_CAPS[i % 3])
     )
     return {
-        "rho": matrix_payload(rho.matrix),
+        "rho": matrix_payload(rho),
         "sigma": matrix_payload(sigma),
         "alpha": alpha,
         "equality_injected": eq,
@@ -355,12 +360,9 @@ def _gen_t6(rng, i: int) -> dict:
     d_a, d_b = T6_DIMS_CYCLE[i % 4]
     alpha = ORDERS_ABOVE_ONE[(i // 4) % 4]
     dim = d_a * d_b
-    if eq:
-        rho = DensityMatrix(np.eye(dim) / dim, dims=(d_a, d_b))
-    else:
-        rho = DensityMatrix(_density_from_rng(rng, dim, dim).matrix, dims=(d_a, d_b))
+    rho = np.eye(dim) / dim if eq else _density_from_rng(rng, dim, dim)
     return {
-        "rho": matrix_payload(rho.matrix, dims=(d_a, d_b)),
+        "rho": matrix_payload(rho, dims=(d_a, d_b)),
         "alpha": alpha,
         "equality_injected": eq,
     }
@@ -531,6 +533,8 @@ def run_suite(
     """
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if int(trials) < 0:
+        raise BadTrials(f"trials must be >= 0, got {trials}")
     suite = SUITES[name]
     tol = suite.tolerance if tolerance is None else float(tolerance)
     start = time.perf_counter()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,11 +70,13 @@ def as_hermitian(matrix, tol: float = HERM_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (real, ascending) and unitary eigenvector columns."""
+    """Eigenvalues (real, ascending), unitary eigenvector columns, and the
+    validated Hermitian matrix they decompose (``None`` when built by hand)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     sweeps: int = 0
+    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -159,11 +161,17 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def spectral_decompose(matrix, tol: float = HERM_TOL) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix: ``A = V diag(w) V†``, ``w`` ascending."""
+    """Diagonalize a Hermitian matrix: ``A = V diag(w) V†``, ``w`` ascending.
+
+    The only entry to the eigensolver and the one place inputs are validated:
+    the result keeps the validated matrix, so callers never re-validate.
+    """
     a = as_hermitian(matrix, tol)
-    w, v, sweeps = _jacobi(a)
+    w, v, sweeps = _jacobi(a.copy())
     order = np.argsort(w, kind="stable")
-    return SpectralDecomposition(w[order], np.ascontiguousarray(v[:, order]), sweeps)
+    return SpectralDecomposition(
+        w[order], np.ascontiguousarray(v[:, order]), sweeps, a
+    )
 
 
 def recombine(dec: SpectralDecomposition, w: np.ndarray) -> np.ndarray:
@@ -279,21 +287,22 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b.T).real)
 
 
-def _require_psd_spectrum(matrix, name: str) -> SpectralDecomposition:
-    dec = spectral_decompose(matrix)
-    if float(dec.eigenvalues[0]) < -PSD_TOL:
-        raise NotPsd(f"{name} is not PSD (min eigenvalue {dec.eigenvalues[0]:.3e})")
-    return dec
+def _decompose_psd_pair(a, b) -> tuple[SpectralDecomposition, SpectralDecomposition]:
+    """Validate and decompose two same-size PSD matrices (shape checked first)."""
+    dec_a = spectral_decompose(a)
+    dec_b = spectral_decompose(b)
+    if dec_a.matrix.shape != dec_b.matrix.shape:
+        raise DimensionMismatch("A and B must share dimensions")
+    for dec, name in ((dec_a, "A"), (dec_b, "B")):
+        if float(dec.eigenvalues[0]) < -PSD_TOL:
+            raise NotPsd(f"{name} is not PSD (min eigenvalue {dec.eigenvalues[0]:.3e})")
+    return dec_a, dec_b
 
 
 def lemma2_check(a, b, tolerance: float = CHAIN_TOL) -> BoundReport:
     """Check ``0 <= tr(AB) <= tr(A) tr(B)`` for PSD A, B."""
-    am = as_hermitian(a)
-    bm = as_hermitian(b)
-    if am.shape != bm.shape:
-        raise DimensionMismatch("A and B must share dimensions")
-    _require_psd_spectrum(am, "A")
-    _require_psd_spectrum(bm, "B")
+    dec_a, dec_b = _decompose_psd_pair(a, b)
+    am, bm = dec_a.matrix, dec_b.matrix
     tr_ab = trace_product(am, bm)
     tr_a = float(np.trace(am).real)
     tr_b = float(np.trace(bm).real)
@@ -310,19 +319,15 @@ def lemma3_check(a, b, tolerance: float = CHAIN_TOL) -> BoundReport:
     Equality is detected structurally: ``B^(1/2) A B^(1/2)`` must be a
     positive multiple of the identity.
     """
-    am = as_hermitian(a)
-    bm = as_hermitian(b)
-    if am.shape != bm.shape:
-        raise DimensionMismatch("A and B must share dimensions")
-    dec_a = _require_psd_spectrum(am, "A")
-    dec_b = _require_psd_spectrum(bm, "B")
+    dec_a, dec_b = _decompose_psd_pair(a, b)
+    am = dec_a.matrix
     n = am.shape[0]
     w_a = clip_spectrum(dec_a.eigenvalues)
     w_b = clip_spectrum(dec_b.eigenvalues)
     det_a = float(np.prod(w_a))
     det_b = float(np.prod(w_b))
     lhs = n * (det_a * det_b) ** (1.0 / n)
-    rhs = trace_product(am, bm)
+    rhs = trace_product(am, dec_b.matrix)
     root_b = recombine(dec_b, np.sqrt(w_b))
     middle = root_b @ am @ root_b
     c = float(np.trace(middle).real) / n
@@ -342,8 +347,8 @@ def lemma4_check(a, tolerance: float = CHAIN_TOL) -> BoundReport:
     Natural log throughout; equality detected when ``A`` is the identity to
     within ``EQ_TOL`` in max-norm.
     """
-    am = as_hermitian(a)
-    w = spectral_decompose(am).eigenvalues
+    dec = spectral_decompose(a)
+    am, w = dec.matrix, dec.eigenvalues
     if float(w[0]) <= PSD_TOL:
         raise NotPd(f"lemma4 needs a positive definite matrix (min eig {w[0]:.3e})")
     lower = float(np.sum(1.0 - 1.0 / w))

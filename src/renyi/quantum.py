@@ -25,7 +25,6 @@ from .linalg import (
     PSD_TOL,
     ZERO_THRESHOLD,
     SpectralDecomposition,
-    as_hermitian,
     log_power_sum,
     spectral_decompose,
 )
@@ -65,9 +64,8 @@ class DensityMatrix:
     __slots__ = ("_matrix", "_spectrum", "_dims")
 
     def __init__(self, matrix, dims: tuple[int, int] | None = None):
-        a = as_hermitian(matrix)
-        dec = spectral_decompose(a)
-        w = dec.eigenvalues
+        dec = spectral_decompose(matrix)
+        a, w = dec.matrix, dec.eigenvalues
         if float(w[0]) < -PSD_TOL:
             raise NotPsd(f"density matrix has eigenvalue {w[0]:.3e}")
         w = w.copy()
@@ -86,7 +84,7 @@ class DensityMatrix:
         w.setflags(write=False)
         object.__setattr__(self, "_matrix", a)
         object.__setattr__(
-            self, "_spectrum", SpectralDecomposition(w, dec.eigenvectors, dec.sweeps)
+            self, "_spectrum", SpectralDecomposition(w, dec.eigenvectors, dec.sweeps, a)
         )
         object.__setattr__(self, "_dims", dims)
 

@@ -160,6 +160,11 @@ class TestVerifyAndGen:
         assert code == 0
         assert "failures 0" in out
 
+    def test_verify_zero_trials(self, capsys):
+        code, out, _ = run(capsys, ["verify", "t4", "--trials", "0", "--seed", "1"])
+        assert code == 0
+        assert "trials 0" in out
+
     def test_verify_deterministic_output(self, capsys):
         argv = ["verify", "t3", "--trials", "40", "--seed", "7", "--json"]
         code1, out1, _ = run(capsys, argv)
@@ -212,6 +217,30 @@ class TestVerifyAndGen:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["gen", "pd", "--dim", "3", "--seed", "1", "--cap", "0.5"], "BadCap"),
+            (["gen", "pd", "--dim", "3", "--seed", "1", "--cap", "nan"], "BadCap"),
+            (["gen", "pd", "--dim", "3", "--seed", "1", "--cap", "inf"], "BadCap"),
+        ]
+        + [
+            (["gen", kind, "--dim", dim, "--seed", "1"], "BadDim")
+            for kind in ("density", "pd", "simplex")
+            for dim in ("0", "-2")
+        ]
+        + [(["verify", "t4", "--trials", "-1", "--seed", "1"], "BadTrials")],
+    )
+    def test_bad_arguments_end_in_error_object(self, capsys, tmp_path, argv, code):
+        out = tmp_path / "out.json"
+        if argv[0] == "gen":
+            argv = argv + ["--out", str(out)]
+        rc, stdout, err = run(capsys, argv)  # an escaping exception fails here
+        assert rc == 1
+        assert stdout == ""
+        assert json.loads(err)["code"] == code
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(
             capsys, ["entropy", "classical", "--dist", "nope.json", "--beta", "2"]

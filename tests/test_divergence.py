@@ -415,3 +415,29 @@ class TestTriangle:
             DensityMatrix(np.array([[1.0]])), np.array([[1.7]]), 2.0
         )
         assert rep.equality
+
+
+class TestSharedSigmaDecomposition:
+    """t4 and the triangle check reuse one decomposition of sigma; the
+    numbers they report equal the standalone functions' bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 5.0])
+    def test_reports_match_standalone_functions(self, alpha):
+        rng = np.random.default_rng(int(10 * alpha))
+        cases = [(DensityMatrix(np.eye(3) / 3), 1.7 * np.eye(3))]
+        for _ in range(25):
+            n = int(rng.integers(1, 7))
+            cases.append((random_density(rng, n), random_pd(rng, n)))
+        for rho, sigma in cases:
+            t4 = t4_lower_bound(rho, sigma, alpha)
+            divergence = renyi_relative_entropy(rho, sigma, alpha)
+            equality, c = equality_condition_check(rho, sigma, alpha)
+            assert t4.extras["divergence"] == divergence.value
+            assert t4.extras["c"] == c
+            assert t4.equality == equality == divergence.equality_case
+            triangle = triangle_bound_check(rho, sigma, alpha)
+            assert triangle.lhs == divergence.value
+            assert triangle.extras["d_identity_sigma"] == identity_vs_divergence(
+                sigma, alpha
+            )
+        assert t4_lower_bound(*cases[0], alpha).equality

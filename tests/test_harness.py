@@ -1,7 +1,10 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
-from renyi.exceptions import BadRank, BadZeros, UnknownSuite
+from renyi.exceptions import BadCap, BadDim, BadRank, BadTrials, BadZeros, UnknownSuite
 from renyi.harness import (
     SUITES,
     derive_rng,
@@ -159,3 +162,71 @@ class TestRunSuite:
         wire = json.dumps(record.inputs, sort_keys=True)
         again = replay("lemma2", json.loads(wire))
         assert again.gap == record.report.gap
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(BadTrials):
+            run_suite("t4", -1, seed=1)
+        assert run_suite("t4", 0, seed=1).trials == 0
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_dimension_below_one(self, dim):
+        with pytest.raises(BadDim):
+            random_density(dim, 1)
+        with pytest.raises(BadDim):
+            random_pd(dim, 1)
+        with pytest.raises(BadDim):
+            random_simplex(dim, 1)
+
+    @pytest.mark.parametrize("cap", [0.5, -1.0, math.nan, math.inf])
+    def test_bad_condition_cap(self, cap):
+        with pytest.raises(BadCap):
+            random_pd(3, 1, cap)
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap linalg functions in every ``renyi.*`` namespace that imported them."""
+    from renyi import linalg
+
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        original = getattr(linalg, name)
+        wrapper = counted(name, original)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "renyi" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    return counts
+
+
+class TestWorkPerTrial:
+    """Each operand is validated once and decomposed once per trial."""
+
+    @pytest.mark.parametrize(
+        "name,decompositions,validations",
+        [
+            ("t4", 3, 3),
+            ("triangle", 3, 3),
+            ("t3", 1, 1),
+            ("t3_2", 1, 1),
+            ("lemma2", 2, 2),
+        ],
+    )
+    def test_counts(self, monkeypatch, name, decompositions, validations):
+        counts = _count_calls(monkeypatch, ("spectral_decompose", "as_hermitian"))
+        suite = SUITES[name]
+        for trial in range(1, 25):  # no multiple of 100: no equality case
+            counts.update(spectral_decompose=0, as_hermitian=0)
+            suite.check(suite.gen(derive_rng(3, trial), trial))
+            assert counts == {
+                "spectral_decompose": decompositions,
+                "as_hermitian": validations,
+            }, trial

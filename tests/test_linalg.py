@@ -337,3 +337,24 @@ def test_convergence_failure_is_not_triggered_at_desk_scale():
     a = random_hermitian(rng, 32)
     dec = spectral_decompose(a)
     assert np.abs(dec.reconstruct() - a).max() <= 1e-9 * (1 + np.abs(a).max())
+
+
+def test_decomposition_keeps_the_validated_matrix():
+    rng = np.random.default_rng(23)
+    a = random_hermitian(rng, 5)
+    a[0, 1] += 1e-13  # tolerated asymmetry dust
+    dec = spectral_decompose(a)
+    assert np.array_equal(dec.matrix, as_hermitian(a))
+    # validation is idempotent bit for bit, and the eigensolver works on a copy
+    again = spectral_decompose(dec.matrix)
+    assert np.array_equal(again.matrix, dec.matrix)
+    assert np.array_equal(again.eigenvalues, dec.eigenvalues)
+    assert np.array_equal(again.eigenvectors, dec.eigenvectors)
+
+
+def test_lemma_shape_mismatch_precedes_psd_checks():
+    for check in (lemma2_check, lemma3_check):
+        with pytest.raises(DimensionMismatch):
+            check(np.diag([1.0, -1.0]), np.eye(3))
+        with pytest.raises(NonHermitianInput):
+            check(np.eye(2), np.triu(np.ones((3, 3))))
