@@ -337,11 +337,11 @@ def _cmd_gen(args) -> int:
             f"dim {dim} exceeds RENYI_MAX_DIM={_max_dim()}", "dim"
         )
     if args.kind == "density":
-        rho = harness.random_density(dim, args.seed, rank=args.rank)
+        rho = harness.random_density_array(dim, args.seed, rank=args.rank)
         dims = _parse_dims(args.dims) if args.dims else None
         if dims is not None and dims[0] * dims[1] != dim:
             raise FileFormatError(f"dims {dims} do not multiply to {dim}", "dims")
-        payload = matrix_payload(rho.matrix, dims=dims)
+        payload = matrix_payload(rho, dims=dims)
     elif args.kind == "pd":
         payload = matrix_payload(harness.random_pd(dim, args.seed, args.cap))
     elif args.kind == "simplex":

@@ -3,9 +3,11 @@
 Randomness comes from numpy's Philox counter-based generator keyed by
 ``(seed, stream)``, so every trial owns an order-independent substream and
 suite reports are reproducible bit for bit.  Each suite knows how to
-generate one trial's inputs (already in serialized form, shared with the
-CLI file format), how to check them, and the tolerance above which a
-normalized violation counts as a failure.  One trial in a hundred is a
+generate one trial's inputs as arrays, how to check them, and the tolerance
+above which a normalized violation counts as a failure.  A matrix input is
+an ``(array, dims)`` pair and a distribution a float array; they are
+serialized to the CLI file format only when a failure is recorded, and
+:func:`replay` parses that form back.  One trial in a hundred is a
 constructed equality-case instance so the equality flags get exercised.
 """
 
@@ -112,15 +114,20 @@ def _check_dim(dim: int) -> None:
         raise BadDim(f"dimension must be at least 1, got {dim}")
 
 
-def random_density(
-    dim: int, seed: int, rank: int | None = None
-) -> DensityMatrix:
-    """Ginibre-construction random density matrix, deterministic per seed."""
+def random_density_array(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
+    """The matrix of :func:`random_density`, without building the state."""
     _check_dim(dim)
     rank = dim if rank is None else int(rank)
     if not 1 <= rank <= dim:
         raise BadRank(f"rank must lie in [1, {dim}], got {rank}")
-    return DensityMatrix(_density_from_rng(derive_rng(seed), dim, rank))
+    return _density_from_rng(derive_rng(seed), dim, rank)
+
+
+def random_density(
+    dim: int, seed: int, rank: int | None = None
+) -> DensityMatrix:
+    """Ginibre-construction random density matrix, deterministic per seed."""
+    return DensityMatrix(random_density_array(dim, seed, rank))
 
 
 def random_pd(dim: int, seed: int, condition_cap: float = 100.0) -> np.ndarray:
@@ -161,16 +168,12 @@ def _psd_pair(rng, i: int, equal_case: bool) -> tuple[np.ndarray, np.ndarray]:
 def _gen_lemma2(rng, i: int) -> dict:
     eq = i % _EQUALITY_EVERY == 0
     a, b = _psd_pair(rng, i, eq)
-    return {
-        "a": matrix_payload(a),
-        "b": matrix_payload(b),
-        "equality_injected": eq,
-    }
+    return {"a": (a, None), "b": (b, None), "equality_injected": eq}
 
 
 def _check_lemma2(inputs: dict) -> BoundReport:
-    a, _ = matrix_from_payload(inputs["a"])
-    b, _ = matrix_from_payload(inputs["b"])
+    a, _ = inputs["a"]
+    b, _ = inputs["b"]
     return lemma2_check(a, b)
 
 
@@ -187,16 +190,12 @@ def _gen_lemma3(rng, i: int) -> dict:
         b = (b + b.conj().T) / 2.0
     else:
         a, b = _psd_pair(rng, i, False)
-    return {
-        "a": matrix_payload(a),
-        "b": matrix_payload(b),
-        "equality_injected": eq,
-    }
+    return {"a": (a, None), "b": (b, None), "equality_injected": eq}
 
 
 def _check_lemma3(inputs: dict) -> BoundReport:
-    a, _ = matrix_from_payload(inputs["a"])
-    b, _ = matrix_from_payload(inputs["b"])
+    a, _ = inputs["a"]
+    b, _ = inputs["b"]
     return lemma3_check(a, b)
 
 
@@ -207,11 +206,11 @@ def _gen_lemma4(rng, i: int) -> dict:
         a = np.eye(dim)
     else:
         a = _pd_from_rng(rng, dim, CONDITION_CAPS[i % 3])
-    return {"a": matrix_payload(a), "equality_injected": eq}
+    return {"a": (a, None), "equality_injected": eq}
 
 
 def _check_lemma4(inputs: dict) -> BoundReport:
-    a, _ = matrix_from_payload(inputs["a"])
+    a, _ = inputs["a"]
     return lemma4_check(a)
 
 
@@ -228,11 +227,11 @@ def _gen_t1(rng, i: int) -> dict:
     beta = ORDERS_CYCLE[i % 7]
     zeros = int(rng.integers(0, n))
     p = _uniform_support(rng, n, zeros) if eq else _simplex_from_rng(rng, n, zeros)
-    return {"p": distribution_payload(p), "beta": beta, "equality_injected": eq}
+    return {"p": p, "beta": beta, "equality_injected": eq}
 
 
 def _check_t1(inputs: dict) -> BoundReport:
-    p = probability_vector(distribution_from_payload(inputs["p"]))
+    p = probability_vector(inputs["p"])
     beta = float(inputs["beta"])
     h = renyi_entropy(p, beta)
     bound = t1_bound(p, beta)
@@ -247,11 +246,11 @@ def _gen_t2_2(rng, i: int) -> dict:
     beta = ORDERS_BELOW_ONE[i % 3]
     zeros = int(rng.integers(0, n))
     p = _uniform_support(rng, n, zeros) if eq else _simplex_from_rng(rng, n, zeros)
-    return {"p": distribution_payload(p), "beta": beta, "equality_injected": eq}
+    return {"p": p, "beta": beta, "equality_injected": eq}
 
 
 def _check_t2_2(inputs: dict) -> BoundReport:
-    p = probability_vector(distribution_from_payload(inputs["p"]))
+    p = probability_vector(inputs["p"])
     beta = float(inputs["beta"])
     h = entropy_type_beta(p, beta)
     bound = type_beta_product_bound(p, beta)
@@ -273,20 +272,16 @@ def _gen_t3(rng, i: int) -> dict:
         rho = (m + m.conj().T) / 2.0
     else:
         rho = _density_from_rng(rng, dim, rank)
-    return {
-        "rho": matrix_payload(rho),
-        "alpha": alpha,
-        "equality_injected": eq,
-    }
+    return {"rho": (rho, None), "alpha": alpha, "equality_injected": eq}
 
 
 def _check_t3(inputs: dict) -> BoundReport:
-    m, _ = matrix_from_payload(inputs["rho"])
+    m, _ = inputs["rho"]
     return t3_bound(DensityMatrix(m), float(inputs["alpha"]))
 
 
 def _check_t3_2(inputs: dict) -> BoundReport:
-    m, _ = matrix_from_payload(inputs["rho"])
+    m, _ = inputs["rho"]
     return log_dim_cap(DensityMatrix(m), float(inputs["alpha"]))
 
 
@@ -298,11 +293,7 @@ def _gen_t3_2(rng, i: int) -> dict:
         rho = np.eye(dim) / dim
     else:
         rho = _density_from_rng(rng, dim, int(rng.integers(1, dim + 1)))
-    return {
-        "rho": matrix_payload(rho),
-        "alpha": alpha,
-        "equality_injected": eq,
-    }
+    return {"rho": (rho, None), "alpha": alpha, "equality_injected": eq}
 
 
 def _gen_t4(rng, i: int) -> dict:
@@ -318,16 +309,16 @@ def _gen_t4(rng, i: int) -> dict:
         rho = _density_from_rng(rng, dim, dim)
         sigma = _pd_from_rng(rng, dim, CONDITION_CAPS[i % 3])
     return {
-        "rho": matrix_payload(rho),
-        "sigma": matrix_payload(sigma),
+        "rho": (rho, None),
+        "sigma": (sigma, None),
         "alpha": alpha,
         "equality_injected": eq,
     }
 
 
 def _check_t4(inputs: dict) -> BoundReport:
-    rho, _ = matrix_from_payload(inputs["rho"])
-    sigma, _ = matrix_from_payload(inputs["sigma"])
+    rho, _ = inputs["rho"]
+    sigma, _ = inputs["sigma"]
     return t4_lower_bound(DensityMatrix(rho), sigma, float(inputs["alpha"]))
 
 
@@ -342,16 +333,16 @@ def _gen_triangle(rng, i: int) -> dict:
         else _pd_from_rng(rng, dim, CONDITION_CAPS[i % 3])
     )
     return {
-        "rho": matrix_payload(rho),
-        "sigma": matrix_payload(sigma),
+        "rho": (rho, None),
+        "sigma": (sigma, None),
         "alpha": alpha,
         "equality_injected": eq,
     }
 
 
 def _check_triangle(inputs: dict) -> BoundReport:
-    rho, _ = matrix_from_payload(inputs["rho"])
-    sigma, _ = matrix_from_payload(inputs["sigma"])
+    rho, _ = inputs["rho"]
+    sigma, _ = inputs["sigma"]
     return triangle_bound_check(DensityMatrix(rho), sigma, float(inputs["alpha"]))
 
 
@@ -361,15 +352,11 @@ def _gen_t6(rng, i: int) -> dict:
     alpha = ORDERS_ABOVE_ONE[(i // 4) % 4]
     dim = d_a * d_b
     rho = np.eye(dim) / dim if eq else _density_from_rng(rng, dim, dim)
-    return {
-        "rho": matrix_payload(rho, dims=(d_a, d_b)),
-        "alpha": alpha,
-        "equality_injected": eq,
-    }
+    return {"rho": (rho, (d_a, d_b)), "alpha": alpha, "equality_injected": eq}
 
 
 def _check_t6(inputs: dict) -> BoundReport:
-    m, dims = matrix_from_payload(inputs["rho"])
+    m, dims = inputs["rho"]
     return t6_lower_bound(DensityMatrix(m, dims=dims), float(inputs["alpha"]))
 
 
@@ -401,11 +388,11 @@ def _gen_eq4(rng, i: int) -> dict:
     beta = ORDERS_CYCLE[i % 7]
     zeros = int(rng.integers(0, n))
     p = _uniform_support(rng, n, zeros) if eq else _simplex_from_rng(rng, n, zeros)
-    return {"p": distribution_payload(p), "beta": beta, "equality_injected": eq}
+    return {"p": p, "beta": beta, "equality_injected": eq}
 
 
 def _check_eq4(inputs: dict) -> BoundReport:
-    p = probability_vector(distribution_from_payload(inputs["p"]))
+    p = probability_vector(inputs["p"])
     beta = float(inputs["beta"])
     roundtrip = order_from_type(entropy_type_beta(p, beta), beta)
     return identity_report("eq4_roundtrip", roundtrip, renyi_entropy(p, beta), 1e-10)
@@ -422,17 +409,12 @@ def _gen_diag_oracle(rng, i: int) -> dict:
         p = _simplex_from_rng(rng, n, int(rng.integers(0, n // 2 + 1)))
         # keep the reference spectrum comfortably positive definite
         q = 0.99 * _simplex_from_rng(rng, n, 0) + 0.01 / n
-    return {
-        "p": distribution_payload(p),
-        "q": distribution_payload(q),
-        "alpha": alpha,
-        "equality_injected": eq,
-    }
+    return {"p": p, "q": q, "alpha": alpha, "equality_injected": eq}
 
 
 def _check_diag_oracle(inputs: dict) -> BoundReport:
-    p = probability_vector(distribution_from_payload(inputs["p"]))
-    q = probability_vector(distribution_from_payload(inputs["q"]))
+    p = probability_vector(inputs["p"])
+    q = probability_vector(inputs["q"])
     alpha = float(inputs["alpha"])
     rho = DensityMatrix(np.diag(p))
     h_quantum = quantum_renyi_entropy(rho, alpha, units="bits").value
@@ -446,13 +428,14 @@ def _check_diag_oracle(inputs: dict) -> BoundReport:
     gap_h = -abs(h_quantum - h_classical) / (1.0 + abs(h_classical))
     gap_d = -abs(d_quantum - d_classical) / (1.0 + abs(d_classical))
     gap = min(gap_h, gap_d)
+    agree = bool(gap >= -1e-10)
     return BoundReport(
         "diag_oracle",
         h_quantum,
         h_classical,
         gap,
-        gap >= -1e-10,
-        gap >= -1e-10,
+        agree,
+        agree,
         1e-10,
         {
             "entropy_diff": abs(h_quantum - h_classical),
@@ -466,22 +449,42 @@ class Suite:
     tolerance: float
     gen: Callable[[np.random.Generator, int], dict]
     check: Callable[[dict], BoundReport]
+    matrices: tuple[str, ...] = ()
+    distributions: tuple[str, ...] = ()
+
+    def serialize(self, inputs: dict) -> dict:
+        """The file-format form of generated inputs, as failure records keep it."""
+        return {
+            key: matrix_payload(*value) if key in self.matrices
+            else distribution_payload(value) if key in self.distributions
+            else value
+            for key, value in inputs.items()
+        }
+
+    def parse(self, inputs: dict) -> dict:
+        """Inverse of :meth:`serialize`, validating each payload."""
+        return {
+            key: matrix_from_payload(value) if key in self.matrices
+            else distribution_from_payload(value) if key in self.distributions
+            else value
+            for key, value in inputs.items()
+        }
 
 
 SUITES: dict[str, Suite] = {
-    "lemma2": Suite(CHAIN_TOL, _gen_lemma2, _check_lemma2),
-    "lemma3": Suite(CHAIN_TOL, _gen_lemma3, _check_lemma3),
-    "lemma4": Suite(CHAIN_TOL, _gen_lemma4, _check_lemma4),
-    "t1": Suite(CHAIN_TOL, _gen_t1, _check_t1),
-    "t2_2": Suite(CHAIN_TOL, _gen_t2_2, _check_t2_2),
-    "t3": Suite(CHAIN_TOL, _gen_t3, _check_t3),
-    "t3_2": Suite(CHAIN_TOL, _gen_t3_2, _check_t3_2),
-    "t4": Suite(CHAIN_TOL, _gen_t4, _check_t4),
-    "t6": Suite(CHAIN_TOL, _gen_t6, _check_t6),
-    "triangle": Suite(CHAIN_TOL, _gen_triangle, _check_triangle),
+    "lemma2": Suite(CHAIN_TOL, _gen_lemma2, _check_lemma2, ("a", "b")),
+    "lemma3": Suite(CHAIN_TOL, _gen_lemma3, _check_lemma3, ("a", "b")),
+    "lemma4": Suite(CHAIN_TOL, _gen_lemma4, _check_lemma4, ("a",)),
+    "t1": Suite(CHAIN_TOL, _gen_t1, _check_t1, distributions=("p",)),
+    "t2_2": Suite(CHAIN_TOL, _gen_t2_2, _check_t2_2, distributions=("p",)),
+    "t3": Suite(CHAIN_TOL, _gen_t3, _check_t3, ("rho",)),
+    "t3_2": Suite(CHAIN_TOL, _gen_t3_2, _check_t3_2, ("rho",)),
+    "t4": Suite(CHAIN_TOL, _gen_t4, _check_t4, ("rho", "sigma")),
+    "t6": Suite(CHAIN_TOL, _gen_t6, _check_t6, ("rho",)),
+    "triangle": Suite(CHAIN_TOL, _gen_triangle, _check_triangle, ("rho", "sigma")),
     "info_fn_eq": Suite(1e-9, _gen_info_fn_eq, _check_info_fn_eq),
-    "eq4_roundtrip": Suite(1e-10, _gen_eq4, _check_eq4),
-    "diag_oracle": Suite(1e-10, _gen_diag_oracle, _check_diag_oracle),
+    "eq4_roundtrip": Suite(1e-10, _gen_eq4, _check_eq4, distributions=("p",)),
+    "diag_oracle": Suite(1e-10, _gen_diag_oracle, _check_diag_oracle, distributions=("p", "q")),
 }
 
 
@@ -529,7 +532,8 @@ def run_suite(
     """Run ``trials`` randomized instances of one suite.
 
     Failures (normalized violation above the suite tolerance) keep the full
-    serialized input so they replay exactly.
+    serialized input so they replay exactly; other trials are never
+    serialized.
     """
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
@@ -551,7 +555,7 @@ def run_suite(
             injected += 1
             flagged += int(rep.equality)
         if violation > tol:
-            failures.append(FailureRecord(trial, inputs, rep))
+            failures.append(FailureRecord(trial, suite.serialize(inputs), rep))
     return SuiteReport(
         name=name,
         trials=int(trials),
@@ -567,4 +571,5 @@ def replay(name: str, inputs: dict) -> BoundReport:
     """Re-run one suite check from a failure record's serialized inputs."""
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}")
-    return SUITES[name].check(inputs)
+    suite = SUITES[name]
+    return suite.check(suite.parse(inputs))

@@ -70,8 +70,8 @@ def chain_report(
         lhs=parts[0][1],
         rhs=parts[-1][2],
         gap=gap,
-        passed=gap >= -tolerance,
-        equality=equality,
+        passed=bool(gap >= -tolerance),
+        equality=bool(equality),
         tolerance=tolerance,
         extras=out,
     )
@@ -86,13 +86,14 @@ def identity_report(
 ) -> BoundReport:
     """Report for a two-sided identity ``value == expected``."""
     gap = -abs(value - expected) / (1.0 + abs(expected))
+    holds = bool(gap >= -tolerance)
     return BoundReport(
         name=name,
         lhs=value,
         rhs=expected,
         gap=gap,
-        passed=gap >= -tolerance,
-        equality=gap >= -tolerance,
+        passed=holds,
+        equality=holds,
         tolerance=tolerance,
         extras=dict(extras or {}),
     )

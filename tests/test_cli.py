@@ -139,6 +139,13 @@ class TestBounds:
         assert code == 0
         assert "passed True" in out
 
+    def test_t1_json(self, capsys, u2):
+        code, out, _ = run(capsys, ["bounds", "t1", "--dist", u2, "--beta", "2", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["report"]["passed"] is True
+        assert payload["report"]["equality"] is True
+
     def test_t3_json(self, capsys, mm4):
         code, out, _ = run(
             capsys, ["bounds", "t3", "--state", mm4, "--alpha", "0.5", "--json"]

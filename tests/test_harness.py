@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -142,9 +143,10 @@ class TestRunSuite:
 
     def test_trials_are_order_independent_substreams(self):
         # trial k's inputs depend only on (seed, k), not on earlier trials
-        full = [SUITES["lemma4"].gen(derive_rng(5, i), i) for i in range(10)]
-        alone = SUITES["lemma4"].gen(derive_rng(5, 7), 7)
-        assert full[7] == alone
+        suite = SUITES["lemma4"]
+        full = [suite.gen(derive_rng(5, i), i) for i in range(10)]
+        alone = suite.gen(derive_rng(5, 7), 7)
+        assert json.dumps(suite.serialize(full[7])) == json.dumps(suite.serialize(alone))
 
     def test_failure_records_replay_exactly(self):
         rep = run_suite("t1", 60, seed=4, tolerance=-1.0)
@@ -155,13 +157,25 @@ class TestRunSuite:
             assert again.violation == record.report.violation
 
     def test_failure_records_replay_via_json(self):
-        import json
-
         rep = run_suite("lemma2", 40, seed=4, tolerance=-1.0)
         record = rep.failures[3]
         wire = json.dumps(record.inputs, sort_keys=True)
         again = replay("lemma2", json.loads(wire))
         assert again.gap == record.report.gap
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_every_suite_replays_its_records_from_json(self, name):
+        rep = run_suite(name, 8 if name == "t6" else 40, seed=4, tolerance=-1.0)
+        assert len(rep.failures) == rep.trials
+        for record in rep.failures:
+            again = replay(name, json.loads(json.dumps(record.inputs)))
+            assert again.to_dict() == record.report.to_dict()
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_reports_are_json_serializable(self, name):
+        # forced failures put every trial's inputs and report in the record
+        text = json.dumps(run_suite(name, 200, 9, tolerance=-1.0).to_dict())
+        assert json.loads(text)["suite"] == name
 
     def test_negative_trials_rejected(self):
         with pytest.raises(BadTrials):
