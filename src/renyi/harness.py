@@ -48,7 +48,6 @@ from .linalg import (
     lemma2_check,
     lemma3_check,
     lemma4_check,
-    spectral_decompose,
 )
 from .quantum import DensityMatrix, log_dim_cap, quantum_renyi_entropy, t3_bound
 from .report import BoundReport, chain_report, identity_report, normalized_slack
@@ -84,8 +83,11 @@ def _density_from_rng(rng, dim: int, rank: int) -> np.ndarray:
 
 
 def _basis_from_rng(rng, dim: int) -> np.ndarray:
-    g = _ginibre(rng, dim, dim)
-    return spectral_decompose((g + g.conj().T) / 2.0).eigenvectors
+    """Haar-random unitary: the QR factor of a Ginibre matrix with the phases
+    of ``diag(R)`` moved into ``Q`` (Mezzadri, Notices AMS 54, 2007)."""
+    q, r = np.linalg.qr(_ginibre(rng, dim, dim))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def _pd_from_rng(rng, dim: int, condition_cap: float) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from renyi.exceptions import BadCap, BadDim, BadRank, BadTrials, BadZeros, UnknownSuite
 from renyi.harness import (
     SUITES,
+    _basis_from_rng,
     derive_rng,
     random_density,
     random_pd,
@@ -79,6 +80,19 @@ class TestGenerators:
             assert rho.eigenvalues.min() >= 0.0
             count += 1
         assert count == 10_000
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 32, 64])
+    def test_basis_is_unitary(self, n):
+        u = _basis_from_rng(derive_rng(13, n), n)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(n), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(n), rtol=0, atol=1e-13)
+
+    def test_basis_phases_are_uniform(self):
+        # Haar entries have mean 0 and E|u_00|^2 = 1/n; an unfixed QR factor
+        # keeps diag(R)'s phase and gives a real negative u_00 on average
+        entries = np.array([_basis_from_rng(derive_rng(21, k), 2)[0, 0] for k in range(4000)])
+        assert abs(entries.mean()) < 0.05
+        assert abs(np.mean(np.abs(entries) ** 2) - 0.5) < 0.03
 
     def test_simplex_mean_on_support(self):
         n, zeros = 5, 2
@@ -199,10 +213,8 @@ class TestArgumentChecks:
             random_pd(3, 1, cap)
 
 
-def _count_calls(monkeypatch, names):
-    """Wrap linalg functions in every ``renyi.*`` namespace that imported them."""
-    from renyi import linalg
-
+def _count_calls(monkeypatch, module, names):
+    """Wrap functions of ``module`` in every ``renyi.*`` namespace that imported them."""
     counts = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -213,7 +225,7 @@ def _count_calls(monkeypatch, names):
         return wrapper
 
     for name in names:
-        original = getattr(linalg, name)
+        original = getattr(module, name)
         wrapper = counted(name, original)
         for modname, mod in list(sys.modules.items()):
             if modname.split(".")[0] == "renyi" and vars(mod).get(name) is original:
@@ -227,15 +239,18 @@ class TestWorkPerTrial:
     @pytest.mark.parametrize(
         "name,decompositions,validations",
         [
-            ("t4", 3, 3),
-            ("triangle", 3, 3),
+            ("t4", 2, 2),
+            ("triangle", 2, 2),
             ("t3", 1, 1),
             ("t3_2", 1, 1),
             ("lemma2", 2, 2),
+            ("lemma4", 1, 1),
         ],
     )
     def test_counts(self, monkeypatch, name, decompositions, validations):
-        counts = _count_calls(monkeypatch, ("spectral_decompose", "as_hermitian"))
+        from renyi import linalg
+
+        counts = _count_calls(monkeypatch, linalg, ("spectral_decompose", "as_hermitian"))
         suite = SUITES[name]
         for trial in range(1, 25):  # no multiple of 100: no equality case
             counts.update(spectral_decompose=0, as_hermitian=0)
@@ -244,3 +259,14 @@ class TestWorkPerTrial:
                 "spectral_decompose": decompositions,
                 "as_hermitian": validations,
             }, trial
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_generators_neither_decompose_nor_serialize(self, monkeypatch, name):
+        from renyi import fileformat, linalg
+
+        counts = _count_calls(monkeypatch, linalg, ("spectral_decompose", "as_hermitian"))
+        counts.update(_count_calls(monkeypatch, fileformat, ("matrix_payload",)))
+        trials = (0, 100) + tuple(range(1, 17))  # equality cases included
+        for trial in trials:
+            SUITES[name].gen(derive_rng(3, trial), trial)
+        assert counts == {"spectral_decompose": 0, "as_hermitian": 0, "matrix_payload": 0}
