@@ -486,7 +486,9 @@ SUITES: dict[str, Suite] = {
     "triangle": Suite(CHAIN_TOL, _gen_triangle, _check_triangle, ("rho", "sigma")),
     "info_fn_eq": Suite(1e-9, _gen_info_fn_eq, _check_info_fn_eq),
     "eq4_roundtrip": Suite(1e-10, _gen_eq4, _check_eq4, distributions=("p",)),
-    "diag_oracle": Suite(1e-10, _gen_diag_oracle, _check_diag_oracle, distributions=("p", "q")),
+    "diag_oracle": Suite(
+        1e-10, _gen_diag_oracle, _check_diag_oracle, distributions=("p", "q")
+    ),
 }
 
 
