@@ -30,19 +30,13 @@ from .fileformat import (
     matrix_from_payload,
     matrix_payload,
 )
-from .linalg import (
-    CHAIN_TOL,
-    EQ_TOL,
-    HERM_TOL,
-    PSD_TOL,
-    ZERO_THRESHOLD,
-    lemma2_check,
-    lemma3_check,
-    lemma4_check,
-)
-from .quantum import DensityMatrix, log_dim_cap, quantum_renyi_entropy, t3_bound
+from .linalg import CHAIN_TOL, EQ_TOL, HERM_TOL, PSD_TOL, ZERO_THRESHOLD
+from .quantum import DensityMatrix, quantum_renyi_entropy
 
 _LN2 = math.log(2.0)
+
+# the flag that names each suite input, where the two differ
+_FLAGS = {"rho": "state", "p": "dist"}
 
 LINALG_TOLERANCES = {
     "herm_tol": HERM_TOL,
@@ -95,6 +89,8 @@ def _parse_dims(text: str) -> tuple[int, int]:
         d_a, d_b = (int(part) for part in text.split(","))
     except ValueError:
         raise FileFormatError(f"--dims expects 'dA,dB', got {text!r}", "dims")
+    if d_a < 1 or d_b < 1:
+        raise FileFormatError(f"--dims parts must be positive, got {text!r}", "dims")
     return d_a, d_b
 
 
@@ -250,46 +246,32 @@ def _optimized(args, mode: str) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    theorem = args.theorem
-    inputs: dict = {}
-    if theorem in ("lemma2", "lemma3"):
-        a, _, pa = _load_matrix(args.a)
-        b, _, pb = _load_matrix(args.b)
-        report = (lemma2_check if theorem == "lemma2" else lemma3_check)(a, b)
-        inputs = {"a": pa, "b": pb}
-    elif theorem == "lemma4":
-        a, _, pa = _load_matrix(args.a)
-        report = lemma4_check(a)
-        inputs = {"a": pa}
-    elif theorem in ("t1", "t2_2"):
-        _, payload = _load_distribution(args.dist)
-        inputs = {"dist": payload, "beta": args.beta}
-        report = harness.replay(theorem, {"p": payload, "beta": args.beta})
-    elif theorem in ("t3", "t3_2"):
-        matrix, dims, payload = _load_matrix(args.state)
-        rho = DensityMatrix(matrix, dims=dims)
-        fn = t3_bound if theorem == "t3" else log_dim_cap
-        report = fn(rho, args.alpha)
-        inputs = {"state": payload, "alpha": args.alpha}
-    elif theorem in ("t4", "triangle"):
-        rho_m, rho_dims, pr = _load_matrix(args.state)
-        sigma, _, ps = _load_matrix(args.sigma)
-        rho = DensityMatrix(rho_m, dims=rho_dims)
-        fn = dv.t4_lower_bound if theorem == "t4" else dv.triangle_bound_check
-        report = fn(rho, sigma, args.alpha)
-        inputs = {"state": pr, "sigma": ps, "alpha": args.alpha}
-    elif theorem == "t6":
-        matrix, dims, payload = _load_matrix(args.state)
-        if args.dims:
-            dims = _parse_dims(args.dims)
-        report = dv.t6_lower_bound(DensityMatrix(matrix, dims=dims), args.alpha)
-        inputs = {"state": payload, "alpha": args.alpha}
-    else:  # pragma: no cover - argparse choices guard this
-        raise BadKind(f"unknown theorem id {theorem!r}")
+    suite = harness.SUITES[args.theorem]
+    flags = [_FLAGS.get(name, name) for name in suite.inputs]
+    missing = [flag for flag in flags if getattr(args, flag) is None]
+    if missing:
+        message = f"error: bounds {args.theorem} requires --" + " --".join(missing)
+        print(message, file=sys.stderr)
+        return 2
+    inputs, echo = {}, {}
+    for (name, kind), flag in zip(suite.inputs.items(), flags):
+        value = getattr(args, flag)
+        if kind == harness.MATRIX:
+            matrix, dims, value = _load_matrix(value)
+            if name == "rho" and args.dims:
+                dims = _parse_dims(args.dims)
+            inputs[name] = (matrix, dims)
+        elif kind == harness.DISTRIBUTION:
+            value = _read_payload(value)
+            inputs[name] = distribution_from_payload(value)
+        else:
+            inputs[name] = value
+        echo[flag] = value
+    report = suite.check(inputs)
     _emit(
         args,
         _report_lines(report),
-        {"command": f"bounds {theorem}", "report": report.to_dict(), "inputs": inputs},
+        {"command": f"bounds {args.theorem}", "report": report.to_dict(), "inputs": echo},
     )
     return 0
 
@@ -447,27 +429,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    required = {
-        ("bounds", "lemma2"): ("a", "b"),
-        ("bounds", "lemma3"): ("a", "b"),
-        ("bounds", "lemma4"): ("a",),
-        ("bounds", "t1"): ("dist", "beta"),
-        ("bounds", "t2_2"): ("dist", "beta"),
-        ("bounds", "t3"): ("state", "alpha"),
-        ("bounds", "t3_2"): ("state", "alpha"),
-        ("bounds", "t4"): ("state", "sigma", "alpha"),
-        ("bounds", "t6"): ("state", "alpha"),
-        ("bounds", "triangle"): ("state", "sigma", "alpha"),
-    }
-    key = (args.command, getattr(args, "theorem", None))
-    if key in required:
-        missing = [f for f in required[key] if getattr(args, f, None) is None]
-        if missing:
-            print(
-                f"error: bounds {key[1]} requires --" + " --".join(missing),
-                file=sys.stderr,
-            )
-            return 2
     try:
         return args.func(args)
     except RenyiError as exc:

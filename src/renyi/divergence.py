@@ -91,7 +91,9 @@ def _check_alpha_gt1(alpha: float) -> float:
 
 
 def _density_power(rho: DensityMatrix, exponent: float) -> np.ndarray:
-    return recombine(rho.spectrum, power_spectrum(rho.eigenvalues, exponent))
+    # the mask makes rho^0 the support projector, the 0+ limit, not 0**0 = 1
+    w = rho.eigenvalues
+    return recombine(rho.spectrum, power_spectrum(w, exponent) * (w > 0.0))
 
 
 def _sigma_spectrum(sigma, alpha: float) -> SpectralDecomposition:

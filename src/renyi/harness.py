@@ -63,6 +63,8 @@ CONDITION_CAPS = (10.0, 100.0, 1000.0)
 
 _EQUALITY_EVERY = 100
 
+MATRIX, DISTRIBUTION, NUMBER = "matrix", "distribution", "number"
+
 
 def derive_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream): portable and splittable."""
@@ -278,13 +280,13 @@ def _gen_t3(rng, i: int) -> dict:
 
 
 def _check_t3(inputs: dict) -> BoundReport:
-    m, _ = inputs["rho"]
-    return t3_bound(DensityMatrix(m), float(inputs["alpha"]))
+    m, dims = inputs["rho"]
+    return t3_bound(DensityMatrix(m, dims=dims), float(inputs["alpha"]))
 
 
 def _check_t3_2(inputs: dict) -> BoundReport:
-    m, _ = inputs["rho"]
-    return log_dim_cap(DensityMatrix(m), float(inputs["alpha"]))
+    m, dims = inputs["rho"]
+    return log_dim_cap(DensityMatrix(m, dims=dims), float(inputs["alpha"]))
 
 
 def _gen_t3_2(rng, i: int) -> dict:
@@ -319,9 +321,9 @@ def _gen_t4(rng, i: int) -> dict:
 
 
 def _check_t4(inputs: dict) -> BoundReport:
-    rho, _ = inputs["rho"]
+    rho, dims = inputs["rho"]
     sigma, _ = inputs["sigma"]
-    return t4_lower_bound(DensityMatrix(rho), sigma, float(inputs["alpha"]))
+    return t4_lower_bound(DensityMatrix(rho, dims=dims), sigma, float(inputs["alpha"]))
 
 
 def _gen_triangle(rng, i: int) -> dict:
@@ -343,9 +345,11 @@ def _gen_triangle(rng, i: int) -> dict:
 
 
 def _check_triangle(inputs: dict) -> BoundReport:
-    rho, _ = inputs["rho"]
+    rho, dims = inputs["rho"]
     sigma, _ = inputs["sigma"]
-    return triangle_bound_check(DensityMatrix(rho), sigma, float(inputs["alpha"]))
+    return triangle_bound_check(
+        DensityMatrix(rho, dims=dims), sigma, float(inputs["alpha"])
+    )
 
 
 def _gen_t6(rng, i: int) -> dict:
@@ -382,15 +386,6 @@ def _check_info_fn_eq(inputs: dict) -> BoundReport:
         x / (1.0 - y), beta
     )
     return identity_report("info_fn_eq", lhs, rhs, 1e-9)
-
-
-def _gen_eq4(rng, i: int) -> dict:
-    eq = i % _EQUALITY_EVERY == 0
-    n = DIMS_CYCLE[i % 8]
-    beta = ORDERS_CYCLE[i % 7]
-    zeros = int(rng.integers(0, n))
-    p = _uniform_support(rng, n, zeros) if eq else _simplex_from_rng(rng, n, zeros)
-    return {"p": p, "beta": beta, "equality_injected": eq}
 
 
 def _check_eq4(inputs: dict) -> BoundReport:
@@ -448,46 +443,58 @@ def _check_diag_oracle(inputs: dict) -> BoundReport:
 
 @dataclass(frozen=True)
 class Suite:
+    """``inputs`` maps each input the check reads to its kind, in CLI order."""
+
     tolerance: float
     gen: Callable[[np.random.Generator, int], dict]
     check: Callable[[dict], BoundReport]
-    matrices: tuple[str, ...] = ()
-    distributions: tuple[str, ...] = ()
+    inputs: dict[str, str]
 
     def serialize(self, inputs: dict) -> dict:
         """The file-format form of generated inputs, as failure records keep it."""
+        kind = self.inputs.get
         return {
-            key: matrix_payload(*value) if key in self.matrices
-            else distribution_payload(value) if key in self.distributions
+            key: matrix_payload(*value) if kind(key) == MATRIX
+            else distribution_payload(value) if kind(key) == DISTRIBUTION
             else value
             for key, value in inputs.items()
         }
 
     def parse(self, inputs: dict) -> dict:
         """Inverse of :meth:`serialize`, validating each payload."""
+        kind = self.inputs.get
         return {
-            key: matrix_from_payload(value) if key in self.matrices
-            else distribution_from_payload(value) if key in self.distributions
+            key: matrix_from_payload(value) if kind(key) == MATRIX
+            else distribution_from_payload(value) if kind(key) == DISTRIBUTION
             else value
             for key, value in inputs.items()
         }
 
 
+_PAIR = {"a": MATRIX, "b": MATRIX}
+_DIST = {"p": DISTRIBUTION, "beta": NUMBER}
+_STATE = {"rho": MATRIX, "alpha": NUMBER}
+_STATE_SIGMA = {"rho": MATRIX, "sigma": MATRIX, "alpha": NUMBER}
+
 SUITES: dict[str, Suite] = {
-    "lemma2": Suite(CHAIN_TOL, _gen_lemma2, _check_lemma2, ("a", "b")),
-    "lemma3": Suite(CHAIN_TOL, _gen_lemma3, _check_lemma3, ("a", "b")),
-    "lemma4": Suite(CHAIN_TOL, _gen_lemma4, _check_lemma4, ("a",)),
-    "t1": Suite(CHAIN_TOL, _gen_t1, _check_t1, distributions=("p",)),
-    "t2_2": Suite(CHAIN_TOL, _gen_t2_2, _check_t2_2, distributions=("p",)),
-    "t3": Suite(CHAIN_TOL, _gen_t3, _check_t3, ("rho",)),
-    "t3_2": Suite(CHAIN_TOL, _gen_t3_2, _check_t3_2, ("rho",)),
-    "t4": Suite(CHAIN_TOL, _gen_t4, _check_t4, ("rho", "sigma")),
-    "t6": Suite(CHAIN_TOL, _gen_t6, _check_t6, ("rho",)),
-    "triangle": Suite(CHAIN_TOL, _gen_triangle, _check_triangle, ("rho", "sigma")),
-    "info_fn_eq": Suite(1e-9, _gen_info_fn_eq, _check_info_fn_eq),
-    "eq4_roundtrip": Suite(1e-10, _gen_eq4, _check_eq4, distributions=("p",)),
+    "lemma2": Suite(CHAIN_TOL, _gen_lemma2, _check_lemma2, _PAIR),
+    "lemma3": Suite(CHAIN_TOL, _gen_lemma3, _check_lemma3, _PAIR),
+    "lemma4": Suite(CHAIN_TOL, _gen_lemma4, _check_lemma4, {"a": MATRIX}),
+    "t1": Suite(CHAIN_TOL, _gen_t1, _check_t1, _DIST),
+    "t2_2": Suite(CHAIN_TOL, _gen_t2_2, _check_t2_2, _DIST),
+    "t3": Suite(CHAIN_TOL, _gen_t3, _check_t3, _STATE),
+    "t3_2": Suite(CHAIN_TOL, _gen_t3_2, _check_t3_2, _STATE),
+    "t4": Suite(CHAIN_TOL, _gen_t4, _check_t4, _STATE_SIGMA),
+    "t6": Suite(CHAIN_TOL, _gen_t6, _check_t6, _STATE),
+    "triangle": Suite(CHAIN_TOL, _gen_triangle, _check_triangle, _STATE_SIGMA),
+    "info_fn_eq": Suite(
+        1e-9, _gen_info_fn_eq, _check_info_fn_eq,
+        {"x": NUMBER, "y": NUMBER, "beta": NUMBER},
+    ),
+    "eq4_roundtrip": Suite(1e-10, _gen_t1, _check_eq4, _DIST),
     "diag_oracle": Suite(
-        1e-10, _gen_diag_oracle, _check_diag_oracle, distributions=("p", "q")
+        1e-10, _gen_diag_oracle, _check_diag_oracle,
+        {"p": DISTRIBUTION, "q": DISTRIBUTION, "alpha": NUMBER},
     ),
 }
 

@@ -11,6 +11,7 @@ from renyi.fileformat import (
     matrix_from_payload,
     matrix_payload,
 )
+from renyi.harness import SUITES, derive_rng
 
 
 def write_dist(path, p):
@@ -31,6 +32,21 @@ def u2(tmp_path):
 @pytest.fixture
 def mm4(tmp_path):
     return write_matrix(tmp_path / "mm4.json", np.eye(4) / 4, dims=(2, 2))
+
+
+# the flags of each theorem's inputs, in the order the suite declares them
+BOUNDS_FLAGS = {
+    "lemma2": ("a", "b"),
+    "lemma3": ("a", "b"),
+    "lemma4": ("a",),
+    "t1": ("dist", "beta"),
+    "t2_2": ("dist", "beta"),
+    "t3": ("state", "alpha"),
+    "t3_2": ("state", "alpha"),
+    "t4": ("state", "sigma", "alpha"),
+    "t6": ("state", "alpha"),
+    "triangle": ("state", "sigma", "alpha"),
+}
 
 
 def run(capsys, argv):
@@ -160,6 +176,54 @@ class TestBounds:
         assert code == 2
         assert "--sigma" in err
 
+    @pytest.mark.parametrize("theorem", sorted(BOUNDS_FLAGS))
+    def test_report_is_the_suite_check(self, capsys, tmp_path, theorem):
+        suite = SUITES[theorem]
+        record = suite.serialize(suite.gen(derive_rng(11, 5), 5))
+        argv = ["bounds", theorem, "--json"]
+        for name, flag in zip(suite.inputs, BOUNDS_FLAGS[theorem]):
+            value = record[name]
+            if isinstance(value, dict):
+                value = tmp_path / f"{name}.json"
+                value.write_text(dump_payload(record[name]), encoding="utf-8")
+            argv += [f"--{flag}", str(value)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        expected = suite.check(suite.parse(record))
+        assert payload["report"] == json.loads(json.dumps(expected.to_dict()))
+        assert list(payload["inputs"]) == sorted(BOUNDS_FLAGS[theorem])
+
+    @pytest.mark.parametrize("theorem", sorted(BOUNDS_FLAGS))
+    def test_missing_flags_listed_in_suite_order(self, capsys, theorem):
+        code, out, err = run(capsys, ["bounds", theorem])
+        assert code == 2
+        assert out == ""
+        flags = " --".join(BOUNDS_FLAGS[theorem])
+        assert err == f"error: bounds {theorem} requires --{flags}\n"
+
+    def test_t6_dims_flag_retags_the_state(self, capsys, tmp_path):
+        rho = SUITES["t6"].gen(derive_rng(2, 1), 1)["rho"][0]  # a 2x3 split
+        state = write_matrix(tmp_path / "rho6.json", rho, dims=(3, 2))
+        reports = {}
+        for dims in ("3,2", "2,3"):
+            code, out, _ = run(
+                capsys,
+                ["bounds", "t6", "--state", state, "--alpha", "2", "--dims", dims, "--json"],
+            )
+            assert code == 0
+            reports[dims] = json.loads(out)["report"]
+        expected = SUITES["t6"].check({"rho": (rho, (2, 3)), "alpha": 2.0})
+        assert reports["2,3"] == json.loads(json.dumps(expected.to_dict()))
+        assert reports["2,3"] != reports["3,2"]
+
+    def test_t1_rejects_unnormalized_distribution(self, capsys, tmp_path):
+        bad = write_dist(tmp_path / "bad.json", [0.5, 0.4])
+        code, out, err = run(capsys, ["bounds", "t1", "--dist", bad, "--beta", "2"])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["code"] == "InvalidDistribution"
+
 
 class TestVerifyAndGen:
     def test_verify_clean(self, capsys):
@@ -276,6 +340,25 @@ class TestErrorHandling:
         error = json.loads(err)
         assert error["code"] == "FileFormatError"
         assert error["offending_field"] == "matrix"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "density", "--dim", "6", "--seed", "1", "--dims=-2,-3"],
+            ["conditional", "--alpha", "2", "--dims=-2,-2"],
+            ["mutual-info", "--alpha", "2", "--dims=-2,-2"],
+            ["bounds", "t6", "--alpha", "2", "--dims=-2,-2"],
+        ],
+    )
+    def test_nonpositive_dims_rejected(self, capsys, tmp_path, mm4, argv):
+        out = tmp_path / "out.json"
+        argv = argv + (["--out", str(out)] if argv[0] == "gen" else ["--state", mm4])
+        code, stdout, err = run(capsys, argv)
+        assert code == 1
+        assert stdout == ""
+        error = json.loads(err)
+        assert (error["code"], error["offending_field"]) == ("FileFormatError", "dims")
+        assert not out.exists()
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["entropy", "classical", "--beta", "2"]) == 2

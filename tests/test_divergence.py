@@ -112,12 +112,19 @@ class TestRelativeEntropy:
             ).value
             assert abs(a - b) <= 1e-8
 
-    def test_alpha_zero_uses_zero_power_convention(self):
-        # rho^0 = identity under the 0^0 = 1 convention, so D_0 = -ln tr(sigma)
-        rho = DensityMatrix(np.diag([1.0, 0.0]))
-        sigma = np.diag([0.25, 0.75])
+    def test_alpha_zero_is_the_support_limit(self):
+        # rho^0 is rho's support projector, so D_0 = -ln tr(P_rho sigma) is
+        # the alpha -> 0+ limit even when rho is rank deficient
+        sigma = np.diag([0.2, 0.3, 0.5])
+        rho = DensityMatrix(np.diag([0.5, 0.5, 0.0]))
         got = renyi_relative_entropy(rho, sigma, 0.0).value
-        assert got == pytest.approx(0.0, abs=1e-12)
+        assert got == pytest.approx(math.log(2.0), abs=1e-12)
+        near = renyi_relative_entropy(rho, sigma, 1e-6).value
+        assert abs(got - near) <= 1e-5
+        full = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
+        assert renyi_relative_entropy(full, sigma, 0.0).value == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_errors(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]))
