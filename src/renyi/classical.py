@@ -20,11 +20,9 @@ from .exceptions import (
     EmptySupport,
     InvalidDistribution,
 )
-from .linalg import ZERO_THRESHOLD, log_power_sum
+from .linalg import NORM_TOL, ORDER_ONE_BAND, ZERO_THRESHOLD, log_power_sum
 
-SUM_TOL = 1e-10
 CLIP_FLOOR = -1e-12
-BETA_ONE_BAND = 1e-9
 
 _LN2 = math.log(2.0)
 
@@ -40,7 +38,7 @@ def probability_vector(values) -> np.ndarray:
         raise InvalidDistribution(f"negative probability {p.min():.3e}")
     p[p < 0.0] = 0.0
     total = float(p.sum())
-    if abs(total - 1.0) > SUM_TOL:
+    if abs(total - 1.0) > NORM_TOL:
         raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
     return p
 
@@ -54,8 +52,8 @@ class SupportStats:
     support: np.ndarray
 
 
-def support_stats(p: np.ndarray, threshold: float = ZERO_THRESHOLD) -> SupportStats:
-    mask = p > threshold
+def support_stats(p: np.ndarray) -> SupportStats:
+    mask = p > ZERO_THRESHOLD
     return SupportStats(n=int(p.size), n0=int(p.size - mask.sum()), support=p[mask])
 
 
@@ -63,7 +61,7 @@ def _check_beta(beta: float, require_not_one: bool = True) -> float:
     beta = float(beta)
     if not np.isfinite(beta) or beta <= 0.0:
         raise BetaOutOfRange(f"beta must be a positive real, got {beta!r}")
-    if require_not_one and abs(beta - 1.0) < BETA_ONE_BAND:
+    if require_not_one and abs(beta - 1.0) < ORDER_ONE_BAND:
         raise BetaOne("beta = 1 is not admitted here; use the Shannon limit")
     return beta
 
@@ -121,7 +119,7 @@ def renyi_entropy(p, beta: float) -> float:
     """Renyi entropy of order beta in bits; beta = 1 is the Shannon limit."""
     p = probability_vector(p)
     beta = _check_beta(beta, require_not_one=False)
-    if abs(beta - 1.0) < BETA_ONE_BAND:
+    if abs(beta - 1.0) < ORDER_ONE_BAND:
         return shannon_entropy(p)
     return log_power_sum(p, beta) / ((1.0 - beta) * _LN2)
 

@@ -10,10 +10,12 @@ identity): with ``C_B = tr_A[rho_AB^alpha (ref_A^(1-alpha) (x) 1)]``,
 
 and the divergence at any ``sigma_B`` equals the minimum plus
 ``D_alpha(sigma_B* || sigma_B) >= 0``.  The paper's proportionality
-special case (``t5_closed_form``) and a brute-force Bloch-ball grid search
-(``bloch_grid_minimum``) stay as independent cross checks.
+special case (``t5_closed_form``) stays as a cross check; the tests compare
+the minimum with a brute-force zoom grid over the Bloch ball.
 
-All divergences are in nats.
+All divergences are in nats.  At extreme orders a power can leave the float
+range; a trace that is then undefined (``0 * inf``) or an overflowing
+``d_A^(alpha-1)`` raises a typed error, never a bare arithmetic exception.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .exceptions import (
 from .linalg import (
     CHAIN_TOL,
     EQ_TOL,
+    ORDER_ONE_BAND,
     PSD_TOL,
     SpectralDecomposition,
     clip_spectrum,
@@ -49,7 +52,7 @@ from .linalg import (
     spectral_decompose,
     trace_product,
 )
-from .quantum import ALPHA_ONE_BAND, DensityMatrix
+from .quantum import DensityMatrix
 from .report import BoundReport, chain_report, normalized_slack
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ def _check_alpha_nonneg(alpha: float) -> float:
     alpha = float(alpha)
     if not np.isfinite(alpha) or alpha < 0.0:
         raise AlphaOutOfRange(f"alpha must be >= 0, got {alpha!r}")
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
+    if abs(alpha - 1.0) < ORDER_ONE_BAND:
         raise AlphaOne("alpha = 1 is not admitted for the relative entropy")
     return alpha
 
@@ -85,7 +88,7 @@ def _check_alpha_gt1(alpha: float) -> float:
     alpha = float(alpha)
     if not np.isfinite(alpha) or alpha <= 1.0:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha!r}")
-    if alpha - 1.0 < ALPHA_ONE_BAND:
+    if alpha - 1.0 < ORDER_ONE_BAND:
         raise AlphaOne("alpha is indistinguishable from 1")
     return alpha
 
@@ -121,7 +124,7 @@ def _divergence_terms(
     rho_pow = _density_power(rho, alpha)
     sigma_pow = recombine(dec, power_spectrum(clip_spectrum(dec.eigenvalues), 1.0 - alpha))
     t = trace_product(rho_pow, sigma_pow)
-    if t <= 0.0:
+    if not t > 0.0:  # also catches NaN, from 0 * inf at extreme orders
         raise TraceNonpositive(f"tr(rho^a sigma^(1-a)) = {t!r} is not positive")
     equality, c = False, None
     if alpha > 1.0:
@@ -209,6 +212,14 @@ def _contraction(rho_ab: DensityMatrix, alpha: float, x_a: np.ndarray) -> np.nda
     return np.einsum("abcd,ca->bd", r, x_a)
 
 
+def _mixed_power(d_a: int, alpha: float) -> np.ndarray:
+    """``mu_A^(1-alpha) = d_A^(alpha-1) I``, or a typed error past float range."""
+    try:
+        return d_a ** (alpha - 1.0) * np.eye(d_a, dtype=np.complex128)
+    except OverflowError:
+        raise AlphaOutOfRange(f"d_A^(alpha-1) overflows at alpha = {alpha!r}") from None
+
+
 def _minimize_over_sigma(
     rho_ab: DensityMatrix, alpha: float, x_a: np.ndarray
 ) -> OptimizationOutcome:
@@ -237,8 +248,7 @@ def conditional_entropy(
     """
     alpha = _check_alpha_gt1(alpha)
     d_a, _ = _bipartite_dims(rho_ab)
-    x_a = d_a ** (alpha - 1.0) * np.eye(d_a, dtype=np.complex128)
-    outcome = _minimize_over_sigma(rho_ab, alpha, x_a)
+    outcome = _minimize_over_sigma(rho_ab, alpha, _mixed_power(d_a, alpha))
     return math.log(d_a) - outcome.optimum_value, outcome
 
 
@@ -290,7 +300,7 @@ def t5_closed_form(
         return None
     if mode == "conditional":
         trial = x0
-        ref_pow = d_a ** (alpha - 1.0) * np.eye(d_a, dtype=np.complex128)
+        ref_pow = _mixed_power(d_a, alpha)
     else:
         rho_a = DensityMatrix(partial_trace_b(rho_ab.matrix, d_a, d_b))
         if not rho_a.is_positive_definite:
@@ -346,26 +356,13 @@ def divergence_vs_identity(rho: DensityMatrix, alpha: float) -> float:
     return log_power_sum(rho.eigenvalues, alpha) / (alpha - 1.0)
 
 
-def _identity_divergence(dec: SpectralDecomposition, alpha: float) -> float:
-    return math.log(float(np.sum(dec.eigenvalues ** (1.0 - alpha)))) / (alpha - 1.0)
-
-
-def identity_vs_divergence(sigma, alpha: float) -> float:
-    """``D_alpha(identity || sigma) = (alpha-1)^(-1) ln tr sigma^(1-alpha)``."""
-    alpha = _check_alpha_gt1(alpha)
-    dec = spectral_decompose(sigma)
-    if float(dec.eigenvalues[0]) <= PSD_TOL:
-        raise NotPd("identity reference needs a positive definite sigma")
-    return _identity_divergence(dec, alpha)
-
-
 def triangle_bound_check(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     """Check ``D(rho||sigma) <= D(rho||I) + D(I||sigma)`` for alpha > 1."""
     alpha = _check_alpha_gt1(alpha)
     dec = _sigma_spectrum(sigma, alpha)
     lhs, _, _ = _divergence_terms(rho, dec, alpha)
     d_rho_i = divergence_vs_identity(rho, alpha)
-    d_i_sigma = _identity_divergence(dec, alpha)
+    d_i_sigma = math.log(float(np.sum(dec.eigenvalues ** (1.0 - alpha)))) / (alpha - 1.0)
     rhs = d_rho_i + d_i_sigma
     eq = abs(normalized_slack(lhs, rhs)) <= EQ_TOL
     return chain_report(
@@ -375,73 +372,3 @@ def triangle_bound_check(rho: DensityMatrix, sigma, alpha: float) -> BoundReport
         eq,
         extras={"d_rho_identity": d_rho_i, "d_identity_sigma": d_i_sigma},
     )
-
-
-def bloch_grid_minimum(
-    rho_ab: DensityMatrix,
-    alpha: float,
-    mode: str = "mutual",
-    step: float = 0.01,
-) -> float:
-    """Exhaustive interior Bloch-ball grid minimum for ``d_B = 2``.
-
-    Independent oracle for the closed-form minimizer: evaluates the
-    divergence at every grid point ``sigma_B = (I + r . pauli)/2`` with
-    ``|r| < 1``, using closed-form 2x2 spectral powers and an explicit
-    Kronecker product (no shared code path with the minimizer).
-    """
-    alpha = _check_alpha_gt1(alpha)
-    d_a, d_b = _bipartite_dims(rho_ab)
-    if d_b != 2:
-        raise DimensionMismatch("grid oracle is defined for d_B = 2 only")
-    if mode == "conditional":
-        x_a = d_a ** (alpha - 1.0) * np.eye(d_a, dtype=np.complex128)
-    elif mode == "mutual":
-        rho_a = DensityMatrix(partial_trace_b(rho_ab.matrix, d_a, d_b))
-        if not rho_a.is_positive_definite:
-            raise MarginalSingular("marginal rho_A must be positive definite")
-        x_a = _density_power(rho_a, 1.0 - alpha)
-    else:
-        raise ValueError(f"mode must be 'conditional' or 'mutual', got {mode!r}")
-    m_alpha = _density_power(rho_ab, alpha)
-
-    half = int(math.floor((1.0 - 1e-9) / step))
-    axis = step * np.arange(-half, half + 1)
-    xs, ys, zs = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
-    rr = xs * xs + ys * ys + zs * zs
-    keep = rr < 1.0 - 1e-12
-    xs, ys, zs, rr = xs[keep], ys[keep], zs[keep], rr[keep]
-
-    exponent = 1.0 - alpha
-    best = math.inf
-    chunk = 65536
-    eye2 = np.eye(2, dtype=np.complex128)
-    for lo in range(0, xs.size, chunk):
-        x = xs[lo : lo + chunk]
-        y = ys[lo : lo + chunk]
-        z = zs[lo : lo + chunk]
-        r = np.sqrt(rr[lo : lo + chunk])
-        lam_p = (1.0 + r) / 2.0
-        lam_m = (1.0 - r) / 2.0
-        pow_p = lam_p**exponent
-        pow_m = lam_m**exponent
-        # sigma^(1-alpha) = a * sigma + b * I via the two spectral projectors
-        safe_r = np.where(r > 1e-14, r, 1.0)
-        a = np.where(r > 1e-14, (pow_p - pow_m) / safe_r, 0.0)
-        b = np.where(
-            r > 1e-14, (lam_p * pow_m - lam_m * pow_p) / safe_r, 0.5**exponent
-        )
-        sig = np.empty((x.size, 2, 2), dtype=np.complex128)
-        sig[:, 0, 0] = (1.0 + z) / 2.0
-        sig[:, 1, 1] = (1.0 - z) / 2.0
-        sig[:, 0, 1] = (x - 1j * y) / 2.0
-        sig[:, 1, 0] = (x + 1j * y) / 2.0
-        y_pow = a[:, None, None] * sig + b[:, None, None] * eye2
-        k = (x_a[None, :, None, :, None] * y_pow[:, None, :, None, :]).reshape(
-            x.size, 2 * d_a, 2 * d_a
-        )
-        t = np.einsum("ij,nji->n", m_alpha, k).real
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(t > 0.0, np.log(np.maximum(t, 1e-300)), np.inf)
-        best = min(best, float(vals.min()) / (alpha - 1.0))
-    return best

@@ -3,12 +3,13 @@
 Randomness comes from numpy's Philox counter-based generator keyed by
 ``(seed, stream)``, so every trial owns an order-independent substream and
 suite reports are reproducible bit for bit.  Each suite knows how to
-generate one trial's inputs as arrays, how to check them, and the tolerance
-above which a normalized violation counts as a failure.  A matrix input is
-an ``(array, dims)`` pair and a distribution a float array; they are
-serialized to the CLI file format only when a failure is recorded, and
-:func:`replay` parses that form back.  One trial in a hundred is a
-constructed equality-case instance so the equality flags get exercised.
+generate one trial's inputs as arrays and how to check them; each check's
+report carries the tolerance above which its normalized violation counts as
+a failure.  A matrix input is an ``(array, dims)`` pair and a distribution a
+float array; they are serialized to the CLI file format only when a failure
+is recorded, and :func:`replay` parses that form back.  One trial in a
+hundred is a constructed equality-case instance so the equality flags get
+exercised.
 """
 
 from __future__ import annotations
@@ -425,7 +426,8 @@ def _check_diag_oracle(inputs: dict) -> BoundReport:
     gap_h = -abs(h_quantum - h_classical) / (1.0 + abs(h_classical))
     gap_d = -abs(d_quantum - d_classical) / (1.0 + abs(d_classical))
     gap = min(gap_h, gap_d)
-    agree = bool(gap >= -1e-10)
+    tolerance = 1e-10
+    agree = bool(gap >= -tolerance)
     return BoundReport(
         "diag_oracle",
         h_quantum,
@@ -433,7 +435,7 @@ def _check_diag_oracle(inputs: dict) -> BoundReport:
         gap,
         agree,
         agree,
-        1e-10,
+        tolerance,
         {
             "entropy_diff": abs(h_quantum - h_classical),
             "divergence_diff": abs(d_quantum - d_classical),
@@ -445,7 +447,6 @@ def _check_diag_oracle(inputs: dict) -> BoundReport:
 class Suite:
     """``inputs`` maps each input the check reads to its kind, in CLI order."""
 
-    tolerance: float
     gen: Callable[[np.random.Generator, int], dict]
     check: Callable[[dict], BoundReport]
     inputs: dict[str, str]
@@ -477,23 +478,23 @@ _STATE = {"rho": MATRIX, "alpha": NUMBER}
 _STATE_SIGMA = {"rho": MATRIX, "sigma": MATRIX, "alpha": NUMBER}
 
 SUITES: dict[str, Suite] = {
-    "lemma2": Suite(CHAIN_TOL, _gen_lemma2, _check_lemma2, _PAIR),
-    "lemma3": Suite(CHAIN_TOL, _gen_lemma3, _check_lemma3, _PAIR),
-    "lemma4": Suite(CHAIN_TOL, _gen_lemma4, _check_lemma4, {"a": MATRIX}),
-    "t1": Suite(CHAIN_TOL, _gen_t1, _check_t1, _DIST),
-    "t2_2": Suite(CHAIN_TOL, _gen_t2_2, _check_t2_2, _DIST),
-    "t3": Suite(CHAIN_TOL, _gen_t3, _check_t3, _STATE),
-    "t3_2": Suite(CHAIN_TOL, _gen_t3_2, _check_t3_2, _STATE),
-    "t4": Suite(CHAIN_TOL, _gen_t4, _check_t4, _STATE_SIGMA),
-    "t6": Suite(CHAIN_TOL, _gen_t6, _check_t6, _STATE),
-    "triangle": Suite(CHAIN_TOL, _gen_triangle, _check_triangle, _STATE_SIGMA),
+    "lemma2": Suite(_gen_lemma2, _check_lemma2, _PAIR),
+    "lemma3": Suite(_gen_lemma3, _check_lemma3, _PAIR),
+    "lemma4": Suite(_gen_lemma4, _check_lemma4, {"a": MATRIX}),
+    "t1": Suite(_gen_t1, _check_t1, _DIST),
+    "t2_2": Suite(_gen_t2_2, _check_t2_2, _DIST),
+    "t3": Suite(_gen_t3, _check_t3, _STATE),
+    "t3_2": Suite(_gen_t3_2, _check_t3_2, _STATE),
+    "t4": Suite(_gen_t4, _check_t4, _STATE_SIGMA),
+    "t6": Suite(_gen_t6, _check_t6, _STATE),
+    "triangle": Suite(_gen_triangle, _check_triangle, _STATE_SIGMA),
     "info_fn_eq": Suite(
-        1e-9, _gen_info_fn_eq, _check_info_fn_eq,
-        {"x": NUMBER, "y": NUMBER, "beta": NUMBER},
+        _gen_info_fn_eq, _check_info_fn_eq, {"x": NUMBER, "y": NUMBER, "beta": NUMBER}
     ),
-    "eq4_roundtrip": Suite(1e-10, _gen_t1, _check_eq4, _DIST),
+    "eq4_roundtrip": Suite(_gen_t1, _check_eq4, _DIST),
     "diag_oracle": Suite(
-        1e-10, _gen_diag_oracle, _check_diag_oracle,
+        _gen_diag_oracle,
+        _check_diag_oracle,
         {"p": DISTRIBUTION, "q": DISTRIBUTION, "alpha": NUMBER},
     ),
 }
@@ -542,8 +543,9 @@ def run_suite(
 ) -> SuiteReport:
     """Run ``trials`` randomized instances of one suite.
 
-    Failures (normalized violation above the suite tolerance) keep the full
-    serialized input so they replay exactly; other trials are never
+    A trial fails when its normalized violation exceeds the tolerance its
+    report carries, or ``tolerance`` when one is given.  Failures keep the
+    full serialized input so they replay exactly; other trials are never
     serialized.
     """
     if name not in SUITES:
@@ -551,7 +553,6 @@ def run_suite(
     if int(trials) < 0:
         raise BadTrials(f"trials must be >= 0, got {trials}")
     suite = SUITES[name]
-    tol = suite.tolerance if tolerance is None else float(tolerance)
     start = time.perf_counter()
     failures: list[FailureRecord] = []
     max_violation = 0.0
@@ -565,7 +566,7 @@ def run_suite(
         if inputs.get("equality_injected"):
             injected += 1
             flagged += int(rep.equality)
-        if violation > tol:
+        if violation > (rep.tolerance if tolerance is None else tolerance):
             failures.append(FailureRecord(trial, suite.serialize(inputs), rep))
     return SuiteReport(
         name=name,

@@ -34,6 +34,11 @@ PSD_TOL = 1e-10
 CHAIN_TOL = 1e-8
 EQ_TOL = 1e-7
 ZERO_THRESHOLD = 1e-12
+# |trace - 1| for a density matrix, |sum - 1| for a distribution
+NORM_TOL = 1e-10
+# an order within this band of 1 is treated as 1; the classical and quantum
+# entropies share it because the diagonal oracle compares them at one order
+ORDER_ONE_BAND = 1e-9
 
 _JACOBI_REL_TOL = 1e-12
 _SWEEP_LIMIT = 100
@@ -44,12 +49,12 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def as_hermitian(matrix, tol: float = HERM_TOL) -> np.ndarray:
+def as_hermitian(matrix) -> np.ndarray:
     """Validate and return a Hermitian ``complex128`` matrix.
 
     Checks squareness, finiteness, the scaled Hermiticity bound
-    ``max|A - A†| <= tol * (1 + max|A|)`` and that diagonal imaginary parts
-    are below ``tol``.  Returns the Hermitian average ``(A + A†)/2`` so later
+    ``max|A - A†| <= HERM_TOL * (1 + max|A|)`` and that diagonal imaginary
+    parts are below ``HERM_TOL``.  Returns the Hermitian average ``(A + A†)/2`` so later
     arithmetic never sees the (tolerated) asymmetry dust.
     """
     a = np.asarray(matrix, dtype=np.complex128)
@@ -59,11 +64,11 @@ def as_hermitian(matrix, tol: float = HERM_TOL) -> np.ndarray:
         raise NonHermitianInput("matrix contains non-finite entries")
     scale = 1.0 + max_abs(a)
     asym = max_abs(a - a.conj().T)
-    if asym > tol * scale:
+    if asym > HERM_TOL * scale:
         raise NonHermitianInput(
             f"matrix is not Hermitian: max|A - A^dagger| = {asym:.3e}"
         )
-    if max_abs(np.diag(a).imag) > tol:
+    if max_abs(np.diag(a).imag) > HERM_TOL:
         raise NonHermitianInput("diagonal entries have non-negligible imaginary part")
     return (a + a.conj().T) / 2.0
 
@@ -160,13 +165,13 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     )
 
 
-def spectral_decompose(matrix, tol: float = HERM_TOL) -> SpectralDecomposition:
+def spectral_decompose(matrix) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix: ``A = V diag(w) V†``, ``w`` ascending.
 
     The only entry to the eigensolver and the one place inputs are validated:
     the result keeps the validated matrix, so callers never re-validate.
     """
-    a = as_hermitian(matrix, tol)
+    a = as_hermitian(matrix)
     w, v, sweeps = _jacobi(a.copy())
     order = np.argsort(w, kind="stable")
     return SpectralDecomposition(
@@ -193,23 +198,23 @@ class PsdClass:
     min_eigenvalue: float
 
 
-def classify_definiteness(matrix, tol: float = PSD_TOL) -> PsdClass:
-    """Classify a Hermitian matrix by its smallest eigenvalue against ``tol``."""
+def classify_definiteness(matrix) -> PsdClass:
+    """Classify a Hermitian matrix by its smallest eigenvalue against ``PSD_TOL``."""
     w = spectral_decompose(matrix).eigenvalues
     lo = float(w[0])
-    if lo > tol:
+    if lo > PSD_TOL:
         kind = Definiteness.POSITIVE_DEFINITE
-    elif lo >= -tol:
+    elif lo >= -PSD_TOL:
         kind = Definiteness.POSITIVE_SEMIDEFINITE
     else:
         kind = Definiteness.INDEFINITE
     return PsdClass(kind, lo)
 
 
-def clip_spectrum(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Zero out eigenvalue dust in ``[-tol, 0)``; raise NotPsd below that."""
-    if float(w[0]) < -tol:
-        raise NotPsd(f"matrix has eigenvalue {w[0]:.3e} < -{tol:.0e}")
+def clip_spectrum(w: np.ndarray) -> np.ndarray:
+    """Zero out eigenvalue dust in ``[-PSD_TOL, 0)``; raise NotPsd below that."""
+    if float(w[0]) < -PSD_TOL:
+        raise NotPsd(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_TOL:.0e}")
     out = w.copy()
     out[out < 0.0] = 0.0
     return out
@@ -299,7 +304,7 @@ def _decompose_psd_pair(a, b) -> tuple[SpectralDecomposition, SpectralDecomposit
     return dec_a, dec_b
 
 
-def lemma2_check(a, b, tolerance: float = CHAIN_TOL) -> BoundReport:
+def lemma2_check(a, b) -> BoundReport:
     """Check ``0 <= tr(AB) <= tr(A) tr(B)`` for PSD A, B."""
     dec_a, dec_b = _decompose_psd_pair(a, b)
     am, bm = dec_a.matrix, dec_b.matrix
@@ -309,11 +314,11 @@ def lemma2_check(a, b, tolerance: float = CHAIN_TOL) -> BoundReport:
     parts = [("lower", 0.0, tr_ab), ("upper", tr_ab, tr_a * tr_b)]
     eq = min(abs((hi - lo) / (1.0 + abs(hi))) for _, lo, hi in parts) <= EQ_TOL
     return chain_report(
-        "lemma2", parts, tolerance, eq, extras={"trace_product": tr_ab}
+        "lemma2", parts, CHAIN_TOL, eq, extras={"trace_product": tr_ab}
     )
 
 
-def lemma3_check(a, b, tolerance: float = CHAIN_TOL) -> BoundReport:
+def lemma3_check(a, b) -> BoundReport:
     """Check ``n (det A det B)^(1/n) <= tr(AB)`` for same-size PSD A, B.
 
     Equality is detected structurally: ``B^(1/2) A B^(1/2)`` must be a
@@ -335,13 +340,13 @@ def lemma3_check(a, b, tolerance: float = CHAIN_TOL) -> BoundReport:
     return chain_report(
         "lemma3",
         [("amgm", lhs, rhs)],
-        tolerance,
+        CHAIN_TOL,
         eq,
         extras={"det_a": det_a, "det_b": det_b, "c": c},
     )
 
 
-def lemma4_check(a, tolerance: float = CHAIN_TOL) -> BoundReport:
+def lemma4_check(a) -> BoundReport:
     """Check ``tr(I - A^{-1}) <= log det(A) <= tr(A - I)`` for PD A.
 
     Natural log throughout; equality detected when ``A`` is the identity to
@@ -358,7 +363,7 @@ def lemma4_check(a, tolerance: float = CHAIN_TOL) -> BoundReport:
     return chain_report(
         "lemma4",
         [("lower", lower, mid), ("upper", mid, upper)],
-        tolerance,
+        CHAIN_TOL,
         eq,
         extras={"log_det": mid},
     )

@@ -22,6 +22,8 @@ from .exceptions import (
 from .linalg import (
     EQ_TOL,
     CHAIN_TOL,
+    NORM_TOL,
+    ORDER_ONE_BAND,
     PSD_TOL,
     ZERO_THRESHOLD,
     SpectralDecomposition,
@@ -29,9 +31,6 @@ from .linalg import (
     spectral_decompose,
 )
 from .report import BoundReport, chain_report, normalized_slack
-
-TRACE_TOL = 1e-10
-ALPHA_ONE_BAND = 1e-9
 
 _LN2 = math.log(2.0)
 
@@ -71,7 +70,7 @@ class DensityMatrix:
         w = w.copy()
         w[w <= ZERO_THRESHOLD] = 0.0
         trace = float(np.trace(a).real)
-        if abs(trace - 1.0) > TRACE_TOL:
+        if abs(trace - 1.0) > NORM_TOL:
             raise InvalidDensityMatrix(f"trace is {trace!r}, not 1")
         if dims is not None:
             d_a, d_b = int(dims[0]), int(dims[1])
@@ -124,7 +123,7 @@ def _check_alpha(alpha: float, require_not_one: bool = True) -> float:
     alpha = float(alpha)
     if not np.isfinite(alpha) or alpha <= 0.0:
         raise AlphaOutOfRange(f"alpha must be a positive real, got {alpha!r}")
-    if require_not_one and abs(alpha - 1.0) < ALPHA_ONE_BAND:
+    if require_not_one and abs(alpha - 1.0) < ORDER_ONE_BAND:
         raise AlphaOne("alpha = 1 is not admitted here")
     return alpha
 
@@ -144,7 +143,7 @@ def quantum_renyi_entropy(
     """
     scale = _unit_scale(units)
     alpha = _check_alpha(alpha, require_not_one=False)
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
+    if abs(alpha - 1.0) < ORDER_ONE_BAND:
         return EntropyValue(von_neumann_entropy(rho, units), units, alpha)
     value = log_power_sum(rho.eigenvalues, alpha) / (1.0 - alpha)
     return EntropyValue(value * scale, units, alpha)
@@ -159,32 +158,28 @@ def _support_bound(w: np.ndarray, alpha: float) -> tuple[float, int]:
     return bound, d0
 
 
-def log_dim_cap(rho: DensityMatrix, alpha: float, units: str = "nats") -> BoundReport:
-    """Dimension cap ``H_alpha(rho) <= log d``."""
-    scale = _unit_scale(units)
+def log_dim_cap(rho: DensityMatrix, alpha: float) -> BoundReport:
+    """Dimension cap ``H_alpha(rho) <= ln d``, in nats."""
     alpha = _check_alpha(alpha, require_not_one=False)
-    h = quantum_renyi_entropy(rho, alpha, units).value
-    cap = math.log(rho.dim) * scale
+    h = quantum_renyi_entropy(rho, alpha).value
+    cap = math.log(rho.dim)
     eq = abs(normalized_slack(h, cap)) <= EQ_TOL
     return chain_report(
         "t3_2", [("cap", h, cap)], CHAIN_TOL, eq, extras={"entropy": h, "dim": rho.dim}
     )
 
 
-def t3_bound(rho: DensityMatrix, alpha: float, units: str = "nats") -> BoundReport:
-    """Spectral support bound on the quantum Renyi entropy.
+def t3_bound(rho: DensityMatrix, alpha: float) -> BoundReport:
+    """Spectral support bound on the quantum Renyi entropy, in nats.
 
     For 0 < alpha < 1 the bound sits below ``H_alpha`` and the dimension cap
     above it (the sandwich); for alpha > 1 the bound is an upper bound.  The
     report carries both parts, with the cap always included.
     """
-    scale = _unit_scale(units)
     alpha = _check_alpha(alpha)
-    w = rho.eigenvalues
-    bound_nats, d0 = _support_bound(w, alpha)
-    bound = bound_nats * scale
-    h = quantum_renyi_entropy(rho, alpha, units).value
-    cap = math.log(rho.dim) * scale
+    bound, d0 = _support_bound(rho.eigenvalues, alpha)
+    h = quantum_renyi_entropy(rho, alpha).value
+    cap = math.log(rho.dim)
     if alpha < 1.0:
         parts = [("t3", bound, h), ("cap", h, cap)]
     else:

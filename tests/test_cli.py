@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from renyi.cli import main
+from renyi.exceptions import RenyiError
 from renyi.fileformat import (
     dump_payload,
     load_payload,
@@ -377,3 +378,62 @@ class TestErrorHandling:
         code, _, err = run(capsys, ["type-beta", "--dist", u2, "--beta", "1.0"])
         assert code == 1
         assert json.loads(err)["code"] == "BetaOne"
+
+
+EXTREME_ORDERS = ("0", "1e-9", "0.5", "2", "1025", "2000", "1e5", "1e308")
+
+# each command's flags, with {order} for the order; files come from `gen`
+EXTREME_COMMANDS = {
+    "entropy-classical": "entropy classical --dist {dist} --beta {order}",
+    "entropy-quantum": "entropy quantum --state {rho8} --alpha {order}",
+    "type-beta": "type-beta --dist {dist} --beta {order}",
+    "divergence": "divergence --state {rho8} --sigma {pd8} --alpha {order}",
+    "conditional": "conditional --state {rho4} --alpha {order}",
+    "mutual-info": "mutual-info --state {rho4} --alpha {order}",
+    "bounds-t1": "bounds t1 --dist {dist} --beta {order}",
+    "bounds-t2_2": "bounds t2_2 --dist {dist} --beta {order}",
+    "bounds-t3": "bounds t3 --state {rho8} --alpha {order}",
+    "bounds-t3_2": "bounds t3_2 --state {rho8} --alpha {order}",
+    "bounds-t4": "bounds t4 --state {rho8} --sigma {pd8} --alpha {order}",
+    "bounds-t6": "bounds t6 --state {rho4} --alpha {order}",
+    "bounds-triangle": "bounds triangle --state {rho8} --sigma {pd8} --alpha {order}",
+}
+
+# runs that used to end in ZeroDivisionError or OverflowError
+FORMER_TRACEBACKS = {
+    (command, order)
+    for command in ("divergence", "bounds-t4", "bounds-triangle")
+    for order in ("1e5", "1e308")
+} | {("conditional", order) for order in ("1025", "2000", "1e5", "1e308")}
+
+
+@pytest.fixture(scope="module")
+def extreme_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("extreme")
+    files = {
+        "rho8": "density --dim 8 --seed 3",
+        "pd8": "pd --dim 8 --seed 4",
+        "rho4": "density --dim 4 --seed 7 --dims 2,2",
+        "dist": "simplex --dim 4 --seed 1",
+    }
+    for name, spec in files.items():
+        files[name] = str(root / f"{name}.json")
+        assert main(["gen", *spec.split(), "--out", files[name]]) == 0
+    return files
+
+
+@pytest.mark.parametrize("order", EXTREME_ORDERS)
+@pytest.mark.parametrize("command", sorted(EXTREME_COMMANDS))
+def test_extreme_orders_end_in_value_or_error_object(
+    capsys, extreme_files, command, order
+):
+    argv = EXTREME_COMMANDS[command].format(order=order, **extreme_files).split()
+    code, out, err = run(capsys, argv)  # an escaping exception fails here
+    if (command, order) in FORMER_TRACEBACKS:
+        assert code == 1
+    if code == 0:
+        assert out
+    else:
+        assert (code, out) == (1, "")
+        error = json.loads(err.strip().splitlines()[-1])
+        assert error["code"] in {cls.__name__ for cls in RenyiError.__subclasses__()}

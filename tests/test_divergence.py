@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from renyi.divergence import (
-    bloch_grid_minimum,
     conditional_entropy,
     divergence_vs_identity,
     equality_condition_check,
-    identity_vs_divergence,
     mutual_information,
     renyi_relative_entropy,
     subsystem_entropy,
@@ -32,6 +30,8 @@ from renyi.exceptions import (
 from renyi.linalg import kron, matrix_power, partial_trace_b
 from renyi.quantum import DensityMatrix, quantum_renyi_entropy
 
+from bloch_oracle import zoom_grid_minimum
+
 D2_EXAMPLE = 0.2876820724517809          # ln(4/3)
 T4_EXAMPLE = 0.14384103622589046         # ln 2 + ln(1/4) - 0.5 ln(3/16)
 T6_DIAG = -0.4462871026284195            # 2 (ln 4 + ln(0.0016)/4)
@@ -48,6 +48,12 @@ def random_density(rng, n, rank=None, dims=None):
 def random_pd(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return g @ g.conj().T + 0.2 * np.eye(n)
+
+
+def identity_sigma_divergence(sigma, alpha):
+    """``D_alpha(I || sigma) = ln(sum_j q_j^(1-alpha)) / (alpha - 1)`` from LAPACK."""
+    q = np.linalg.eigvalsh(sigma)
+    return math.log(float(np.sum(q ** (1.0 - alpha)))) / (alpha - 1.0)
 
 
 def haar_unitary(rng, n):
@@ -260,10 +266,10 @@ class TestOptimizedQuantities:
             ("conditional", conditional_entropy),
         ):
             value, _ = solver(rho, 2.0)
-            grid = bloch_grid_minimum(rho, 2.0, mode, step=0.01)
+            grid = zoom_grid_minimum(rho.matrix, 2.0, mode)
             if mode == "conditional":
                 grid = math.log(2) - grid
-            assert abs(value - grid) <= 1e-4
+            assert abs(value - grid) <= 1e-10
 
     @pytest.mark.parametrize("mode", ["mutual", "conditional"])
     def test_sibson_identity(self, mode):
@@ -414,9 +420,10 @@ class TestTriangle:
         assert divergence_vs_identity(rho, 2.0) == pytest.approx(
             math.log(0.5), abs=1e-12
         )
-        assert identity_vs_divergence(np.diag([0.25, 0.75]), 2.0) == pytest.approx(
-            math.log(16.0 / 3.0), abs=1e-12
-        )
+        sigma = np.diag([0.25, 0.75])
+        d_i_sigma = triangle_bound_check(rho, sigma, 2.0).extras["d_identity_sigma"]
+        assert d_i_sigma == pytest.approx(math.log(16.0 / 3.0), abs=1e-12)
+        assert d_i_sigma == pytest.approx(identity_sigma_divergence(sigma, 2.0), abs=1e-12)
 
     def test_random_pairs(self):
         rng = np.random.default_rng(58)
@@ -435,7 +442,8 @@ class TestTriangle:
 
 class TestSharedSigmaDecomposition:
     """t4 and the triangle check reuse one decomposition of sigma; the
-    numbers they report equal the standalone functions' bit for bit."""
+    numbers they report equal the standalone functions' bit for bit, and
+    ``D(I || sigma)`` matches its LAPACK closed form."""
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 5.0])
     def test_reports_match_standalone_functions(self, alpha):
@@ -453,7 +461,7 @@ class TestSharedSigmaDecomposition:
             assert t4.equality == equality == divergence.equality_case
             triangle = triangle_bound_check(rho, sigma, alpha)
             assert triangle.lhs == divergence.value
-            assert triangle.extras["d_identity_sigma"] == identity_vs_divergence(
-                sigma, alpha
+            assert triangle.extras["d_identity_sigma"] == pytest.approx(
+                identity_sigma_divergence(sigma, alpha), rel=1e-12, abs=1e-12
             )
         assert t4_lower_bound(*cases[0], alpha).equality

@@ -140,8 +140,10 @@ class TestRunSuite:
     )
     def test_small_runs_are_clean(self, name):
         rep = run_suite(name, 150, seed=1)
+        suite = SUITES[name]
+        tolerance = suite.check(suite.gen(derive_rng(1, 0), 0)).tolerance
         assert rep.failures == []
-        assert rep.max_violation <= SUITES[name].tolerance
+        assert rep.max_violation <= tolerance
         assert rep.injected_equality == 2
         assert rep.equality_flagged == 2
 
