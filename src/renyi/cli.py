@@ -267,7 +267,7 @@ def _cmd_bounds(args) -> int:
         else:
             inputs[name] = value
         echo[flag] = value
-    report = suite.check(inputs)
+    report = suite.check([inputs])[0]
     _emit(
         args,
         _report_lines(report),

@@ -2,14 +2,18 @@
 
 Randomness comes from numpy's Philox counter-based generator keyed by
 ``(seed, stream)``, so every trial owns an order-independent substream and
-suite reports are reproducible bit for bit.  Each suite knows how to
-generate one trial's inputs as arrays and how to check them; each check's
-report carries the tolerance above which its normalized violation counts as
-a failure.  A matrix input is an ``(array, dims)`` pair and a distribution a
-float array; they are serialized to the CLI file format only when a failure
-is recorded, and :func:`replay` parses that form back.  One trial in a
-hundred is a constructed equality-case instance so the equality flags get
-exercised.
+suite reports are reproducible bit for bit; :func:`run_suite` re-keys one
+generator per trial instead of building a new one.  Each suite knows how to
+generate one trial's inputs as arrays, and its check is a kernel over a list
+of trials that returns one report per trial; each report carries the
+tolerance above which its normalized violation counts as a failure.  The
+classical checks stack a batch by vector length and evaluate each formula
+once per stack; the matrix checks run their one-trial check on each input.
+``bounds`` and :func:`replay` run the same kernel on a batch of one.  A
+matrix input is an ``(array, dims)`` pair and a distribution a float array;
+they are serialized to the CLI file format only when a failure is recorded,
+and :func:`replay` parses that form back.  One trial in a hundred is a
+constructed equality-case instance so the equality flags get exercised.
 """
 
 from __future__ import annotations
@@ -22,13 +26,15 @@ from typing import Callable
 import numpy as np
 
 from .classical import (
-    entropy_type_beta,
-    probability_vector,
-    renyi_entropy,
-    t1_bound,
-    type_beta_product_bound,
-    order_from_type,
+    _check_beta,
+    _check_product_beta,
+    _entropy_type_beta,
+    _order_from_type,
+    _product_bound,
+    _renyi_entropy,
+    _t1_bound,
     info_function_beta,
+    probability_vector,
 )
 from .divergence import (
     renyi_relative_entropy,
@@ -64,13 +70,33 @@ CONDITION_CAPS = (10.0, 100.0, 1000.0)
 
 _EQUALITY_EVERY = 100
 
+# trials generated and checked together by run_suite
+BLOCK = 256
+
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+_PHILOX_ZEROS.setflags(write=False)
+
 MATRIX, DISTRIBUTION, NUMBER = "matrix", "distribution", "number"
+
+
+def _substream(seed: int, stream: int) -> dict:
+    """Philox state at the start of the substream keyed by (seed, stream)."""
+    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_ZEROS, "key": key},
+        "buffer": _PHILOX_ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def derive_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream): portable and splittable."""
-    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.Philox(key=_PHILOX_ZEROS[:2]))
+    rng.bit_generator.state = _substream(seed, stream)
+    return rng
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -111,7 +137,7 @@ def _simplex_from_rng(rng, n: int, zeros: int) -> np.ndarray:
     p = np.zeros(n)
     p[:m] = draws / draws.sum()
     rng.shuffle(p)
-    return probability_vector(p)
+    return p
 
 
 def _check_dim(dim: int) -> None:
@@ -235,14 +261,32 @@ def _gen_t1(rng, i: int) -> dict:
     return {"p": p, "beta": beta, "equality_injected": eq}
 
 
-def _check_t1(inputs: dict) -> BoundReport:
-    p = probability_vector(inputs["p"])
-    beta = float(inputs["beta"])
-    h = renyi_entropy(p, beta)
-    bound = t1_bound(p, beta)
-    parts = [("t1", bound, h)] if beta < 1.0 else [("t1", h, bound)]
-    eq = abs(normalized_slack(*parts[0][1:])) <= EQ_TOL
-    return chain_report("t1", parts, CHAIN_TOL, eq, extras={"entropy": h, "bound": bound})
+def _distribution_stacks(batch: list[dict]):
+    """Group a batch by distribution length, validating each stack once.
+
+    Yields the trial indices of each group with its stacked distributions
+    and orders.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, inputs in enumerate(batch):
+        groups.setdefault(len(inputs["p"]), []).append(i)
+    for idx in groups.values():
+        p = probability_vector([batch[i]["p"] for i in idx])
+        beta = _check_beta([batch[i]["beta"] for i in idx])
+        yield idx, p, beta
+
+
+def _check_t1(batch: list[dict]) -> list[BoundReport]:
+    reports = [None] * len(batch)
+    for idx, p, beta in _distribution_stacks(batch):
+        h, bound = _renyi_entropy(p, beta), _t1_bound(p, beta)
+        for i, b, h_i, bound_i in zip(idx, beta.tolist(), h.tolist(), bound.tolist()):
+            parts = [("t1", bound_i, h_i)] if b < 1.0 else [("t1", h_i, bound_i)]
+            eq = abs(normalized_slack(*parts[0][1:])) <= EQ_TOL
+            reports[i] = chain_report(
+                "t1", parts, CHAIN_TOL, eq, extras={"entropy": h_i, "bound": bound_i}
+            )
+    return reports
 
 
 def _gen_t2_2(rng, i: int) -> dict:
@@ -254,14 +298,18 @@ def _gen_t2_2(rng, i: int) -> dict:
     return {"p": p, "beta": beta, "equality_injected": eq}
 
 
-def _check_t2_2(inputs: dict) -> BoundReport:
-    p = probability_vector(inputs["p"])
-    beta = float(inputs["beta"])
-    h = entropy_type_beta(p, beta)
-    bound = type_beta_product_bound(p, beta)
-    parts = [("nonneg", 0.0, h), ("product", bound, h)]
-    eq = min(abs(normalized_slack(lo, hi)) for _, lo, hi in parts) <= EQ_TOL
-    return chain_report("t2_2", parts, CHAIN_TOL, eq, extras={"bound": bound})
+def _check_t2_2(batch: list[dict]) -> list[BoundReport]:
+    reports = [None] * len(batch)
+    for idx, p, beta in _distribution_stacks(batch):
+        h = _entropy_type_beta(p, beta)
+        bound = _product_bound(p, _check_product_beta(beta))
+        for i, h_i, bound_i in zip(idx, h.tolist(), bound.tolist()):
+            parts = [("nonneg", 0.0, h_i), ("product", bound_i, h_i)]
+            eq = min(abs(normalized_slack(lo, hi)) for _, lo, hi in parts) <= EQ_TOL
+            reports[i] = chain_report(
+                "t2_2", parts, CHAIN_TOL, eq, extras={"bound": bound_i}
+            )
+    return reports
 
 
 def _gen_t3(rng, i: int) -> dict:
@@ -378,22 +426,27 @@ def _gen_info_fn_eq(rng, i: int) -> dict:
     return {"x": x, "y": y, "beta": beta, "equality_injected": eq}
 
 
-def _check_info_fn_eq(inputs: dict) -> BoundReport:
-    x, y, beta = float(inputs["x"]), float(inputs["y"]), float(inputs["beta"])
-    lhs = info_function_beta(x, beta) + (1.0 - x) ** beta * info_function_beta(
-        y / (1.0 - x), beta
+def _check_info_fn_eq(batch: list[dict]) -> list[BoundReport]:
+    x, y, beta = (
+        np.array([float(inputs[key]) for inputs in batch]) for key in ("x", "y", "beta")
     )
-    rhs = info_function_beta(y, beta) + (1.0 - y) ** beta * info_function_beta(
-        x / (1.0 - y), beta
-    )
-    return identity_report("info_fn_eq", lhs, rhs, 1e-9)
+    f = info_function_beta
+    lhs = f(x, beta) + np.power(1.0 - x, beta) * f(y / (1.0 - x), beta)
+    rhs = f(y, beta) + np.power(1.0 - y, beta) * f(x / (1.0 - y), beta)
+    return [
+        identity_report("info_fn_eq", value, expected, 1e-9)
+        for value, expected in zip(lhs.tolist(), rhs.tolist())
+    ]
 
 
-def _check_eq4(inputs: dict) -> BoundReport:
-    p = probability_vector(inputs["p"])
-    beta = float(inputs["beta"])
-    roundtrip = order_from_type(entropy_type_beta(p, beta), beta)
-    return identity_report("eq4_roundtrip", roundtrip, renyi_entropy(p, beta), 1e-10)
+def _check_eq4(batch: list[dict]) -> list[BoundReport]:
+    reports = [None] * len(batch)
+    for idx, p, beta in _distribution_stacks(batch):
+        roundtrip = _order_from_type(_entropy_type_beta(p, beta), beta)
+        h = _renyi_entropy(p, beta)
+        for i, value, expected in zip(idx, roundtrip.tolist(), h.tolist()):
+            reports[i] = identity_report("eq4_roundtrip", value, expected, 1e-10)
+    return reports
 
 
 def _gen_diag_oracle(rng, i: int) -> dict:
@@ -416,7 +469,7 @@ def _check_diag_oracle(inputs: dict) -> BoundReport:
     alpha = float(inputs["alpha"])
     rho = DensityMatrix(np.diag(p))
     h_quantum = quantum_renyi_entropy(rho, alpha, units="bits").value
-    h_classical = renyi_entropy(p, alpha)
+    h_classical = float(_renyi_entropy(p, np.asarray(alpha)))
     d_quantum = renyi_relative_entropy(rho, np.diag(q), alpha).value
     support = p > 0.0
     d_classical = (
@@ -443,12 +496,22 @@ def _check_diag_oracle(inputs: dict) -> BoundReport:
     )
 
 
+def _each(check: Callable[[dict], BoundReport]) -> Callable[[list], list]:
+    """A batch check that runs a one-trial check on each input in turn."""
+
+    def kernel(batch: list[dict]) -> list[BoundReport]:
+        return [check(inputs) for inputs in batch]
+
+    return kernel
+
+
 @dataclass(frozen=True)
 class Suite:
-    """``inputs`` maps each input the check reads to its kind, in CLI order."""
+    """``check`` maps a list of trials' inputs to one report per trial;
+    ``inputs`` maps each input the check reads to its kind, in CLI order."""
 
     gen: Callable[[np.random.Generator, int], dict]
-    check: Callable[[dict], BoundReport]
+    check: Callable[[list[dict]], list[BoundReport]]
     inputs: dict[str, str]
 
     def serialize(self, inputs: dict) -> dict:
@@ -478,23 +541,23 @@ _STATE = {"rho": MATRIX, "alpha": NUMBER}
 _STATE_SIGMA = {"rho": MATRIX, "sigma": MATRIX, "alpha": NUMBER}
 
 SUITES: dict[str, Suite] = {
-    "lemma2": Suite(_gen_lemma2, _check_lemma2, _PAIR),
-    "lemma3": Suite(_gen_lemma3, _check_lemma3, _PAIR),
-    "lemma4": Suite(_gen_lemma4, _check_lemma4, {"a": MATRIX}),
+    "lemma2": Suite(_gen_lemma2, _each(_check_lemma2), _PAIR),
+    "lemma3": Suite(_gen_lemma3, _each(_check_lemma3), _PAIR),
+    "lemma4": Suite(_gen_lemma4, _each(_check_lemma4), {"a": MATRIX}),
     "t1": Suite(_gen_t1, _check_t1, _DIST),
     "t2_2": Suite(_gen_t2_2, _check_t2_2, _DIST),
-    "t3": Suite(_gen_t3, _check_t3, _STATE),
-    "t3_2": Suite(_gen_t3_2, _check_t3_2, _STATE),
-    "t4": Suite(_gen_t4, _check_t4, _STATE_SIGMA),
-    "t6": Suite(_gen_t6, _check_t6, _STATE),
-    "triangle": Suite(_gen_triangle, _check_triangle, _STATE_SIGMA),
+    "t3": Suite(_gen_t3, _each(_check_t3), _STATE),
+    "t3_2": Suite(_gen_t3_2, _each(_check_t3_2), _STATE),
+    "t4": Suite(_gen_t4, _each(_check_t4), _STATE_SIGMA),
+    "t6": Suite(_gen_t6, _each(_check_t6), _STATE),
+    "triangle": Suite(_gen_triangle, _each(_check_triangle), _STATE_SIGMA),
     "info_fn_eq": Suite(
         _gen_info_fn_eq, _check_info_fn_eq, {"x": NUMBER, "y": NUMBER, "beta": NUMBER}
     ),
     "eq4_roundtrip": Suite(_gen_t1, _check_eq4, _DIST),
     "diag_oracle": Suite(
         _gen_diag_oracle,
-        _check_diag_oracle,
+        _each(_check_diag_oracle),
         {"p": DISTRIBUTION, "q": DISTRIBUTION, "alpha": NUMBER},
     ),
 }
@@ -557,17 +620,22 @@ def run_suite(
     failures: list[FailureRecord] = []
     max_violation = 0.0
     injected = flagged = 0
-    for trial in range(int(trials)):
-        inputs = suite.gen(derive_rng(seed, trial), trial)
-        rep = suite.check(inputs)
-        violation = rep.violation
-        if violation > max_violation:
-            max_violation = violation
-        if inputs.get("equality_injected"):
-            injected += 1
-            flagged += int(rep.equality)
-        if violation > (rep.tolerance if tolerance is None else tolerance):
-            failures.append(FailureRecord(trial, suite.serialize(inputs), rep))
+    rng = derive_rng(seed)
+    for first in range(0, int(trials), BLOCK):
+        block = range(first, min(first + BLOCK, int(trials)))
+        batch = []
+        for trial in block:
+            rng.bit_generator.state = _substream(seed, trial)
+            batch.append(suite.gen(rng, trial))
+        for trial, inputs, rep in zip(block, batch, suite.check(batch), strict=True):
+            violation = rep.violation
+            if violation > max_violation:
+                max_violation = violation
+            if inputs.get("equality_injected"):
+                injected += 1
+                flagged += int(rep.equality)
+            if violation > (rep.tolerance if tolerance is None else tolerance):
+                failures.append(FailureRecord(trial, suite.serialize(inputs), rep))
     return SuiteReport(
         name=name,
         trials=int(trials),
@@ -584,4 +652,4 @@ def replay(name: str, inputs: dict) -> BoundReport:
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}")
     suite = SUITES[name]
-    return suite.check(suite.parse(inputs))
+    return suite.check([suite.parse(inputs)])[0]

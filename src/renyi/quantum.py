@@ -150,11 +150,16 @@ def quantum_renyi_entropy(
 
 
 def _support_bound(w: np.ndarray, alpha: float) -> tuple[float, int]:
-    """Spectral support bound in nats plus the zero count ``d0``."""
+    """Spectral support bound in nats plus the zero count ``d0``.
+
+    ``ln m/(1-alpha) + alpha/(1-alpha) * mean ln w'_i`` over the support of
+    size m tends to ``-mean ln w'_i`` as alpha grows instead of overflowing.
+    """
     support = w[w > ZERO_THRESHOLD]
     d0 = int(w.size - support.size)
     m = support.size
-    bound = (math.log(m) + alpha / m * float(np.sum(np.log(support)))) / (1.0 - alpha)
+    mean_log = float(np.sum(np.log(support))) / m
+    bound = math.log(m) / (1.0 - alpha) + alpha / (1.0 - alpha) * mean_log
     return bound, d0
 
 

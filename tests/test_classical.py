@@ -13,7 +13,6 @@ from renyi.classical import (
     probability_vector,
     renyi_entropy,
     shannon_entropy,
-    support_stats,
     t1_bound,
     type_beta_product_bound,
 )
@@ -52,11 +51,6 @@ class TestProbabilityVector:
     def test_rejects_real_negatives(self):
         with pytest.raises(InvalidDistribution):
             probability_vector([1.1, -0.1])
-
-    def test_support_stats(self):
-        stats = support_stats(probability_vector([0.5, 0.0, 0.5]))
-        assert (stats.n, stats.n0) == (3, 1)
-        np.testing.assert_allclose(stats.support, [0.5, 0.5])
 
 
 class TestInfoFunction:
@@ -276,3 +270,69 @@ class TestOrderFromType:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             order_from_type(-10.0, 0.5)
+
+
+class TestStacks:
+    """Each closed form takes a stack of distributions along the last axis."""
+
+    @pytest.fixture
+    def stack(self):
+        rng = np.random.default_rng(33)
+        p = np.array([random_dist(rng, 6, zeros=int(rng.integers(0, 6))) for _ in range(40)])
+        beta = rng.choice([0.3, 0.5, 0.9, 1.5, 2.0, 3.0, 5.0], size=40)
+        return p, beta
+
+    @pytest.mark.parametrize(
+        "fn", [renyi_entropy, t1_bound, entropy_type_beta, shannon_entropy]
+    )
+    def test_rows_match_one_dimensional_calls(self, stack, fn):
+        p, beta = stack
+        args = (p,) if fn is shannon_entropy else (p, beta)
+        stacked = fn(*args)
+        assert stacked.shape == (40,)
+        for i in range(40):
+            alone = fn(p[i]) if fn is shannon_entropy else fn(p[i], float(beta[i]))
+            assert type(alone) is float
+            assert stacked[i] == alone
+
+    def test_product_bound_and_transform_rows(self, stack):
+        p, beta = stack
+        low = np.where(beta < 1.0, beta, beta / 10.0)
+        bound = type_beta_product_bound(p, low)
+        h = entropy_type_beta(p, beta)
+        back = order_from_type(h, beta)
+        for i in range(40):
+            assert bound[i] == type_beta_product_bound(p[i], float(low[i]))
+            assert back[i] == order_from_type(float(h[i]), float(beta[i]))
+
+    def test_info_function_broadcasts(self):
+        x = np.array([0.0, 0.25, 0.5, 0.9, 1.0])
+        got = info_function_beta(x, 2.0)
+        assert [info_function_beta(float(v), 2.0) for v in x] == got.tolist()
+        assert got[2] == 1.0
+
+    def test_order_near_one_takes_the_shannon_row(self):
+        p = np.array([[0.7, 0.2, 0.1], [0.5, 0.25, 0.25]])
+        got = renyi_entropy(p, [1.0, 2.0])
+        assert got[0] == shannon_entropy(p[0])
+        assert got[1] == renyi_entropy(p[1], 2.0)
+
+    def test_one_bad_row_is_named(self):
+        with pytest.raises(InvalidDistribution, match="sum to 0.9"):
+            probability_vector([[0.5, 0.5], [0.5, 0.4]])
+        with pytest.raises(BetaOutOfRange, match="got -1.0"):
+            renyi_entropy([[0.5, 0.5], [1.0, 0.0]], [2.0, -1.0])
+
+
+class TestExtremeOrders:
+    """Large orders give the finite min-entropy limits, not overflow."""
+
+    def test_renyi_entropy_tends_to_min_entropy(self):
+        p = [0.125] * 8
+        assert renyi_entropy(p, 1e308) == pytest.approx(3.0, abs=1e-12)
+
+    def test_t1_bound_tends_to_minus_mean_log(self):
+        p = [0.1, 0.2, 0.3, 0.4]
+        limit = -float(np.mean(np.log2(p)))
+        assert t1_bound(p, 1e308) == pytest.approx(limit, abs=1e-12)
+        assert t1_bound(p, 1e308) >= renyi_entropy(p, 1e308)

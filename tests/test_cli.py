@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from renyi.cli import main
 from renyi.exceptions import RenyiError
@@ -191,7 +193,7 @@ class TestBounds:
         code, out, _ = run(capsys, argv)
         assert code == 0
         payload = json.loads(out)
-        expected = suite.check(suite.parse(record))
+        expected = suite.check([suite.parse(record)])[0]
         assert payload["report"] == json.loads(json.dumps(expected.to_dict()))
         assert list(payload["inputs"]) == sorted(BOUNDS_FLAGS[theorem])
 
@@ -214,7 +216,7 @@ class TestBounds:
             )
             assert code == 0
             reports[dims] = json.loads(out)["report"]
-        expected = SUITES["t6"].check({"rho": (rho, (2, 3)), "alpha": 2.0})
+        expected = SUITES["t6"].check([{"rho": (rho, (2, 3)), "alpha": 2.0}])[0]
         assert reports["2,3"] == json.loads(json.dumps(expected.to_dict()))
         assert reports["2,3"] != reports["3,2"]
 
@@ -399,6 +401,15 @@ EXTREME_COMMANDS = {
     "bounds-triangle": "bounds triangle --state {rho8} --sigma {pd8} --alpha {order}",
 }
 
+# commands whose --json report must be strict JSON at every order
+STRICT_JSON_COMMANDS = (
+    "entropy-classical",
+    "type-beta",
+    "bounds-t1",
+    "bounds-t2_2",
+    "bounds-t3",
+)
+
 # runs that used to end in ZeroDivisionError or OverflowError
 FORMER_TRACEBACKS = {
     (command, order)
@@ -422,6 +433,22 @@ def extreme_files(tmp_path_factory):
     return files
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _value_or_error_object(code, out, err, strict_json=False):
+    """A run either prints a result or exits 1 with a typed error object."""
+    if code == 0:
+        assert out
+        if strict_json:
+            json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert (code, out) == (1, "")
+        error = json.loads(err.strip().splitlines()[-1])
+        assert error["code"] in {cls.__name__ for cls in RenyiError.__subclasses__()}
+
+
 @pytest.mark.parametrize("order", EXTREME_ORDERS)
 @pytest.mark.parametrize("command", sorted(EXTREME_COMMANDS))
 def test_extreme_orders_end_in_value_or_error_object(
@@ -431,9 +458,37 @@ def test_extreme_orders_end_in_value_or_error_object(
     code, out, err = run(capsys, argv)  # an escaping exception fails here
     if (command, order) in FORMER_TRACEBACKS:
         assert code == 1
-    if code == 0:
-        assert out
-    else:
-        assert (code, out) == (1, "")
-        error = json.loads(err.strip().splitlines()[-1])
-        assert error["code"] in {cls.__name__ for cls in RenyiError.__subclasses__()}
+    _value_or_error_object(code, out, err)
+    if command in STRICT_JSON_COMMANDS:
+        code, out, err = run(capsys, argv + ["--json"])
+        _value_or_error_object(code, out, err, strict_json=True)
+
+
+@st.composite
+def dusty_distributions(draw):
+    """Distributions of 1 to 12 entries with exact zeros and 1e-13 dust."""
+    masses = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8))
+    extras = draw(st.lists(st.sampled_from([0.0, 1e-13]), max_size=4))
+    scale = (1.0 - sum(extras)) / sum(masses)
+    return draw(st.permutations([m * scale for m in masses] + extras))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    p=dusty_distributions(),
+    order=st.sampled_from(EXTREME_ORDERS),
+    command=st.sampled_from(
+        ["entropy-classical", "type-beta", "bounds-t1", "bounds-t2_2"]
+    ),
+)
+def test_classical_commands_end_in_value_or_error_object(
+    capsys, tmp_path, p, order, command
+):
+    dist = write_dist(tmp_path / "dist.json", p)
+    argv = EXTREME_COMMANDS[command].format(order=order, dist=dist).split()
+    code, out, err = run(capsys, argv + ["--json"])
+    _value_or_error_object(code, out, err, strict_json=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from renyi import harness
 from renyi.exceptions import BadCap, BadDim, BadRank, BadTrials, BadZeros, UnknownSuite
 from renyi.harness import (
     SUITES,
@@ -16,6 +18,7 @@ from renyi.harness import (
     replay,
     run_suite,
 )
+from renyi.report import BoundReport
 
 
 class TestGenerators:
@@ -141,7 +144,7 @@ class TestRunSuite:
     def test_small_runs_are_clean(self, name):
         rep = run_suite(name, 150, seed=1)
         suite = SUITES[name]
-        tolerance = suite.check(suite.gen(derive_rng(1, 0), 0)).tolerance
+        tolerance = suite.check([suite.gen(derive_rng(1, 0), 0)])[0].tolerance
         assert rep.failures == []
         assert rep.max_violation <= tolerance
         assert rep.injected_equality == 2
@@ -158,6 +161,40 @@ class TestRunSuite:
         b = run_suite("lemma3", 120, seed=9)
         assert a.to_dict() == b.to_dict()
         assert a.elapsed != 0.0  # elapsed exists but is excluded from content
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_rekeyed_generator_matches_fresh_substreams(self, monkeypatch, name):
+        # run_suite re-keys one generator per trial; each trial, equality
+        # cases and block boundaries included, sees what a fresh
+        # derive_rng(seed, trial) and a Philox built from the key give
+        suite = SUITES[name]
+        seen = []
+
+        def record(batch):
+            seen.extend(batch)
+            return [BoundReport(name, 0.0, 0.0, 0.0, True, False, 0.0)] * len(batch)
+
+        monkeypatch.setitem(SUITES, name, dataclasses.replace(suite, check=record))
+        monkeypatch.setattr(harness, "BLOCK", 64)
+        run_suite(name, 201, seed=8)
+        assert len(seen) == 201
+        for trial, inputs in enumerate(seen):
+            key = np.array([8, trial], dtype=np.uint64)
+            built = np.random.Generator(np.random.Philox(key=key))
+            expected = json.dumps(suite.serialize(inputs))
+            for rng in (derive_rng(8, trial), built):
+                assert json.dumps(suite.serialize(suite.gen(rng, trial))) == expected, trial
+
+    @pytest.mark.parametrize("name", ["t1", "t2_2", "info_fn_eq", "eq4_roundtrip"])
+    def test_stacked_reports_match_batches_of_one(self, name):
+        # verify checks stacked batches; bounds and replay check a batch of one
+        suite = SUITES[name]
+        batch = [suite.gen(derive_rng(6, trial), trial) for trial in range(200)]
+        reports = suite.check(batch)
+        assert len(reports) == len(batch)
+        for inputs, report in zip(batch, reports):
+            alone = suite.check([inputs])[0]
+            assert json.dumps(report.to_dict()) == json.dumps(alone.to_dict())
 
     def test_trials_are_order_independent_substreams(self):
         # trial k's inputs depend only on (seed, k), not on earlier trials
@@ -251,7 +288,7 @@ class TestWorkPerTrial:
         suite = SUITES[name]
         for trial in range(1, 25):  # no multiple of 100: no equality case
             counts.update(spectral_decompose=0, as_hermitian=0)
-            suite.check(suite.gen(derive_rng(3, trial), trial))
+            suite.check([suite.gen(derive_rng(3, trial), trial)])
             assert counts == {
                 "spectral_decompose": decompositions,
                 "as_hermitian": validations,
@@ -261,9 +298,38 @@ class TestWorkPerTrial:
     def test_generators_neither_decompose_nor_serialize(self, monkeypatch, name):
         from renyi import fileformat, linalg
 
+        from renyi import classical
+
         counts = _count_calls(monkeypatch, linalg, ("spectral_decompose", "as_hermitian"))
         counts.update(_count_calls(monkeypatch, fileformat, ("matrix_payload",)))
+        counts.update(_count_calls(monkeypatch, classical, ("probability_vector",)))
         trials = (0, 100) + tuple(range(1, 17))  # equality cases included
         for trial in trials:
             SUITES[name].gen(derive_rng(3, trial), trial)
-        assert counts == {"spectral_decompose": 0, "as_hermitian": 0, "matrix_payload": 0}
+        assert counts == {
+            "spectral_decompose": 0,
+            "as_hermitian": 0,
+            "matrix_payload": 0,
+            "probability_vector": 0,
+        }
+
+    @pytest.mark.parametrize(
+        "name,per_trial",
+        [("t1", 1), ("t2_2", 1), ("eq4_roundtrip", 1), ("diag_oracle", 2)],
+    )
+    def test_distributions_validated_once(self, monkeypatch, name, per_trial):
+        from renyi import classical
+
+        counts = _count_calls(monkeypatch, classical, ("probability_vector",))
+        suite = SUITES[name]
+        batch = [suite.gen(derive_rng(3, trial), trial) for trial in range(1, 57)]
+        for inputs in batch:
+            counts["probability_vector"] = 0
+            suite.check([inputs])
+            assert counts == {"probability_vector": per_trial}
+        counts["probability_vector"] = 0
+        suite.check(batch)
+        if name == "diag_oracle":
+            assert counts == {"probability_vector": 2 * len(batch)}
+        else:  # one stack per distribution length
+            assert counts == {"probability_vector": len({len(x["p"]) for x in batch})}
