@@ -136,8 +136,8 @@ def _entropy_type_beta(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 def entropy_type_beta(p, beta):
     """Entropy of type beta: ``(2^(1-beta) - 1)^(-1) (sum p_i^beta - 1)``."""
-    beta = _check_beta(beta)
-    return _value(_entropy_type_beta(probability_vector(p), beta))
+    p = probability_vector(p)
+    return _value(_entropy_type_beta(p, _check_beta(beta)))
 
 
 def entropy_type_beta_chain(p, beta: float) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import divergence as dv
 from . import harness
-from .classical import entropy_type_beta, probability_vector, renyi_entropy
+from .classical import entropy_type_beta, renyi_entropy
 from .exceptions import BadKind, FileFormatError, IoError, RenyiError
 from .fileformat import (
     distribution_from_payload,
@@ -80,8 +80,7 @@ def _load_matrix(path: str) -> tuple[np.ndarray, tuple[int, int] | None, dict]:
 
 def _load_distribution(path: str) -> tuple[np.ndarray, dict]:
     payload = _read_payload(path)
-    p = probability_vector(distribution_from_payload(payload))
-    return p, payload
+    return distribution_from_payload(payload), payload
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -262,8 +261,7 @@ def _cmd_bounds(args) -> int:
                 dims = _parse_dims(args.dims)
             inputs[name] = (matrix, dims)
         elif kind == harness.DISTRIBUTION:
-            value = _read_payload(value)
-            inputs[name] = distribution_from_payload(value)
+            inputs[name], value = _load_distribution(value)
         else:
             inputs[name] = value
         echo[flag] = value
@@ -297,7 +295,7 @@ def _cmd_verify(args) -> int:
         {
             "command": "verify",
             "seed": args.seed,
-            **report.to_dict(include_elapsed=False),
+            **report.to_dict(),
         },
     )
     if report.failures:

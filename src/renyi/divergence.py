@@ -37,7 +37,6 @@ from .exceptions import (
     TraceNonpositive,
 )
 from .linalg import (
-    CHAIN_TOL,
     EQ_TOL,
     ORDER_ONE_BAND,
     PSD_TOL,
@@ -53,7 +52,7 @@ from .linalg import (
     trace_product,
 )
 from .quantum import DensityMatrix
-from .report import BoundReport, chain_report, normalized_slack
+from .report import BoundReport, chain_report
 
 @dataclass(frozen=True)
 class DivergenceResult:
@@ -190,9 +189,8 @@ def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     return chain_report(
         "t4",
         [("t4", bound, value)],
-        CHAIN_TOL,
-        eq,
         extras={"divergence": value, "bound": bound, "c": c},
+        equality=eq,
     )
 
 
@@ -340,12 +338,9 @@ def t6_lower_bound(rho_ab: DensityMatrix, alpha: float) -> BoundReport:
     logdet = float(np.sum(np.log(rho_ab.eigenvalues)))
     bound = alpha / (alpha - 1.0) * (math.log(d) + logdet / d)
     value, _ = mutual_information(rho_ab, alpha)
-    eq = abs(normalized_slack(bound, value)) <= EQ_TOL
     return chain_report(
         "t6",
         [("t6", bound, value)],
-        CHAIN_TOL,
-        eq,
         extras={"mutual_information": value, "bound": bound},
     )
 
@@ -364,11 +359,8 @@ def triangle_bound_check(rho: DensityMatrix, sigma, alpha: float) -> BoundReport
     d_rho_i = divergence_vs_identity(rho, alpha)
     d_i_sigma = math.log(float(np.sum(dec.eigenvalues ** (1.0 - alpha)))) / (alpha - 1.0)
     rhs = d_rho_i + d_i_sigma
-    eq = abs(normalized_slack(lhs, rhs)) <= EQ_TOL
     return chain_report(
         "triangle",
         [("triangle", lhs, rhs)],
-        CHAIN_TOL,
-        eq,
         extras={"d_rho_identity": d_rho_i, "d_identity_sigma": d_i_sigma},
     )

@@ -49,15 +49,9 @@ from .fileformat import (
     matrix_from_payload,
     matrix_payload,
 )
-from .linalg import (
-    CHAIN_TOL,
-    EQ_TOL,
-    lemma2_check,
-    lemma3_check,
-    lemma4_check,
-)
+from .linalg import lemma2_check, lemma3_check, lemma4_check
 from .quantum import DensityMatrix, log_dim_cap, quantum_renyi_entropy, t3_bound
-from .report import BoundReport, chain_report, identity_report, normalized_slack
+from .report import BoundReport, chain_report, identity_report
 
 _MASK64 = (1 << 64) - 1
 
@@ -282,9 +276,8 @@ def _check_t1(batch: list[dict]) -> list[BoundReport]:
         h, bound = _renyi_entropy(p, beta), _t1_bound(p, beta)
         for i, b, h_i, bound_i in zip(idx, beta.tolist(), h.tolist(), bound.tolist()):
             parts = [("t1", bound_i, h_i)] if b < 1.0 else [("t1", h_i, bound_i)]
-            eq = abs(normalized_slack(*parts[0][1:])) <= EQ_TOL
             reports[i] = chain_report(
-                "t1", parts, CHAIN_TOL, eq, extras={"entropy": h_i, "bound": bound_i}
+                "t1", parts, extras={"entropy": h_i, "bound": bound_i}
             )
     return reports
 
@@ -305,10 +298,7 @@ def _check_t2_2(batch: list[dict]) -> list[BoundReport]:
         bound = _product_bound(p, _check_product_beta(beta))
         for i, h_i, bound_i in zip(idx, h.tolist(), bound.tolist()):
             parts = [("nonneg", 0.0, h_i), ("product", bound_i, h_i)]
-            eq = min(abs(normalized_slack(lo, hi)) for _, lo, hi in parts) <= EQ_TOL
-            reports[i] = chain_report(
-                "t2_2", parts, CHAIN_TOL, eq, extras={"bound": bound_i}
-            )
+            reports[i] = chain_report("t2_2", parts, extras={"bound": bound_i})
     return reports
 
 
@@ -480,14 +470,12 @@ def _check_diag_oracle(inputs: dict) -> BoundReport:
     gap_d = -abs(d_quantum - d_classical) / (1.0 + abs(d_classical))
     gap = min(gap_h, gap_d)
     tolerance = 1e-10
-    agree = bool(gap >= -tolerance)
     return BoundReport(
         "diag_oracle",
         h_quantum,
         h_classical,
         gap,
-        agree,
-        agree,
+        bool(gap >= -tolerance),
         tolerance,
         {
             "entropy_diff": abs(h_quantum - h_classical),
@@ -587,8 +575,8 @@ class SuiteReport:
     injected_equality: int = 0
     equality_flagged: int = 0
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "suite": self.name,
             "trials": self.trials,
             "failures": [f.to_dict() for f in self.failures],
@@ -596,9 +584,6 @@ class SuiteReport:
             "injected_equality": self.injected_equality,
             "equality_flagged": self.equality_flagged,
         }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
 
 def run_suite(

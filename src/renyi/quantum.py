@@ -21,7 +21,6 @@ from .exceptions import (
 )
 from .linalg import (
     EQ_TOL,
-    CHAIN_TOL,
     NORM_TOL,
     ORDER_ONE_BAND,
     PSD_TOL,
@@ -83,7 +82,7 @@ class DensityMatrix:
         w.setflags(write=False)
         object.__setattr__(self, "_matrix", a)
         object.__setattr__(
-            self, "_spectrum", SpectralDecomposition(w, dec.eigenvectors, dec.sweeps, a)
+            self, "_spectrum", SpectralDecomposition(w, dec.eigenvectors, a)
         )
         object.__setattr__(self, "_dims", dims)
 
@@ -168,10 +167,7 @@ def log_dim_cap(rho: DensityMatrix, alpha: float) -> BoundReport:
     alpha = _check_alpha(alpha, require_not_one=False)
     h = quantum_renyi_entropy(rho, alpha).value
     cap = math.log(rho.dim)
-    eq = abs(normalized_slack(h, cap)) <= EQ_TOL
-    return chain_report(
-        "t3_2", [("cap", h, cap)], CHAIN_TOL, eq, extras={"entropy": h, "dim": rho.dim}
-    )
+    return chain_report("t3_2", [("cap", h, cap)], extras={"entropy": h, "dim": rho.dim})
 
 
 def t3_bound(rho: DensityMatrix, alpha: float) -> BoundReport:
@@ -189,11 +185,11 @@ def t3_bound(rho: DensityMatrix, alpha: float) -> BoundReport:
         parts = [("t3", bound, h), ("cap", h, cap)]
     else:
         parts = [("t3", h, bound), ("cap", h, cap)]
+    # only the support bound counts towards equality, not the cap
     eq = abs(normalized_slack(*parts[0][1:])) <= EQ_TOL
     return chain_report(
         "t3",
         parts,
-        CHAIN_TOL,
-        eq,
         extras={"bound": bound, "entropy": h, "cap": cap, "d0": d0},
+        equality=eq,
     )

@@ -6,11 +6,19 @@ that chains several inequalities stores the per-part slacks in ``extras`` and
 keeps the smallest one as ``gap``.  Identities ``value == expected`` are
 reported with ``gap = -|diff|/(1 + |expected|)`` so that ``violation`` means
 the same thing everywhere: ``max(0, -gap)``.
+
+This module owns the chain tolerances and the rules built on them: a chain
+passes when its gap is at least ``-CHAIN_TOL``, and is tight when some part's
+slack is within ``EQ_TOL`` of zero, unless the check supplies a structural
+equality test of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+CHAIN_TOL = 1e-8
+EQ_TOL = 1e-7
 
 
 def normalized_slack(lhs: float, rhs: float) -> float:
@@ -24,10 +32,13 @@ class BoundReport:
     lhs: float
     rhs: float
     gap: float
-    passed: bool
     equality: bool
     tolerance: float
     extras: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.gap >= -self.tolerance)
 
     @property
     def violation(self) -> float:
@@ -49,19 +60,22 @@ class BoundReport:
 def chain_report(
     name: str,
     parts: list[tuple[str, float, float]],
-    tolerance: float,
-    equality: bool,
     extras: dict | None = None,
+    equality: bool | None = None,
 ) -> BoundReport:
-    """Combine inequalities ``lhs <= rhs`` into one report.
+    """Combine inequalities ``lhs <= rhs`` into one report at ``CHAIN_TOL``.
 
     ``parts`` is a list of ``(label, lhs, rhs)``; the headline ``lhs``/``rhs``
-    span the chain (first part's lhs to last part's rhs).
+    span the chain (first part's lhs to last part's rhs).  ``equality`` is the
+    check's own structural test; without one the chain is tight when some
+    part's slack is within ``EQ_TOL`` of zero.
     """
     if not parts:
         raise ValueError("chain_report needs at least one inequality")
     slacks = {label: normalized_slack(lo, hi) for label, lo, hi in parts}
     gap = min(slacks.values())
+    if equality is None:
+        equality = min(abs(slack) for slack in slacks.values()) <= EQ_TOL
     out = dict(extras or {})
     for label, slack in slacks.items():
         out[f"slack_{label}"] = slack
@@ -70,30 +84,22 @@ def chain_report(
         lhs=parts[0][1],
         rhs=parts[-1][2],
         gap=gap,
-        passed=bool(gap >= -tolerance),
         equality=bool(equality),
-        tolerance=tolerance,
+        tolerance=CHAIN_TOL,
         extras=out,
     )
 
 
 def identity_report(
-    name: str,
-    value: float,
-    expected: float,
-    tolerance: float,
-    extras: dict | None = None,
+    name: str, value: float, expected: float, tolerance: float
 ) -> BoundReport:
     """Report for a two-sided identity ``value == expected``."""
     gap = -abs(value - expected) / (1.0 + abs(expected))
-    holds = bool(gap >= -tolerance)
     return BoundReport(
         name=name,
         lhs=value,
         rhs=expected,
         gap=gap,
-        passed=holds,
-        equality=holds,
+        equality=bool(gap >= -tolerance),
         tolerance=tolerance,
-        extras=dict(extras or {}),
     )

@@ -16,6 +16,8 @@ from renyi.fileformat import (
 )
 from renyi.harness import SUITES, derive_rng
 
+from test_harness import _count_calls
+
 
 def write_dist(path, p):
     path.write_text(dump_payload({"p": list(p)}), encoding="utf-8")
@@ -101,6 +103,14 @@ class TestEntropyCommands:
         assert payload["units"] == "bits"
         assert payload["inputs"]["dist"] == {"p": [0.5, 0.5]}
         assert "tolerances" in payload
+
+    @pytest.mark.parametrize("command", ["entropy classical", "type-beta"])
+    def test_distribution_validated_once(self, capsys, monkeypatch, u2, command):
+        from renyi import classical
+
+        counts = _count_calls(monkeypatch, classical, ("probability_vector",))
+        code, _, _ = run(capsys, [*command.split(), "--dist", u2, "--beta", "2"])
+        assert (code, counts) == (0, {"probability_vector": 1})
 
     def test_type_beta(self, capsys, u2):
         code, out, _ = run(capsys, ["type-beta", "--dist", u2, "--beta", "0.5"])
@@ -330,6 +340,13 @@ class TestErrorHandling:
         code, _, err = run(
             capsys, ["entropy", "classical", "--dist", str(bad), "--beta", "2"]
         )
+        assert code == 1
+        assert json.loads(err)["code"] == "InvalidDistribution"
+
+    @pytest.mark.parametrize("command", ["entropy classical", "type-beta"])
+    def test_bad_distribution_wins_over_bad_order(self, capsys, tmp_path, command):
+        dist = write_dist(tmp_path / "bad.json", [0.5, 0.4])
+        code, _, err = run(capsys, [*command.split(), "--dist", dist, "--beta", "-1"])
         assert code == 1
         assert json.loads(err)["code"] == "InvalidDistribution"
 

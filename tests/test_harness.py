@@ -172,7 +172,7 @@ class TestRunSuite:
 
         def record(batch):
             seen.extend(batch)
-            return [BoundReport(name, 0.0, 0.0, 0.0, True, False, 0.0)] * len(batch)
+            return [BoundReport(name, 0.0, 0.0, 0.0, False, 0.0)] * len(batch)
 
         monkeypatch.setitem(SUITES, name, dataclasses.replace(suite, check=record))
         monkeypatch.setattr(harness, "BLOCK", 64)
