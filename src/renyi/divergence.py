@@ -42,13 +42,13 @@ from .linalg import (
     PSD_TOL,
     SpectralDecomposition,
     clip_spectrum,
-    log_power_sum,
     max_abs,
     partial_trace_a,
     partial_trace_b,
     power_spectrum,
     recombine,
     spectral_decompose,
+    spectral_entropy,
     trace_product,
 )
 from .quantum import DensityMatrix
@@ -348,7 +348,7 @@ def t6_lower_bound(rho_ab: DensityMatrix, alpha: float) -> BoundReport:
 def divergence_vs_identity(rho: DensityMatrix, alpha: float) -> float:
     """``D_alpha(rho || identity) = (alpha-1)^(-1) ln tr rho^alpha``."""
     alpha = _check_alpha_gt1(alpha)
-    return log_power_sum(rho.eigenvalues, alpha) / (alpha - 1.0)
+    return -spectral_entropy(rho.eigenvalues, alpha)
 
 
 def triangle_bound_check(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:

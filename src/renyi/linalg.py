@@ -230,14 +230,16 @@ def power_spectrum(w: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
-def log_power_sum(w: np.ndarray, r: float) -> float:
-    """``ln sum_i w_i^r`` for a nonnegative vector with a positive entry.
+def spectral_entropy(w: np.ndarray, r: float) -> float:
+    """``ln(sum_i w_i^r) / (1 - r)`` for a nonnegative vector with a positive entry.
 
-    Factors out the largest entry, ``r ln w_max + ln sum_i (w_i/w_max)^r``,
-    so no power overflows and the dominant term never underflows to zero.
+    Computed as ``r/(1-r) ln w_max + ln sum_i (w_i/w_max)^r / (1-r)``: no
+    power overflows, the dominant term never underflows to zero, and the
+    first term tends to ``-ln w_max`` as ``r`` grows instead of overflowing.
     """
     w_max = float(np.max(w))
-    return r * math.log(w_max) + math.log(float(np.sum((w / w_max) ** r)))
+    s = float(np.sum((w / w_max) ** r))
+    return r / (1.0 - r) * math.log(w_max) + math.log(s) / (1.0 - r)
 
 
 def matrix_power(matrix, r: float) -> np.ndarray:

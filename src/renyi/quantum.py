@@ -26,8 +26,8 @@ from .linalg import (
     PSD_TOL,
     ZERO_THRESHOLD,
     SpectralDecomposition,
-    log_power_sum,
     spectral_decompose,
+    spectral_entropy,
 )
 from .report import BoundReport, chain_report, normalized_slack
 
@@ -144,7 +144,7 @@ def quantum_renyi_entropy(
     alpha = _check_alpha(alpha, require_not_one=False)
     if abs(alpha - 1.0) < ORDER_ONE_BAND:
         return EntropyValue(von_neumann_entropy(rho, units), units, alpha)
-    value = log_power_sum(rho.eigenvalues, alpha) / (1.0 - alpha)
+    value = spectral_entropy(rho.eigenvalues, alpha)
     return EntropyValue(value * scale, units, alpha)
 
 

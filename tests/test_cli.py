@@ -416,6 +416,9 @@ EXTREME_COMMANDS = {
     "bounds-t4": "bounds t4 --state {rho8} --sigma {pd8} --alpha {order}",
     "bounds-t6": "bounds t6 --state {rho4} --alpha {order}",
     "bounds-triangle": "bounds triangle --state {rho8} --sigma {pd8} --alpha {order}",
+    "entropy-quantum-mixed": "entropy quantum --state {mixed8} --alpha {order}",
+    "bounds-t3-mixed": "bounds t3 --state {mixed8} --alpha {order}",
+    "bounds-t3_2-mixed": "bounds t3_2 --state {mixed8} --alpha {order}",
 }
 
 # commands whose --json report must be strict JSON at every order
@@ -425,6 +428,9 @@ STRICT_JSON_COMMANDS = (
     "bounds-t1",
     "bounds-t2_2",
     "bounds-t3",
+    "entropy-quantum-mixed",
+    "bounds-t3-mixed",
+    "bounds-t3_2-mixed",
 )
 
 # runs that used to end in ZeroDivisionError or OverflowError
@@ -447,6 +453,7 @@ def extreme_files(tmp_path_factory):
     for name, spec in files.items():
         files[name] = str(root / f"{name}.json")
         assert main(["gen", *spec.split(), "--out", files[name]]) == 0
+    files["mixed8"] = write_matrix(root / "mixed8.json", np.eye(8) / 8)
     return files
 
 

@@ -70,6 +70,11 @@ class TestQuantumRenyiEntropy:
                 got = quantum_renyi_entropy(rho, alpha).value
                 assert got == pytest.approx(math.log(d), abs=1e-10)
 
+    def test_maximally_mixed_at_huge_order(self):
+        rho = DensityMatrix(np.eye(8) / 8)
+        got = quantum_renyi_entropy(rho, 1e308).value
+        assert got == pytest.approx(math.log(8), abs=1e-12)
+
     def test_pure_state(self):
         rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
         for alpha in (0.5, 1.0, 2.0):
