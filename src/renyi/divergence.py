@@ -41,6 +41,7 @@ from .linalg import (
     ORDER_ONE_BAND,
     PSD_TOL,
     SpectralDecomposition,
+    _partial_trace,
     clip_spectrum,
     max_abs,
     partial_trace_a,
@@ -256,7 +257,7 @@ def mutual_information(
     """``I_alpha(A;B) = min_sigma D_alpha(rho_AB || rho_A (x) sigma_B)``."""
     alpha = _check_alpha_gt1(alpha)
     d_a, d_b = _bipartite_dims(rho_ab)
-    rho_a = DensityMatrix(partial_trace_b(rho_ab.matrix, d_a, d_b))
+    rho_a = DensityMatrix(_partial_trace(rho_ab.matrix, d_a, d_b, 1))
     if not rho_a.is_positive_definite:
         raise MarginalSingular("marginal rho_A must be positive definite")
     x_a = _density_power(rho_a, 1.0 - alpha)
@@ -300,7 +301,7 @@ def t5_closed_form(
         trial = x0
         ref_pow = _mixed_power(d_a, alpha)
     else:
-        rho_a = DensityMatrix(partial_trace_b(rho_ab.matrix, d_a, d_b))
+        rho_a = DensityMatrix(_partial_trace(rho_ab.matrix, d_a, d_b, 1))
         if not rho_a.is_positive_definite:
             return None
         ref_pow = _density_power(rho_a, 1.0 - alpha)

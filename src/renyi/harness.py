@@ -4,16 +4,20 @@ Randomness comes from numpy's Philox counter-based generator keyed by
 ``(seed, stream)``, so every trial owns an order-independent substream and
 suite reports are reproducible bit for bit; :func:`run_suite` re-keys one
 generator per trial instead of building a new one.  Each suite knows how to
-generate one trial's inputs as arrays, and its check is a kernel over a list
-of trials that returns one report per trial; each report carries the
-tolerance above which its normalized violation counts as a failure.  The
-classical checks stack a batch by vector length and evaluate each formula
-once per stack; the matrix checks run their one-trial check on each input.
-``bounds`` and :func:`replay` run the same kernel on a batch of one.  A
-matrix input is an ``(array, dims)`` pair and a distribution a float array;
-they are serialized to the CLI file format only when a failure is recorded,
-and :func:`replay` parses that form back.  One trial in a hundred is a
-constructed equality-case instance so the equality flags get exercised.
+generate one trial's inputs as arrays, and its check is a kernel over a
+block of trials that returns a :class:`Verdict`: one gap, one equality flag
+and one failure tolerance per trial, as arrays.  :func:`run_suite` reduces
+those arrays to the maximum violation, the failure mask and the equality
+counts, and builds a trial's :class:`~renyi.report.BoundReport` only when the
+trial fails.  The classical checks stack a block by vector length, evaluate
+each formula once per stack and apply the :mod:`renyi.report` rules to the
+stacked values; the matrix checks run their one-trial check on each input
+and collect its reports.  ``bounds`` and :func:`replay` run the same kernel
+on a batch of one and take its report.  A matrix input is an ``(array,
+dims)`` pair and a distribution a float array; they are serialized to the CLI
+file format only when a failure is recorded, and :func:`replay` parses that
+form back.  One trial in a hundred is a constructed equality-case instance
+so the equality flags get exercised.
 """
 
 from __future__ import annotations
@@ -51,7 +55,16 @@ from .fileformat import (
 )
 from .linalg import lemma2_check, lemma3_check, lemma4_check
 from .quantum import DensityMatrix, log_dim_cap, quantum_renyi_entropy, t3_bound
-from .report import BoundReport, chain_report, identity_report
+from .report import (
+    CHAIN_TOL,
+    BoundReport,
+    chain_gap,
+    chain_report,
+    chain_tight,
+    identity_gap,
+    identity_report,
+    normalized_slack,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -169,6 +182,59 @@ def random_simplex(n: int, seed: int, zeros: int = 0) -> np.ndarray:
 
 # --- suite generators / checks -------------------------------------------
 
+@dataclass(frozen=True)
+class Verdict:
+    """A checked block: per-trial ``gap``, ``equality`` and ``tolerance``
+    arrays, and ``report(i)``, which builds trial ``i``'s report.  Indexing
+    builds that report, so ``check([inputs])[0]`` is the trial's report."""
+
+    gap: np.ndarray
+    equality: np.ndarray
+    tolerance: np.ndarray
+    report: Callable[[int], BoundReport]
+
+    @property
+    def violation(self) -> np.ndarray:
+        """``max(0, -gap)`` per trial with Python's ``max`` rule, as in
+        BoundReport.violation: a NaN gap or a zero of either sign gives +0."""
+        return np.where(-self.gap > 0.0, -self.gap, 0.0)
+
+    def __len__(self) -> int:
+        return len(self.gap)
+
+    def __getitem__(self, i: int) -> BoundReport:
+        return self.report(i)
+
+
+def _chain_verdict(name: str, parts: list, extras: dict) -> Verdict:
+    """The verdict of stacked chains: ``parts`` are ``(label, lhs, rhs)`` with
+    one array entry per trial, and a report is :func:`chain_report` of one
+    trial's entries."""
+    slacks = [normalized_slack(lo, hi) for _, lo, hi in parts]
+    gap = chain_gap(slacks)
+
+    def report(i: int) -> BoundReport:
+        return chain_report(
+            name,
+            [(label, float(lo[i]), float(hi[i])) for label, lo, hi in parts],
+            extras={key: float(value[i]) for key, value in extras.items()},
+        )
+
+    return Verdict(gap, chain_tight(slacks), np.full(len(gap), CHAIN_TOL), report)
+
+
+def _identity_verdict(
+    name: str, value: np.ndarray, expected: np.ndarray, tolerance: float
+) -> Verdict:
+    """The verdict of stacked identities, each reported by :func:`identity_report`."""
+    gap = identity_gap(value, expected)
+
+    def report(i: int) -> BoundReport:
+        return identity_report(name, float(value[i]), float(expected[i]), tolerance)
+
+    return Verdict(gap, gap >= -tolerance, np.full(len(gap), tolerance), report)
+
+
 def _psd_pair(rng, i: int, equal_case: bool) -> tuple[np.ndarray, np.ndarray]:
     dim = DIMS_CYCLE[i % 8]
     if equal_case:
@@ -255,31 +321,34 @@ def _gen_t1(rng, i: int) -> dict:
     return {"p": p, "beta": beta, "equality_injected": eq}
 
 
-def _distribution_stacks(batch: list[dict]):
-    """Group a batch by distribution length, validating each stack once.
+def _stacked(batch: list[dict], kernel: Callable) -> list[np.ndarray]:
+    """Evaluate ``kernel(p, beta)`` once per stack of same-length distributions.
 
-    Yields the trial indices of each group with its stacked distributions
-    and orders.
+    Groups the batch by vector length and validates each stack once; returns
+    the arrays ``kernel`` gives, with one entry per trial in batch order.
     """
     groups: dict[int, list[int]] = {}
     for i, inputs in enumerate(batch):
         groups.setdefault(len(inputs["p"]), []).append(i)
+    columns: list[np.ndarray] = []
     for idx in groups.values():
         p = probability_vector([batch[i]["p"] for i in idx])
         beta = _check_beta([batch[i]["beta"] for i in idx])
-        yield idx, p, beta
+        values = kernel(p, beta)
+        columns = columns or [np.empty(len(batch)) for _ in values]
+        for column, value in zip(columns, values):
+            column[idx] = value
+    return columns
 
 
-def _check_t1(batch: list[dict]) -> list[BoundReport]:
-    reports = [None] * len(batch)
-    for idx, p, beta in _distribution_stacks(batch):
-        h, bound = _renyi_entropy(p, beta), _t1_bound(p, beta)
-        for i, b, h_i, bound_i in zip(idx, beta.tolist(), h.tolist(), bound.tolist()):
-            parts = [("t1", bound_i, h_i)] if b < 1.0 else [("t1", h_i, bound_i)]
-            reports[i] = chain_report(
-                "t1", parts, extras={"entropy": h_i, "bound": bound_i}
-            )
-    return reports
+def _check_t1(batch: list[dict]) -> Verdict:
+    h, bound, beta = _stacked(
+        batch, lambda p, beta: (_renyi_entropy(p, beta), _t1_bound(p, beta), beta)
+    )
+    # a lower bound below order one, an upper bound above it
+    below = beta < 1.0
+    parts = [("t1", np.where(below, bound, h), np.where(below, h, bound))]
+    return _chain_verdict("t1", parts, {"entropy": h, "bound": bound})
 
 
 def _gen_t2_2(rng, i: int) -> dict:
@@ -291,15 +360,16 @@ def _gen_t2_2(rng, i: int) -> dict:
     return {"p": p, "beta": beta, "equality_injected": eq}
 
 
-def _check_t2_2(batch: list[dict]) -> list[BoundReport]:
-    reports = [None] * len(batch)
-    for idx, p, beta in _distribution_stacks(batch):
-        h = _entropy_type_beta(p, beta)
-        bound = _product_bound(p, _check_product_beta(beta))
-        for i, h_i, bound_i in zip(idx, h.tolist(), bound.tolist()):
-            parts = [("nonneg", 0.0, h_i), ("product", bound_i, h_i)]
-            reports[i] = chain_report("t2_2", parts, extras={"bound": bound_i})
-    return reports
+def _check_t2_2(batch: list[dict]) -> Verdict:
+    h, bound = _stacked(
+        batch,
+        lambda p, beta: (
+            _entropy_type_beta(p, beta),
+            _product_bound(p, _check_product_beta(beta)),
+        ),
+    )
+    parts = [("nonneg", np.zeros_like(h), h), ("product", bound, h)]
+    return _chain_verdict("t2_2", parts, {"bound": bound})
 
 
 def _gen_t3(rng, i: int) -> dict:
@@ -416,27 +486,25 @@ def _gen_info_fn_eq(rng, i: int) -> dict:
     return {"x": x, "y": y, "beta": beta, "equality_injected": eq}
 
 
-def _check_info_fn_eq(batch: list[dict]) -> list[BoundReport]:
+def _check_info_fn_eq(batch: list[dict]) -> Verdict:
     x, y, beta = (
         np.array([float(inputs[key]) for inputs in batch]) for key in ("x", "y", "beta")
     )
     f = info_function_beta
     lhs = f(x, beta) + np.power(1.0 - x, beta) * f(y / (1.0 - x), beta)
     rhs = f(y, beta) + np.power(1.0 - y, beta) * f(x / (1.0 - y), beta)
-    return [
-        identity_report("info_fn_eq", value, expected, 1e-9)
-        for value, expected in zip(lhs.tolist(), rhs.tolist())
-    ]
+    return _identity_verdict("info_fn_eq", lhs, rhs, 1e-9)
 
 
-def _check_eq4(batch: list[dict]) -> list[BoundReport]:
-    reports = [None] * len(batch)
-    for idx, p, beta in _distribution_stacks(batch):
-        roundtrip = _order_from_type(_entropy_type_beta(p, beta), beta)
-        h = _renyi_entropy(p, beta)
-        for i, value, expected in zip(idx, roundtrip.tolist(), h.tolist()):
-            reports[i] = identity_report("eq4_roundtrip", value, expected, 1e-10)
-    return reports
+def _check_eq4(batch: list[dict]) -> Verdict:
+    roundtrip, h = _stacked(
+        batch,
+        lambda p, beta: (
+            _order_from_type(_entropy_type_beta(p, beta), beta),
+            _renyi_entropy(p, beta),
+        ),
+    )
+    return _identity_verdict("eq4_roundtrip", roundtrip, h, 1e-10)
 
 
 def _gen_diag_oracle(rng, i: int) -> dict:
@@ -484,22 +552,29 @@ def _check_diag_oracle(inputs: dict) -> BoundReport:
     )
 
 
-def _each(check: Callable[[dict], BoundReport]) -> Callable[[list], list]:
-    """A batch check that runs a one-trial check on each input in turn."""
+def _each(check: Callable[[dict], BoundReport]) -> Callable[[list], Verdict]:
+    """A batch check that runs a one-trial check on each input in turn and
+    reads the verdict arrays off the reports."""
 
-    def kernel(batch: list[dict]) -> list[BoundReport]:
-        return [check(inputs) for inputs in batch]
+    def kernel(batch: list[dict]) -> Verdict:
+        reports = [check(inputs) for inputs in batch]
+        return Verdict(
+            np.array([r.gap for r in reports], dtype=np.float64),
+            np.array([r.equality for r in reports], dtype=bool),
+            np.array([r.tolerance for r in reports], dtype=np.float64),
+            reports.__getitem__,
+        )
 
     return kernel
 
 
 @dataclass(frozen=True)
 class Suite:
-    """``check`` maps a list of trials' inputs to one report per trial;
+    """``check`` maps a list of trials' inputs to their :class:`Verdict`;
     ``inputs`` maps each input the check reads to its kind, in CLI order."""
 
     gen: Callable[[np.random.Generator, int], dict]
-    check: Callable[[list[dict]], list[BoundReport]]
+    check: Callable[[list[dict]], Verdict]
     inputs: dict[str, str]
 
     def serialize(self, inputs: dict) -> dict:
@@ -591,10 +666,10 @@ def run_suite(
 ) -> SuiteReport:
     """Run ``trials`` randomized instances of one suite.
 
-    A trial fails when its normalized violation exceeds the tolerance its
-    report carries, or ``tolerance`` when one is given.  Failures keep the
-    full serialized input so they replay exactly; other trials are never
-    serialized.
+    A trial fails when its normalized violation ``max(0, -gap)`` exceeds the
+    tolerance its verdict carries, or ``tolerance`` when one is given.
+    Failures keep the full serialized input and report so they replay
+    exactly; other trials are neither serialized nor reported.
     """
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
@@ -612,15 +687,17 @@ def run_suite(
         for trial in block:
             rng.bit_generator.state = _substream(seed, trial)
             batch.append(suite.gen(rng, trial))
-        for trial, inputs, rep in zip(block, batch, suite.check(batch), strict=True):
-            violation = rep.violation
-            if violation > max_violation:
-                max_violation = violation
-            if inputs.get("equality_injected"):
-                injected += 1
-                flagged += int(rep.equality)
-            if violation > (rep.tolerance if tolerance is None else tolerance):
-                failures.append(FailureRecord(trial, suite.serialize(inputs), rep))
+        verdict = suite.check(batch)
+        violation = verdict.violation
+        max_violation = max(max_violation, float(violation.max()))
+        eq = np.array([bool(inputs.get("equality_injected")) for inputs in batch])
+        injected += int(np.count_nonzero(eq))
+        flagged += int(np.count_nonzero(verdict.equality[eq]))
+        failed = violation > (verdict.tolerance if tolerance is None else tolerance)
+        for i in np.flatnonzero(failed).tolist():
+            failures.append(
+                FailureRecord(first + i, suite.serialize(batch[i]), verdict[i])
+            )
     return SuiteReport(
         name=name,
         trials=int(trials),

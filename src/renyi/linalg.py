@@ -266,24 +266,23 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_hermitian(a), as_hermitian(b))
 
 
-def partial_trace_b(matrix, d_a: int, d_b: int) -> np.ndarray:
-    """Trace out the second factor of a ``d_a * d_b`` composite matrix."""
-    m = as_hermitian(matrix)
+def _partial_trace(m: np.ndarray, d_a: int, d_b: int, factor: int) -> np.ndarray:
+    """Trace factor 0 (A) or 1 (B) out of an already validated matrix."""
     if d_a <= 0 or d_b <= 0 or m.shape[0] != d_a * d_b:
         raise DimensionMismatch(
             f"matrix dimension {m.shape[0]} != d_a*d_b = {d_a}*{d_b}"
         )
-    return np.trace(m.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
+    return np.trace(m.reshape(d_a, d_b, d_a, d_b), axis1=factor, axis2=factor + 2)
+
+
+def partial_trace_b(matrix, d_a: int, d_b: int) -> np.ndarray:
+    """Trace out the second factor of a ``d_a * d_b`` composite matrix."""
+    return _partial_trace(as_hermitian(matrix), d_a, d_b, 1)
 
 
 def partial_trace_a(matrix, d_a: int, d_b: int) -> np.ndarray:
     """Trace out the first factor of a ``d_a * d_b`` composite matrix."""
-    m = as_hermitian(matrix)
-    if d_a <= 0 or d_b <= 0 or m.shape[0] != d_a * d_b:
-        raise DimensionMismatch(
-            f"matrix dimension {m.shape[0]} != d_a*d_b = {d_a}*{d_b}"
-        )
-    return np.trace(m.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
+    return _partial_trace(as_hermitian(matrix), d_a, d_b, 0)
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,20 +10,48 @@ the same thing everywhere: ``max(0, -gap)``.
 This module owns the chain tolerances and the rules built on them: a chain
 passes when its gap is at least ``-CHAIN_TOL``, and is tight when some part's
 slack is within ``EQ_TOL`` of zero, unless the check supplies a structural
-equality test of its own.
+equality test of its own.  The rules take floats or equal-shape arrays, so a
+stacked check applies them to a whole block and gets, trial by trial, the
+values :func:`chain_report` and :func:`identity_report` give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 CHAIN_TOL = 1e-8
 EQ_TOL = 1e-7
 
 
-def normalized_slack(lhs: float, rhs: float) -> float:
+def normalized_slack(lhs, rhs):
     """Slack of ``lhs <= rhs`` relative to ``1 + |rhs|``."""
     return (rhs - lhs) / (1.0 + abs(rhs))
+
+
+def identity_gap(value, expected):
+    """Gap of the identity ``value == expected``: ``-|diff|/(1 + |expected|)``."""
+    return -abs(value - expected) / (1.0 + abs(expected))
+
+
+def chain_gap(slacks: list):
+    """A chain's gap: the smallest of its parts' slacks, entry by entry.
+
+    Python's ``min`` rule: a later slack replaces the running minimum only
+    when strictly smaller, so a NaN counts only when it comes first and a tie
+    keeps the earlier signed zero.
+    """
+    gap = slacks[0]
+    for s in slacks[1:]:
+        gap = np.where(s < gap, s, gap)
+    return gap
+
+
+def chain_tight(slacks: list):
+    """Whether the smallest |slack|, taken as :func:`chain_gap` takes it, is
+    within ``EQ_TOL`` of zero."""
+    return chain_gap([abs(s) for s in slacks]) <= EQ_TOL
 
 
 @dataclass(frozen=True)
@@ -73,9 +101,9 @@ def chain_report(
     if not parts:
         raise ValueError("chain_report needs at least one inequality")
     slacks = {label: normalized_slack(lo, hi) for label, lo, hi in parts}
-    gap = min(slacks.values())
+    values = list(slacks.values())
     if equality is None:
-        equality = min(abs(slack) for slack in slacks.values()) <= EQ_TOL
+        equality = chain_tight(values)
     out = dict(extras or {})
     for label, slack in slacks.items():
         out[f"slack_{label}"] = slack
@@ -83,7 +111,7 @@ def chain_report(
         name=name,
         lhs=parts[0][1],
         rhs=parts[-1][2],
-        gap=gap,
+        gap=float(chain_gap(values)),
         equality=bool(equality),
         tolerance=CHAIN_TOL,
         extras=out,
@@ -94,7 +122,7 @@ def identity_report(
     name: str, value: float, expected: float, tolerance: float
 ) -> BoundReport:
     """Report for a two-sided identity ``value == expected``."""
-    gap = -abs(value - expected) / (1.0 + abs(expected))
+    gap = identity_gap(value, expected)
     return BoundReport(
         name=name,
         lhs=value,

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyi import harness
 from renyi.exceptions import BadCap, BadDim, BadRank, BadTrials, BadZeros, UnknownSuite
@@ -18,7 +20,24 @@ from renyi.harness import (
     replay,
     run_suite,
 )
-from renyi.report import BoundReport
+from renyi.report import EQ_TOL, chain_report, identity_report
+
+
+def _entry(verdict, i: int) -> str:
+    """Trial ``i``'s verdict-array entries, as JSON."""
+    return json.dumps(
+        (
+            float(verdict.gap[i]),
+            bool(verdict.equality[i]),
+            float(verdict.tolerance[i]),
+            float(verdict.violation[i]),
+        )
+    )
+
+
+def _fields(report) -> str:
+    """The same fields of a report, as JSON."""
+    return json.dumps((report.gap, report.equality, report.tolerance, report.violation))
 
 
 class TestGenerators:
@@ -172,7 +191,8 @@ class TestRunSuite:
 
         def record(batch):
             seen.extend(batch)
-            return [BoundReport(name, 0.0, 0.0, 0.0, False, 0.0)] * len(batch)
+            zeros = np.zeros(len(batch))
+            return harness.Verdict(zeros, zeros > 0.0, zeros, None)
 
         monkeypatch.setitem(SUITES, name, dataclasses.replace(suite, check=record))
         monkeypatch.setattr(harness, "BLOCK", 64)
@@ -185,16 +205,20 @@ class TestRunSuite:
             for rng in (derive_rng(8, trial), built):
                 assert json.dumps(suite.serialize(suite.gen(rng, trial))) == expected, trial
 
-    @pytest.mark.parametrize("name", ["t1", "t2_2", "info_fn_eq", "eq4_roundtrip"])
+    @pytest.mark.parametrize("name", sorted(SUITES))
     def test_stacked_reports_match_batches_of_one(self, name):
-        # verify checks stacked batches; bounds and replay check a batch of one
+        # verify checks stacked batches and reads the verdict arrays; bounds
+        # and replay check a batch of one and take its report
         suite = SUITES[name]
-        batch = [suite.gen(derive_rng(6, trial), trial) for trial in range(200)]
-        reports = suite.check(batch)
-        assert len(reports) == len(batch)
-        for inputs, report in zip(batch, reports):
+        trials = 8 if name == "t6" else 200
+        batch = [suite.gen(derive_rng(6, trial), trial) for trial in range(trials)]
+        verdict = suite.check(batch)
+        assert len(verdict) == len(batch)
+        for i, inputs in enumerate(batch):
             alone = suite.check([inputs])[0]
+            report = verdict[i]
             assert json.dumps(report.to_dict()) == json.dumps(alone.to_dict())
+            assert _entry(verdict, i) == _fields(report), i
 
     def test_trials_are_order_independent_substreams(self):
         # trial k's inputs depend only on (seed, k), not on earlier trials
@@ -229,6 +253,55 @@ class TestRunSuite:
         with pytest.raises(BadTrials):
             run_suite("t4", -1, seed=1)
         assert run_suite("t4", 0, seed=1).trials == 0
+
+
+_SPECIAL = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-7, -1e-7, 1.0]
+)
+_FLOAT = st.one_of(_SPECIAL, st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _rows(draw, columns: int, trials: int) -> list[np.ndarray]:
+    return [
+        np.array(draw(st.lists(_FLOAT, min_size=trials, max_size=trials)))
+        for _ in range(columns)
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestStackedRules:
+    """The stacked chain and identity rules give what the one-trial reports
+    give, as JSON, including ±0, ±inf, NaN and subnormal slacks, and both
+    follow Python's ``min``/``max`` on the written-out formulas."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), parts=st.integers(1, 3), trials=st.integers(1, 5))
+    def test_chain_verdict_matches_chain_report(self, data, parts, trials):
+        rows = _rows(data.draw, 2 * parts, trials)
+        labelled = [(f"p{k}", rows[2 * k], rows[2 * k + 1]) for k in range(parts)]
+        verdict = harness._chain_verdict("chain", labelled, {"x": rows[0]})
+        for i in range(trials):
+            one = [(label, float(lo[i]), float(hi[i])) for label, lo, hi in labelled]
+            expected = chain_report("chain", one, extras={"x": float(rows[0][i])})
+            slacks = [(hi - lo) / (1.0 + abs(hi)) for _, lo, hi in one]
+            reference = (min(slacks), min(abs(x) for x in slacks) <= EQ_TOL)
+            assert json.dumps((expected.gap, expected.equality)) == json.dumps(reference)
+            assert _entry(verdict, i) == _fields(expected)
+            assert json.dumps(verdict[i].to_dict()) == json.dumps(expected.to_dict())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), trials=st.integers(1, 5), tolerance=_SPECIAL)
+    def test_identity_verdict_matches_identity_report(self, data, trials, tolerance):
+        value, expected_value = _rows(data.draw, 2, trials)
+        verdict = harness._identity_verdict("id", value, expected_value, tolerance)
+        for i in range(trials):
+            v, e = float(value[i]), float(expected_value[i])
+            expected = identity_report("id", v, e, tolerance)
+            gap = -abs(v - e) / (1.0 + abs(e))
+            assert json.dumps(expected.gap) == json.dumps(gap)
+            assert expected.violation == max(0.0, -gap)
+            assert _entry(verdict, i) == _fields(expected)
+            assert json.dumps(verdict[i].to_dict()) == json.dumps(expected.to_dict())
 
 
 class TestArgumentChecks:
@@ -279,6 +352,7 @@ class TestWorkPerTrial:
             ("t3_2", 1, 1),
             ("lemma2", 2, 2),
             ("lemma4", 1, 1),
+            ("t6", 4, 4),
         ],
     )
     def test_counts(self, monkeypatch, name, decompositions, validations):
@@ -312,6 +386,16 @@ class TestWorkPerTrial:
             "matrix_payload": 0,
             "probability_vector": 0,
         }
+
+    @pytest.mark.parametrize("name", ["t1", "t2_2", "info_fn_eq", "eq4_roundtrip"])
+    def test_passing_classical_trials_build_no_report(self, monkeypatch, name):
+        from renyi import report
+
+        counts = _count_calls(monkeypatch, report, ("chain_report", "identity_report"))
+        assert run_suite(name, 300, 9).failures == []
+        assert sum(counts.values()) == 0
+        assert len(run_suite(name, 300, 9, tolerance=-1.0).failures) == 300
+        assert sum(counts.values()) == 300
 
     @pytest.mark.parametrize(
         "name,per_trial",
