@@ -116,8 +116,9 @@ def _divergence_terms(
     sigma's decomposition.
 
     The flag tests ``sigma^(1-alpha) == c rho^alpha`` with
-    ``c = tr(sigma^(1-alpha)) / tr(rho^alpha)``; both are only computed for
-    alpha > 1 (otherwise False and None).
+    ``c = tr(sigma^(1-alpha)) / tr(rho^alpha)`` by comparing the two powers,
+    each divided by its own trace, so it holds where ``c`` overflows; both
+    are only computed for alpha > 1 (otherwise False and None).
     """
     if dec.eigenvalues.size != rho.dim:
         raise DimensionMismatch("rho and sigma must share dimensions")
@@ -128,10 +129,12 @@ def _divergence_terms(
         raise TraceNonpositive(f"tr(rho^a sigma^(1-a)) = {t!r} is not positive")
     equality, c = False, None
     if alpha > 1.0:
-        c = float(np.trace(sigma_pow).real) / float(np.trace(rho_pow).real)
-        scaled = c * rho_pow
-        scale = 1.0 + max(max_abs(sigma_pow), max_abs(scaled))
-        equality = max_abs(sigma_pow - scaled) <= EQ_TOL * scale
+        tr_sigma = float(np.trace(sigma_pow).real)
+        tr_rho = float(np.trace(rho_pow).real)
+        c = tr_sigma / tr_rho
+        a, b = sigma_pow / tr_sigma, rho_pow / tr_rho
+        scale = 1.0 + max(max_abs(a), max_abs(b))
+        equality = max_abs(a - b) <= EQ_TOL * scale
     return math.log(t) / (alpha - 1.0), equality, c
 
 

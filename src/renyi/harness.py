@@ -2,22 +2,28 @@
 
 Randomness comes from numpy's Philox counter-based generator keyed by
 ``(seed, stream)``, so every trial owns an order-independent substream and
-suite reports are reproducible bit for bit; :func:`run_suite` re-keys one
-generator per trial instead of building a new one.  Each suite knows how to
-generate one trial's inputs as arrays, and its check is a kernel over a
-block of trials that returns a :class:`Verdict`: one gap, one equality flag
-and one failure tolerance per trial, as arrays.  :func:`run_suite` reduces
-those arrays to the maximum violation, the failure mask and the equality
-counts, and builds a trial's :class:`~renyi.report.BoundReport` only when the
-trial fails.  The classical checks stack a block by vector length, evaluate
-each formula once per stack and apply the :mod:`renyi.report` rules to the
-stacked values; the matrix checks run their one-trial check on each input
-and collect its reports.  ``bounds`` and :func:`replay` run the same kernel
-on a batch of one and take its report.  A matrix input is an ``(array,
-dims)`` pair and a distribution a float array; they are serialized to the CLI
-file format only when a failure is recorded, and :func:`replay` parses that
-form back.  One trial in a hundred is a constructed equality-case instance
-so the equality flags get exercised.
+suite reports are reproducible bit for bit.  :func:`run_suite` builds one
+generator and one state dict of Python ints per call; for each trial it
+writes the stream word of the key and assigns the state, which restarts the
+generator exactly where a fresh ``derive_rng(seed, trial)`` starts.  Where
+one draw call gives the same bits as several, a generator draws a trial's
+scalars in one call (``uniform(0, h)`` is ``h * random()``).
+
+Each suite knows how to generate one trial's inputs as arrays, and its check
+is a kernel over a block of trials that returns a :class:`Verdict`: one gap,
+one equality flag and one failure tolerance per trial, as arrays.
+:func:`run_suite` reduces those arrays to the maximum violation, the failure
+mask and the equality counts, and builds a trial's
+:class:`~renyi.report.BoundReport` only when the trial fails.  The classical
+checks stack a block by vector length, evaluate each formula once per stack
+and apply the :mod:`renyi.report` rules to the stacked values; the matrix
+checks run their one-trial check on each input and collect its reports.
+``bounds`` and :func:`replay` run the same kernel on a batch of one and take
+its report.  A matrix input is an ``(array, dims)`` pair and a distribution
+a float array; they are serialized to the CLI file format only when a
+failure is recorded, and :func:`replay` parses that form back.  One trial in
+a hundred is a constructed equality-case instance so the equality flags get
+exercised.
 """
 
 from __future__ import annotations
@@ -80,19 +86,22 @@ _EQUALITY_EVERY = 100
 # trials generated and checked together by run_suite
 BLOCK = 256
 
-_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
-_PHILOX_ZEROS.setflags(write=False)
-
 MATRIX, DISTRIBUTION, NUMBER = "matrix", "distribution", "number"
 
 
 def _substream(seed: int, stream: int) -> dict:
-    """Philox state at the start of the substream keyed by (seed, stream)."""
-    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+    """Philox state at the start of the substream keyed by (seed, stream).
+
+    The words are Python ints, which the state setter reads faster than
+    numpy arrays; the key is ``[seed word, stream word]``.
+    """
     return {
         "bit_generator": "Philox",
-        "state": {"counter": _PHILOX_ZEROS, "key": key},
-        "buffer": _PHILOX_ZEROS,
+        "state": {
+            "counter": [0, 0, 0, 0],
+            "key": [int(seed) & _MASK64, int(stream) & _MASK64],
+        },
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -101,7 +110,7 @@ def _substream(seed: int, stream: int) -> dict:
 
 def derive_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream): portable and splittable."""
-    rng = np.random.Generator(np.random.Philox(key=_PHILOX_ZEROS[:2]))
+    rng = np.random.Generator(np.random.Philox(key=0))
     rng.bit_generator.state = _substream(seed, stream)
     return rng
 
@@ -478,11 +487,13 @@ def _check_t6(inputs: dict) -> BoundReport:
 def _gen_info_fn_eq(rng, i: int) -> dict:
     eq = i % _EQUALITY_EVERY == 0
     beta = ORDERS_CYCLE[i % 7]
+    # uniform(0, h) is h * random() bit for bit, so one call draws both
     if eq:
-        x = y = float(rng.uniform(0.0, 0.49))
+        x = y = 0.49 * rng.random()
     else:
-        x = float(rng.uniform(0.0, 1.0 - 1e-5))
-        y = float(rng.uniform(0.0, 1.0 - 1e-5 - x))
+        u, v = rng.random(2).tolist()
+        x = (1.0 - 1e-5) * u
+        y = (1.0 - 1e-5 - x) * v
     return {"x": x, "y": y, "beta": beta, "equality_injected": eq}
 
 
@@ -680,13 +691,19 @@ def run_suite(
     failures: list[FailureRecord] = []
     max_violation = 0.0
     injected = flagged = 0
+    # re-key in place: one state dict per call, and per trial only the
+    # stream word changes before the state is assigned
+    state = _substream(seed, 0)
+    key = state["state"]["key"]
     rng = derive_rng(seed)
+    bit_generator = rng.bit_generator
+    gen = suite.gen
     for first in range(0, int(trials), BLOCK):
-        block = range(first, min(first + BLOCK, int(trials)))
         batch = []
-        for trial in block:
-            rng.bit_generator.state = _substream(seed, trial)
-            batch.append(suite.gen(rng, trial))
+        for trial in range(first, min(first + BLOCK, int(trials))):
+            key[1] = trial
+            bit_generator.state = state
+            batch.append(gen(rng, trial))
         verdict = suite.check(batch)
         violation = verdict.violation
         max_violation = max(max_violation, float(violation.max()))

@@ -204,6 +204,22 @@ class TestT4LowerBound:
         rep = t4_lower_bound(rho, 1.3 * np.eye(4), 2.0)
         assert rep.equality and abs(rep.gap) <= 1e-12
 
+    @pytest.mark.parametrize("alpha", [5.0, 300.0, 400.0])
+    def test_proportionality_flag_where_c_overflows(self, alpha):
+        # sigma^(1-alpha) = c rho^alpha exactly, with c = 4^(2 alpha - 1):
+        # 262144 at alpha = 5, past the float range at 300 and 400
+        rho = DensityMatrix(np.eye(4) / 4)
+        rep = t4_lower_bound(rho, np.eye(4) / 4, alpha)
+        assert rep.passed and rep.equality
+        assert rep.extras["c"] == (262144.0 if alpha == 5.0 else math.inf)
+
+    def test_proportionality_flag_clear_for_tiny_powers(self):
+        # at alpha = 300 both powers lie far below EQ_TOL in size, yet rho^alpha
+        # concentrates on the first axis and sigma^(1-alpha) on the second
+        rho = DensityMatrix(np.diag([0.7, 0.3]))
+        rep = t4_lower_bound(rho, np.diag([3.0, 2.0]), 300.0)
+        assert rep.passed and not rep.equality
+
     def test_rejects_singular(self):
         with pytest.raises(NotPd):
             t4_lower_bound(

@@ -185,7 +185,8 @@ class TestRunSuite:
     def test_rekeyed_generator_matches_fresh_substreams(self, monkeypatch, name):
         # run_suite re-keys one generator per trial; each trial, equality
         # cases and block boundaries included, sees what a fresh
-        # derive_rng(seed, trial) and a Philox built from the key give
+        # derive_rng(seed, trial) and a Philox built from the key give.
+        # Seeds past 64 bits or below zero fold into the key word mod 2^64.
         suite = SUITES[name]
         seen = []
 
@@ -196,14 +197,38 @@ class TestRunSuite:
 
         monkeypatch.setitem(SUITES, name, dataclasses.replace(suite, check=record))
         monkeypatch.setattr(harness, "BLOCK", 64)
-        run_suite(name, 201, seed=8)
-        assert len(seen) == 201
-        for trial, inputs in enumerate(seen):
-            key = np.array([8, trial], dtype=np.uint64)
-            built = np.random.Generator(np.random.Philox(key=key))
-            expected = json.dumps(suite.serialize(inputs))
-            for rng in (derive_rng(8, trial), built):
-                assert json.dumps(suite.serialize(suite.gen(rng, trial))) == expected, trial
+        seeds = (8, 2**64 + 5, 2**63, -1) if name in ("info_fn_eq", "t4") else (8,)
+        for seed in seeds:
+            seen.clear()
+            run_suite(name, 201, seed=seed)
+            assert len(seen) == 201
+            for trial, inputs in enumerate(seen):
+                key = np.array([seed % 2**64, trial], dtype=np.uint64)
+                built = np.random.Generator(np.random.Philox(key=key))
+                expected = json.dumps(suite.serialize(inputs))
+                for rng in (derive_rng(seed, trial), built):
+                    generated = json.dumps(suite.serialize(suite.gen(rng, trial)))
+                    assert generated == expected, (seed, trial)
+
+    def test_info_fn_eq_draws_match_two_uniform_calls(self):
+        # _gen_info_fn_eq draws x and y in one call because uniform(0, h) is
+        # h * random() bit for bit; the two-call form must agree on every
+        # substream, whatever stream the installed numpy produces
+        def two_calls(rng, i):
+            eq = i % 100 == 0
+            if eq:
+                x = y = float(rng.uniform(0.0, 0.49))
+            else:
+                x = float(rng.uniform(0.0, 1.0 - 1e-5))
+                y = float(rng.uniform(0.0, 1.0 - 1e-5 - x))
+            beta = harness.ORDERS_CYCLE[i % 7]
+            return {"x": x, "y": y, "beta": beta, "equality_injected": eq}
+
+        for trial in range(2000):
+            expected = json.dumps(two_calls(derive_rng(12, trial), trial))
+            drawn = harness._gen_info_fn_eq(derive_rng(12, trial), trial)
+            assert all(type(drawn[key]) is float for key in ("x", "y")), trial
+            assert json.dumps(drawn) == expected, trial
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_stacked_reports_match_batches_of_one(self, name):
