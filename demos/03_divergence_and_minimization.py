@@ -12,7 +12,6 @@ import numpy as np
 from renyi import (
     DensityMatrix,
     conditional_entropy,
-    equality_condition_check,
     mutual_information,
     random_density,
     renyi_relative_entropy,
@@ -32,8 +31,7 @@ print("D_2(rho||sigma) =", renyi_relative_entropy(rho, sigma, alpha).value)
 print("D_2(rho||rho)   =", renyi_relative_entropy(rho, rho.matrix, alpha).value)
 rep = t4_lower_bound(rho, sigma, alpha)
 print("t4 bound", rep.extras["bound"], "<= divergence", rep.extras["divergence"])
-flag, c = equality_condition_check(rho, sigma, alpha)
-print("proportionality flag:", flag, " c =", c)
+print("proportionality flag:", rep.equality, " c =", rep.extras["c"])
 
 # The worked example: for the maximally mixed two-qubit state the mutual
 # information is zero, the conditional entropy is ln(2), and the minimizer

@@ -8,7 +8,10 @@ ndarrays; validation happens at the operation boundary.
 Spectral conventions used throughout the package:
 
 * eigenvalues in ``[-PSD_TOL, 0)`` are treated as exact zeros,
-* ``0**r == 0`` for ``r > 0`` and ``0**0 == 1``.
+* ``power_spectrum`` is the one place a spectrum is raised to a power: it
+  takes ``w_i**r`` on the support and 0 off it, for every ``r``, so ``A^0``
+  is the support projector (the ``r -> 0+`` limit).  ``matrix_power`` alone
+  keeps ``A^0 = I``.
 """
 
 from __future__ import annotations
@@ -81,10 +84,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def _rotation(app: float, aqq: float, apq: complex, r: float) -> tuple[float, float, complex]:
@@ -218,16 +217,20 @@ def clip_spectrum(w: np.ndarray) -> np.ndarray:
 
 
 def power_spectrum(w: np.ndarray, r: float) -> np.ndarray:
-    """Elementwise power of a clipped (nonnegative) spectrum.
+    """``w_i**r`` on the support of ``clip_spectrum(w)`` (ascending), 0 off it.
 
-    Applies the conventions ``0**r = 0`` for ``r > 0`` and ``0**0 = 1``;
-    callers must rule out ``r < 0`` with zeros present beforehand.
+    The one zero rule of the package, for every ``r``: ``r = 0`` gives the
+    support indicator and a negative ``r`` the power of the pseudo-inverse.
     """
-    out = np.empty_like(w)
-    zero = w == 0.0
-    out[~zero] = w[~zero] ** r
-    out[zero] = 1.0 if r == 0.0 else 0.0
-    return out
+    w = clip_spectrum(w)
+    support = w > 0.0
+    w[support] = w[support] ** r
+    return w
+
+
+def spectral_power(dec: SpectralDecomposition, r: float) -> np.ndarray:
+    """``A^r`` under the ``power_spectrum`` rule, from A's decomposition."""
+    return recombine(dec, power_spectrum(dec.eigenvalues, r))
 
 
 def spectral_entropy(w: np.ndarray, r: float) -> float:
@@ -243,14 +246,19 @@ def spectral_entropy(w: np.ndarray, r: float) -> float:
 
 
 def matrix_power(matrix, r: float) -> np.ndarray:
-    """Spectral power ``A^r`` of a PSD matrix (PD required when ``r < 0``)."""
+    """Spectral power ``A^r`` of a PSD matrix (PD required when ``r < 0``).
+
+    Unlike ``spectral_power``, ``A^0`` is the identity even off the support.
+    """
     dec = spectral_decompose(matrix)
     w = clip_spectrum(dec.eigenvalues)
     if r < 0.0 and float(w[0]) <= PSD_TOL:
         raise SingularPower(
             f"negative power {r} of a singular matrix (min eigenvalue {w[0]:.3e})"
         )
-    return recombine(dec, power_spectrum(w, r))
+    if r == 0.0:
+        return np.eye(w.size, dtype=np.complex128)
+    return spectral_power(dec, r)
 
 
 def log_det(matrix) -> float:
@@ -316,19 +324,25 @@ def lemma2_check(a, b) -> BoundReport:
 def lemma3_check(a, b) -> BoundReport:
     """Check ``n (det A det B)^(1/n) <= tr(AB)`` for same-size PSD A, B.
 
-    Equality is detected structurally: ``B^(1/2) A B^(1/2)`` must be a
-    positive multiple of the identity.
+    The left side is ``n`` times the two geometric means of the spectra,
+    formed from the log-determinants so it stays finite and nonzero where
+    the reported determinants over- or underflow; it is 0 when A or B is
+    singular.  Equality is detected structurally: ``B^(1/2) A B^(1/2)`` must
+    be a positive multiple of the identity.
     """
     dec_a, dec_b = _decompose_psd_pair(a, b)
     am = dec_a.matrix
     n = am.shape[0]
     w_a = clip_spectrum(dec_a.eigenvalues)
     w_b = clip_spectrum(dec_b.eigenvalues)
-    det_a = float(np.prod(w_a))
-    det_b = float(np.prod(w_b))
-    lhs = n * (det_a * det_b) ** (1.0 / n)
+    with np.errstate(over="ignore"):
+        det_a = float(np.prod(w_a))
+        det_b = float(np.prod(w_b))
+    lhs = 0.0
+    if w_a[0] > 0.0 and w_b[0] > 0.0:
+        lhs = n * math.exp(np.mean(np.log(w_a))) * math.exp(np.mean(np.log(w_b)))
     rhs = trace_product(am, dec_b.matrix)
-    root_b = recombine(dec_b, np.sqrt(w_b))
+    root_b = spectral_power(dec_b, 0.5)
     middle = root_b @ am @ root_b
     c = float(np.trace(middle).real) / n
     eq = max_abs(middle - c * np.eye(n)) <= EQ_TOL * (1.0 + abs(c))

@@ -9,11 +9,8 @@ import pytest
 
 from renyi.divergence import (
     conditional_entropy,
-    divergence_vs_identity,
-    equality_condition_check,
     mutual_information,
     renyi_relative_entropy,
-    subsystem_entropy,
     t4_lower_bound,
     t5_closed_form,
     t6_lower_bound,
@@ -81,9 +78,8 @@ class TestRelativeEntropy:
         got = renyi_relative_entropy(rho, np.eye(2), 2.0).value
         assert got == pytest.approx(math.log(0.75**2 + 0.25**2), abs=1e-12)
         assert got <= 0.0
-        assert subsystem_entropy(rho, 2.0) == pytest.approx(
-            quantum_renyi_entropy(rho, 2.0).value, abs=1e-12
-        )
+        # H_alpha(rho) = -D_alpha(rho || I)
+        assert -got == pytest.approx(quantum_renyi_entropy(rho, 2.0).value, abs=1e-12)
 
     def test_diagonal_classical_sum(self):
         rng = np.random.default_rng(51)
@@ -145,17 +141,20 @@ class TestRelativeEntropy:
 
 
 class TestEqualityCondition:
+    """The proportionality flag ``sigma^(1-alpha) == c rho^alpha`` and its
+    trace-matched ``c``, as t4 and the divergence report them."""
+
     def test_maximally_mixed_pair(self):
         for d in (2, 3, 4):
             rho = DensityMatrix(np.eye(d) / d)
-            flag, c = equality_condition_check(rho, np.eye(d) / d, 2.0)
-            assert flag
-            assert c == pytest.approx(d**3, rel=1e-10)
+            rep = t4_lower_bound(rho, np.eye(d) / d, 2.0)
+            assert rep.equality
+            assert rep.extras["c"] == pytest.approx(d**3, rel=1e-10)
+            assert renyi_relative_entropy(rho, np.eye(d) / d, 2.0).equality_case
 
     def test_non_proportional_pair(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]))
-        flag, _ = equality_condition_check(rho, np.diag([0.25, 0.75]), 2.0)
-        assert not flag
+        assert not t4_lower_bound(rho, np.diag([0.25, 0.75]), 2.0).equality
 
     def test_constructed_equality_pair(self):
         rng = np.random.default_rng(53)
@@ -164,13 +163,13 @@ class TestEqualityCondition:
             rho = DensityMatrix(m / np.trace(m).real)
             sigma = matrix_power(rho.matrix, alpha / (1.0 - alpha))
             sigma /= np.trace(sigma).real
-            flag, _ = equality_condition_check(rho, sigma, alpha)
-            assert flag
+            assert t4_lower_bound(rho, sigma, alpha).equality
+            assert renyi_relative_entropy(rho, sigma, alpha).equality_case
 
     def test_rejects_singular_sigma(self):
         rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(NotPd):
-            equality_condition_check(rho, np.diag([1.0, 0.0]), 2.0)
+            t4_lower_bound(rho, np.diag([1.0, 0.0]), 2.0)
 
 
 class TestT4LowerBound:
@@ -385,6 +384,15 @@ class TestT5ClosedForm:
         with pytest.raises(ValueError):
             t5_closed_form(rho, 2.0, "joint")
 
+    @pytest.mark.parametrize("mode", ["mutual", "conditional"])
+    def test_absent_where_a_power_loses_a_factor(self, mode):
+        # mu_A (x) tau_B factorizes, but at alpha = 50 the smallest eigenvalue
+        # of tau^alpha is rounding dust, so sigma_B cannot be formed
+        tau = random_density(np.random.default_rng(62), 3).matrix
+        rho = DensityMatrix(kron(np.eye(2) / 2, tau), dims=(2, 3))
+        assert t5_closed_form(rho, 2.0, mode) is not None
+        assert t5_closed_form(rho, 50.0, mode) is None
+
 
 class TestT6LowerBound:
     def test_maximally_mixed(self):
@@ -433,11 +441,10 @@ class TestTriangle:
 
     def test_identity_pieces(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]))
-        assert divergence_vs_identity(rho, 2.0) == pytest.approx(
-            math.log(0.5), abs=1e-12
-        )
         sigma = np.diag([0.25, 0.75])
-        d_i_sigma = triangle_bound_check(rho, sigma, 2.0).extras["d_identity_sigma"]
+        extras = triangle_bound_check(rho, sigma, 2.0).extras
+        assert extras["d_rho_identity"] == pytest.approx(math.log(0.5), abs=1e-12)
+        d_i_sigma = extras["d_identity_sigma"]
         assert d_i_sigma == pytest.approx(math.log(16.0 / 3.0), abs=1e-12)
         assert d_i_sigma == pytest.approx(identity_sigma_divergence(sigma, 2.0), abs=1e-12)
 
@@ -471,10 +478,8 @@ class TestSharedSigmaDecomposition:
         for rho, sigma in cases:
             t4 = t4_lower_bound(rho, sigma, alpha)
             divergence = renyi_relative_entropy(rho, sigma, alpha)
-            equality, c = equality_condition_check(rho, sigma, alpha)
             assert t4.extras["divergence"] == divergence.value
-            assert t4.extras["c"] == c
-            assert t4.equality == equality == divergence.equality_case
+            assert t4.equality == divergence.equality_case
             triangle = triangle_bound_check(rho, sigma, alpha)
             assert triangle.lhs == divergence.value
             assert triangle.extras["d_identity_sigma"] == pytest.approx(

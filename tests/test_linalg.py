@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from renyi.exceptions import (
     SingularPower,
 )
 from renyi.linalg import (
+    ZERO_THRESHOLD,
     Definiteness,
     as_hermitian,
     classify_definiteness,
@@ -22,9 +24,12 @@ from renyi.linalg import (
     matrix_power,
     partial_trace_a,
     partial_trace_b,
+    recombine,
     spectral_decompose,
+    spectral_power,
     trace_product,
 )
+from renyi.quantum import DensityMatrix
 
 
 def random_hermitian(rng, n):
@@ -74,7 +79,7 @@ class TestSpectralDecompose:
             a = random_hermitian(rng, n)
             dec = spectral_decompose(a)
             scale = 1.0 + np.abs(a).max()
-            assert np.abs(dec.reconstruct() - a).max() <= 1e-9 * scale
+            assert np.abs(recombine(dec, dec.eigenvalues) - a).max() <= 1e-9 * scale
             v = dec.eigenvectors
             assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-9
 
@@ -102,7 +107,7 @@ class TestMatrixPower:
         )
 
     def test_zero_conventions(self):
-        # 0^r = 0 for r > 0, 0^0 = 1
+        # 0^r = 0 for r > 0; matrix_power alone keeps A^0 = I
         proj = np.diag([1.0, 0.0])
         np.testing.assert_allclose(matrix_power(proj, 0.5), proj, atol=1e-14)
         np.testing.assert_allclose(matrix_power(proj, 0.0), np.eye(2), atol=1e-14)
@@ -131,6 +136,24 @@ class TestMatrixPower:
             matrix_power(np.diag([1.0, 0.0]), -1.0)
         with pytest.raises(NotPsd):
             matrix_power(np.diag([1.0, -1.0]), 0.5)
+
+
+@pytest.mark.parametrize(
+    "r,rank", [(r, rank) for r in (0.0, 0.5, 2.0) for rank in (1, 2, 4)] + [(-1.0, 4)]
+)
+def test_spectral_power_is_zero_off_the_support(r, rank):
+    # w^r on the support and 0 off it: r = 0 gives the support projector
+    rng = np.random.default_rng(24 + rank)
+    for _ in range(20):
+        a = random_psd(rng, 4, rank)
+        rho = DensityMatrix(a / np.trace(a).real)
+        w, v = np.linalg.eigh(rho.matrix)
+        on = w > ZERO_THRESHOLD
+        want = (v[:, on] * w[on] ** r) @ v[:, on].conj().T
+        got = spectral_power(rho.spectrum, r)
+        assert np.abs(got - want).max() <= 1e-9 * (1.0 + np.abs(want).max())
+        if r == 0.0:
+            np.testing.assert_array_equal(matrix_power(rho.matrix, r), np.eye(4))
 
 
 class TestLogDet:
@@ -279,6 +302,31 @@ class TestLemma3:
             )
             assert rep.passed
 
+    @pytest.mark.parametrize("scale,n", [(1e5, 64), (1e10, 32)])
+    def test_scaled_identities_past_the_float_range(self, scale, n):
+        # det A det B overflows, yet both sides equal n scale^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = lemma3_check(scale * np.eye(n), scale * np.eye(n))
+        assert rep.lhs == pytest.approx(n * scale**2, rel=1e-12)
+        assert rep.passed and rep.equality
+        assert rep.extras["det_a"] == math.inf
+
+    def test_spectrum_below_the_float_range(self):
+        # det A = 1e-378 (1 - 6.3e-5) underflows; with B = I/64 the left side
+        # is (det A)^(1/64)
+        w = np.full(64, 1e-6)
+        w[0] = 1.0 - 63e-6
+        rep = lemma3_check(np.diag(w), np.eye(64) / 64)
+        assert rep.lhs == pytest.approx(1e-6 ** (63 / 64) * w[0] ** (1 / 64), rel=1e-12)
+        assert rep.extras["det_a"] == 0.0
+
+    def test_singular_side_gives_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = lemma3_check(np.diag([1.0, 0.0]), np.eye(2))
+        assert rep.lhs == 0.0 and rep.passed
+
 
 class TestLemma4:
     def test_identity_equality(self):
@@ -336,7 +384,8 @@ def test_convergence_failure_is_not_triggered_at_desk_scale():
     rng = np.random.default_rng(22)
     a = random_hermitian(rng, 32)
     dec = spectral_decompose(a)
-    assert np.abs(dec.reconstruct() - a).max() <= 1e-9 * (1 + np.abs(a).max())
+    back = recombine(dec, dec.eigenvalues)
+    assert np.abs(back - a).max() <= 1e-9 * (1 + np.abs(a).max())
 
 
 def test_decomposition_keeps_the_validated_matrix():
