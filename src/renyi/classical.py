@@ -10,7 +10,9 @@ along the last axis, with one order per vector (or one order for all), and
 the result then has one entry per vector.  A single 1-D vector with a scalar
 order gives a Python float.  Each public function validates its inputs and
 hands them to a private kernel; the suite checks validate a stack once and
-call the kernels directly.
+call the kernels directly.  Every sum along a vector runs left to right
+(:func:`_row_sum`), so a vector zero-padded into a wider stack gives the
+bits it gives alone.
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ def _power(base, exponent) -> np.ndarray:
     return np.power(base.copy(), exponent.copy())
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum along the last axis, left to right: numpy's ``sum`` groups terms by
+    row width, so a zero-padded row could round apart from the row alone."""
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
 def probability_vector(values) -> np.ndarray:
     """Validate a probability vector, or a stack of them along the last axis.
 
@@ -69,7 +77,7 @@ def probability_vector(values) -> np.ndarray:
     if low < CLIP_FLOOR:
         raise InvalidDistribution(f"negative probability {low:.3e}")
     p[p < 0.0] = 0.0
-    total = p.sum(axis=-1)
+    total = _row_sum(p)
     off = np.abs(total - 1.0) > NORM_TOL
     if off.any():
         raise InvalidDistribution(f"probabilities sum to {_first(total, off)!r}, not 1")
@@ -106,7 +114,7 @@ def _log2_support(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = mask.sum(axis=-1)
     if not m.all():
         raise EmptySupport("distribution has no entry above the zero threshold")
-    return m, np.log2(np.where(mask, p, 1.0)).sum(axis=-1)
+    return m, _row_sum(np.log2(np.where(mask, p, 1.0)))
 
 
 def _info_function(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -131,7 +139,7 @@ def info_function_beta(x, beta):
 
 
 def _entropy_type_beta(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    return (np.sum(_power(p, beta[..., None]), axis=-1) - 1.0) / _type_scale(beta)
+    return (_row_sum(_power(p, beta[..., None])) - 1.0) / _type_scale(beta)
 
 
 def entropy_type_beta(p, beta):
@@ -160,7 +168,7 @@ def entropy_type_beta_chain(p, beta: float) -> float:
 
 
 def _shannon_entropy(p: np.ndarray) -> np.ndarray:
-    return -np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1)
+    return -_row_sum(p * np.log2(np.where(p > 0.0, p, 1.0)))
 
 
 def shannon_entropy(p):
@@ -181,7 +189,7 @@ def _renyi_entropy(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
         off = _renyi_entropy(p, np.where(near_one, 2.0, beta))
         return np.where(near_one, _shannon_entropy(p), off)
     p_max = p.max(axis=-1)
-    s = np.sum(_power(p / p_max[..., None], beta[..., None]), axis=-1)
+    s = _row_sum(_power(p / p_max[..., None], beta[..., None]))
     return (beta / (1.0 - beta) * np.log(p_max) + np.log(s) / (1.0 - beta)) / _LN2
 
 

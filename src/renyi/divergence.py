@@ -21,7 +21,7 @@ range; a trace that is then undefined (``0 * inf``) or an overflowing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .linalg import (
     EQ_TOL,
     ORDER_ONE_BAND,
     PSD_TOL,
+    ZERO_THRESHOLD,
     SpectralDecomposition,
     _partial_trace,
     max_abs,
@@ -92,13 +93,15 @@ def _check_alpha_gt1(alpha: float) -> float:
 
 
 def _sigma_spectrum(sigma, alpha: float) -> SpectralDecomposition:
-    """Validate a PSD reference matrix, enforcing PD when alpha > 1."""
+    """Validate a PSD reference matrix, enforcing PD when alpha > 1, with its
+    eigenvalue dust (``<= ZERO_THRESHOLD``) zeroed as in ``DensityMatrix``."""
     dec = spectral_decompose(sigma)
-    if float(dec.eigenvalues[0]) < -PSD_TOL:
-        raise NotPsd(f"sigma has eigenvalue {dec.eigenvalues[0]:.3e}")
-    if alpha > 1.0 and float(dec.eigenvalues[0]) <= PSD_TOL:
+    w = dec.eigenvalues
+    if float(w[0]) < -PSD_TOL:
+        raise NotPsd(f"sigma has eigenvalue {w[0]:.3e}")
+    if alpha > 1.0 and float(w[0]) <= PSD_TOL:
         raise SigmaSingular("alpha > 1 requires a positive definite sigma")
-    return dec
+    return replace(dec, eigenvalues=np.where(w <= ZERO_THRESHOLD, 0.0, w))
 
 
 def _divergence_terms(

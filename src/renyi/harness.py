@@ -15,9 +15,9 @@ one equality flag and one failure tolerance per trial, as arrays.
 :func:`run_suite` reduces those arrays to the maximum violation, the failure
 mask and the equality counts, and builds a trial's
 :class:`~renyi.report.BoundReport` only when the trial fails.  The classical
-checks stack a block by vector length, evaluate each formula once per stack
-and apply the :mod:`renyi.report` rules to the stacked values; the matrix
-checks run their one-trial check on each input and collect its reports.
+checks evaluate each formula once on a block's zero-padded stack and apply
+the :mod:`renyi.report` rules to the stacked values; the matrix checks run
+their one-trial check on each input and collect its reports.
 ``bounds`` and :func:`replay` run the same kernel on a batch of one and take
 its report.  A matrix input is an ``(array, dims)`` pair and a distribution
 a float array; they are serialized to the CLI file format only when a
@@ -28,6 +28,7 @@ exercised.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -108,11 +109,27 @@ def _substream(seed: int, stream: int) -> dict:
     }
 
 
+@functools.cache
+def _key_sequence() -> type:
+    """A seed sequence that hands Philox its key as is, where ``Philox(key=)``
+    first seeds one from OS entropy, most of its cost.  Built on first use, so
+    importing the package does not import ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+            return self.key
+
+    return KeySequence
+
+
 def derive_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream): portable and splittable."""
-    rng = np.random.Generator(np.random.Philox(key=0))
-    rng.bit_generator.state = _substream(seed, stream)
-    return rng
+    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -321,33 +338,29 @@ def _uniform_support(rng, n: int, zeros: int) -> np.ndarray:
     return p
 
 
-def _gen_t1(rng, i: int) -> dict:
-    eq = i % _EQUALITY_EVERY == 0
-    n = DIMS_CYCLE[i % 8]
-    beta = ORDERS_CYCLE[i % 7]
-    zeros = int(rng.integers(0, n))
-    p = _uniform_support(rng, n, zeros) if eq else _simplex_from_rng(rng, n, zeros)
-    return {"p": p, "beta": beta, "equality_injected": eq}
+def _gen_distribution(orders: tuple) -> Callable[[np.random.Generator, int], dict]:
+    """Trial ``i`` draws a distribution of length ``DIMS_CYCLE[i % 8]``, uniform
+    on its support in the equality cases, at order ``orders[i % len(orders)]``."""
+
+    def gen(rng, i: int) -> dict:
+        eq = i % _EQUALITY_EVERY == 0
+        n = DIMS_CYCLE[i % 8]
+        zeros = int(rng.integers(0, n))
+        p = _uniform_support(rng, n, zeros) if eq else _simplex_from_rng(rng, n, zeros)
+        return {"p": p, "beta": orders[i % len(orders)], "equality_injected": eq}
+
+    return gen
 
 
 def _stacked(batch: list[dict], kernel: Callable) -> list[np.ndarray]:
-    """Evaluate ``kernel(p, beta)`` once per stack of same-length distributions.
-
-    Groups the batch by vector length and validates each stack once; returns
-    the arrays ``kernel`` gives, with one entry per trial in batch order.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, inputs in enumerate(batch):
-        groups.setdefault(len(inputs["p"]), []).append(i)
-    columns: list[np.ndarray] = []
-    for idx in groups.values():
-        p = probability_vector([batch[i]["p"] for i in idx])
-        beta = _check_beta([batch[i]["beta"] for i in idx])
-        values = kernel(p, beta)
-        columns = columns or [np.empty(len(batch)) for _ in values]
-        for column, value in zip(columns, values):
-            column[idx] = value
-    return columns
+    """Evaluate ``kernel(p, beta)`` once on the batch, validated as one
+    ``(trials, longest)`` stack with each distribution zero-padded on the
+    right: a zero lies off the support and every row sum in
+    :mod:`renyi.classical` runs left to right, so padding changes no bit."""
+    sizes = np.array([len(x["p"]) for x in batch])
+    p = np.zeros((len(batch), sizes.max()))
+    p[np.arange(p.shape[1]) < sizes[:, None]] = np.concatenate([x["p"] for x in batch])
+    return kernel(probability_vector(p), _check_beta([x["beta"] for x in batch]))
 
 
 def _check_t1(batch: list[dict]) -> Verdict:
@@ -358,15 +371,6 @@ def _check_t1(batch: list[dict]) -> Verdict:
     below = beta < 1.0
     parts = [("t1", np.where(below, bound, h), np.where(below, h, bound))]
     return _chain_verdict("t1", parts, {"entropy": h, "bound": bound})
-
-
-def _gen_t2_2(rng, i: int) -> dict:
-    eq = i % _EQUALITY_EVERY == 0
-    n = DIMS_CYCLE[i % 8]
-    beta = ORDERS_BELOW_ONE[i % 3]
-    zeros = int(rng.integers(0, n))
-    p = _uniform_support(rng, n, zeros) if eq else _simplex_from_rng(rng, n, zeros)
-    return {"p": p, "beta": beta, "equality_injected": eq}
 
 
 def _check_t2_2(batch: list[dict]) -> Verdict:
@@ -395,16 +399,6 @@ def _gen_t3(rng, i: int) -> dict:
     else:
         rho = _density_from_rng(rng, dim, rank)
     return {"rho": (rho, None), "alpha": alpha, "equality_injected": eq}
-
-
-def _check_t3(inputs: dict) -> BoundReport:
-    m, dims = inputs["rho"]
-    return t3_bound(DensityMatrix(m, dims=dims), float(inputs["alpha"]))
-
-
-def _check_t3_2(inputs: dict) -> BoundReport:
-    m, dims = inputs["rho"]
-    return log_dim_cap(DensityMatrix(m, dims=dims), float(inputs["alpha"]))
 
 
 def _gen_t3_2(rng, i: int) -> dict:
@@ -438,12 +432,6 @@ def _gen_t4(rng, i: int) -> dict:
     }
 
 
-def _check_t4(inputs: dict) -> BoundReport:
-    rho, dims = inputs["rho"]
-    sigma, _ = inputs["sigma"]
-    return t4_lower_bound(DensityMatrix(rho, dims=dims), sigma, float(inputs["alpha"]))
-
-
 def _gen_triangle(rng, i: int) -> dict:
     eq = i % _EQUALITY_EVERY == 0
     dim = 1 if eq else DIMS_CYCLE[i % 8]
@@ -462,14 +450,6 @@ def _gen_triangle(rng, i: int) -> dict:
     }
 
 
-def _check_triangle(inputs: dict) -> BoundReport:
-    rho, dims = inputs["rho"]
-    sigma, _ = inputs["sigma"]
-    return triangle_bound_check(
-        DensityMatrix(rho, dims=dims), sigma, float(inputs["alpha"])
-    )
-
-
 def _gen_t6(rng, i: int) -> dict:
     eq = i % _EQUALITY_EVERY == 0
     d_a, d_b = T6_DIMS_CYCLE[i % 4]
@@ -477,11 +457,6 @@ def _gen_t6(rng, i: int) -> dict:
     dim = d_a * d_b
     rho = np.eye(dim) / dim if eq else _density_from_rng(rng, dim, dim)
     return {"rho": (rho, (d_a, d_b)), "alpha": alpha, "equality_injected": eq}
-
-
-def _check_t6(inputs: dict) -> BoundReport:
-    m, dims = inputs["rho"]
-    return t6_lower_bound(DensityMatrix(m, dims=dims), float(inputs["alpha"]))
 
 
 def _gen_info_fn_eq(rng, i: int) -> dict:
@@ -563,6 +538,17 @@ def _check_diag_oracle(inputs: dict) -> BoundReport:
     )
 
 
+def _state_check(bound: Callable, *matrices: str) -> Callable[[dict], BoundReport]:
+    """The one-trial check ``bound(rho, *matrices, alpha)``, with ``rho`` a
+    :class:`DensityMatrix` of its ``(array, dims)`` and the other matrices arrays."""
+
+    def check(inputs: dict) -> BoundReport:
+        rho = DensityMatrix(*inputs["rho"])
+        return bound(rho, *(inputs[k][0] for k in matrices), float(inputs["alpha"]))
+
+    return check
+
+
 def _each(check: Callable[[dict], BoundReport]) -> Callable[[list], Verdict]:
     """A batch check that runs a one-trial check on each input in turn and
     reads the verdict arrays off the reports."""
@@ -618,17 +604,19 @@ SUITES: dict[str, Suite] = {
     "lemma2": Suite(_gen_lemma2, _each(_check_lemma2), _PAIR),
     "lemma3": Suite(_gen_lemma3, _each(_check_lemma3), _PAIR),
     "lemma4": Suite(_gen_lemma4, _each(_check_lemma4), {"a": MATRIX}),
-    "t1": Suite(_gen_t1, _check_t1, _DIST),
-    "t2_2": Suite(_gen_t2_2, _check_t2_2, _DIST),
-    "t3": Suite(_gen_t3, _each(_check_t3), _STATE),
-    "t3_2": Suite(_gen_t3_2, _each(_check_t3_2), _STATE),
-    "t4": Suite(_gen_t4, _each(_check_t4), _STATE_SIGMA),
-    "t6": Suite(_gen_t6, _each(_check_t6), _STATE),
-    "triangle": Suite(_gen_triangle, _each(_check_triangle), _STATE_SIGMA),
+    "t1": Suite(_gen_distribution(ORDERS_CYCLE), _check_t1, _DIST),
+    "t2_2": Suite(_gen_distribution(ORDERS_BELOW_ONE), _check_t2_2, _DIST),
+    "t3": Suite(_gen_t3, _each(_state_check(t3_bound)), _STATE),
+    "t3_2": Suite(_gen_t3_2, _each(_state_check(log_dim_cap)), _STATE),
+    "t4": Suite(_gen_t4, _each(_state_check(t4_lower_bound, "sigma")), _STATE_SIGMA),
+    "t6": Suite(_gen_t6, _each(_state_check(t6_lower_bound)), _STATE),
+    "triangle": Suite(
+        _gen_triangle, _each(_state_check(triangle_bound_check, "sigma")), _STATE_SIGMA
+    ),
     "info_fn_eq": Suite(
         _gen_info_fn_eq, _check_info_fn_eq, {"x": NUMBER, "y": NUMBER, "beta": NUMBER}
     ),
-    "eq4_roundtrip": Suite(_gen_t1, _check_eq4, _DIST),
+    "eq4_roundtrip": Suite(_gen_distribution(ORDERS_CYCLE), _check_eq4, _DIST),
     "diag_oracle": Suite(
         _gen_diag_oracle,
         _each(_check_diag_oracle),

@@ -317,6 +317,49 @@ class TestStacks:
         assert got[0] == shannon_entropy(p[0])
         assert got[1] == renyi_entropy(p[1], 2.0)
 
+    _ROW_FUNCTIONS = [
+        (renyi_entropy, (0.3, 0.9, 1.0, 1.5, 5.0, 1e308)),
+        (entropy_type_beta, (0.3, 0.9, 1.5, 5.0)),
+        (shannon_entropy, (None,)),
+        (t1_bound, (0.3, 0.9, 1.5, 5.0, 1e308)),
+        (type_beta_product_bound, (0.3, 0.5, 0.9)),
+    ]
+
+    @staticmethod
+    def _call(fn, p, beta):
+        return fn(p) if beta is None else fn(p, beta)
+
+    @pytest.mark.parametrize("fn,orders", _ROW_FUNCTIONS)
+    def test_trailing_zeros_change_no_bit(self, fn, orders):
+        # every row sum runs left to right, so padding adds exact zeros
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            n = int(rng.integers(1, 10))
+            p = random_dist(rng, n, zeros=int(rng.integers(0, n)))
+            for beta in orders:
+                alone = self._call(fn, p, beta)
+                for pad in range(1, 8):
+                    padded = self._call(fn, np.concatenate([p, np.zeros(pad)]), beta)
+                    assert padded.hex() == alone.hex(), (p.tolist(), beta, pad)
+
+    @pytest.mark.parametrize("fn,orders", _ROW_FUNCTIONS)
+    def test_padded_stack_of_mixed_lengths_matches_rows(self, fn, orders):
+        # the suites check a block as one (trials, 8) stack, each
+        # distribution zero-padded on the right
+        rng = np.random.default_rng(72)
+        rows = [
+            random_dist(rng, n, zeros=int(rng.integers(0, n)))
+            for n in rng.integers(1, 9, size=80)
+        ]
+        stack = np.zeros((len(rows), 8))
+        for row, p in zip(stack, rows):
+            row[: p.size] = p
+        beta = rng.choice(orders, size=len(rows))
+        stacked = self._call(fn, stack, None if orders == (None,) else beta)
+        for i, p in enumerate(rows):
+            alone = self._call(fn, p, beta[i])
+            assert float(stacked[i]).hex() == alone.hex(), (p.tolist(), beta[i])
+
     def test_one_bad_row_is_named(self):
         with pytest.raises(InvalidDistribution, match="sum to 0.9"):
             probability_vector([[0.5, 0.5], [0.5, 0.4]])

@@ -128,6 +128,22 @@ class TestRelativeEntropy:
             0.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("alpha", [0.9, 0.999])
+    def test_eigenvalue_dust_of_a_singular_sigma_is_off_its_support(self, alpha):
+        # sigma has rank 2, but its computed spectrum carries dust of order
+        # 1e-18; raised to 1 - alpha near 0, dust would count as support
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        sigma = g @ g.conj().T
+        sigma /= np.trace(sigma).real
+        # the nonzero spectrum of g g† is that of g† g
+        q = np.linalg.eigvalsh(g.conj().T @ g)
+        q /= q.sum()
+        exact = math.log(0.25**alpha * np.sum(q ** (1.0 - alpha))) / (alpha - 1.0)
+        rho = DensityMatrix(np.eye(4) / 4)
+        got = renyi_relative_entropy(rho, sigma, alpha).value
+        assert got == pytest.approx(exact, rel=1e-9)
+
     def test_errors(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]))
         with pytest.raises(SigmaSingular):
