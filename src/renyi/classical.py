@@ -30,8 +30,6 @@ from .exceptions import (
 )
 from .linalg import NORM_TOL, ORDER_ONE_BAND, ZERO_THRESHOLD
 
-CLIP_FLOOR = -1e-12
-
 _LN2 = math.log(2.0)
 
 
@@ -66,7 +64,7 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
 def probability_vector(values) -> np.ndarray:
     """Validate a probability vector, or a stack of them along the last axis.
 
-    Negative dust in [-1e-12, 0) is zeroed.
+    Negative dust in ``[-ZERO_THRESHOLD, 0)`` is zeroed.
     """
     p = np.array(values, dtype=np.float64)
     if p.ndim == 0 or p.shape[-1] == 0:
@@ -74,7 +72,7 @@ def probability_vector(values) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise InvalidDistribution("distribution contains non-finite entries")
     low = float(p.min(initial=0.0))
-    if low < CLIP_FLOOR:
+    if low < -ZERO_THRESHOLD:
         raise InvalidDistribution(f"negative probability {low:.3e}")
     p[p < 0.0] = 0.0
     total = _row_sum(p)

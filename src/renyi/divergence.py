@@ -21,7 +21,7 @@ range; a trace that is then undefined (``0 * inf``) or an overflowing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .exceptions import (
     MarginalSingular,
     NotBipartite,
     NotPd,
-    NotPsd,
     SigmaSingular,
     TraceNonpositive,
 )
@@ -40,11 +39,12 @@ from .linalg import (
     EQ_TOL,
     ORDER_ONE_BAND,
     PSD_TOL,
-    ZERO_THRESHOLD,
     SpectralDecomposition,
     _partial_trace,
+    clip_spectrum,
     max_abs,
     power_spectrum,
+    psd_decompose,
     recombine,
     spectral_decompose,
     spectral_entropy,
@@ -93,15 +93,12 @@ def _check_alpha_gt1(alpha: float) -> float:
 
 
 def _sigma_spectrum(sigma, alpha: float) -> SpectralDecomposition:
-    """Validate a PSD reference matrix, enforcing PD when alpha > 1, with its
-    eigenvalue dust (``<= ZERO_THRESHOLD``) zeroed as in ``DensityMatrix``."""
-    dec = spectral_decompose(sigma)
-    w = dec.eigenvalues
-    if float(w[0]) < -PSD_TOL:
-        raise NotPsd(f"sigma has eigenvalue {w[0]:.3e}")
-    if alpha > 1.0 and float(w[0]) <= PSD_TOL:
+    """Validate a PSD reference matrix, enforcing PD when alpha > 1, under the
+    support rule: dust ``<= ZERO_THRESHOLD * w_max`` is 0 at every scale of sigma."""
+    dec = psd_decompose(sigma, "sigma")
+    if alpha > 1.0 and float(dec.eigenvalues[0]) <= PSD_TOL:
         raise SigmaSingular("alpha > 1 requires a positive definite sigma")
-    return replace(dec, eigenvalues=np.where(w <= ZERO_THRESHOLD, 0.0, w))
+    return dec
 
 
 def _divergence_terms(
@@ -159,10 +156,9 @@ def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     if not rho.is_positive_definite:
         raise NotPd("rho must be positive definite")
     dec = spectral_decompose(sigma)
-    if float(dec.eigenvalues[0]) <= PSD_TOL:
+    # PD on the spectrum that sigma's powers see, under the support rule
+    if float(dec.eigenvalues[0]) <= PSD_TOL or clip_spectrum(dec.eigenvalues)[0] == 0.0:
         raise NotPd("sigma must be positive definite")
-    if dec.eigenvalues.size != rho.dim:
-        raise DimensionMismatch("rho and sigma must share dimensions")
     d = rho.dim
     logdet_rho = float(np.sum(np.log(rho.eigenvalues)))
     logdet_sigma = float(np.sum(np.log(dec.eigenvalues)))

@@ -7,7 +7,10 @@ ndarrays; validation happens at the operation boundary.
 
 Spectral conventions used throughout the package:
 
-* eigenvalues in ``[-PSD_TOL, 0)`` are treated as exact zeros,
+* ``clip_spectrum`` is the one support rule, scaled to the largest
+  eigenvalue ``w_max``: below ``-PSD_TOL * max(1, w_max)`` is NotPsd, and
+  every eigenvalue ``<= ZERO_THRESHOLD * w_max`` is exactly 0, so ``c A``
+  has the support of ``A``; ``psd_decompose`` applies it to each PSD operand,
 * ``power_spectrum`` is the one place a spectrum is raised to a power: it
   takes ``w_i**r`` on the support and 0 off it, for every ``r``, so ``A^0``
   is the support projector (the ``r -> 0+`` limit).  ``matrix_power`` alone
@@ -207,19 +210,32 @@ def classify_definiteness(matrix) -> PsdClass:
     return PsdClass(kind, lo)
 
 
-def clip_spectrum(w: np.ndarray) -> np.ndarray:
-    """Zero out eigenvalue dust in ``[-PSD_TOL, 0)``; raise NotPsd below that."""
-    if float(w[0]) < -PSD_TOL:
-        raise NotPsd(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_TOL:.0e}")
+def clip_spectrum(w: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """The support rule on the ascending spectrum of the PSD ``name``: NotPsd
+    if ``w[0] < -PSD_TOL * max(1, w_max)``, else a copy with each ``w_i <=
+    ZERO_THRESHOLD * w_max`` set to 0.  A cleaned spectrum passes unchanged."""
+    w_max = float(w[-1])
+    if float(w[0]) < -PSD_TOL * max(1.0, w_max):
+        raise NotPsd(f"{name} has eigenvalue {w[0]:.3e}")
     out = w.copy()
-    out[out < 0.0] = 0.0
+    out[out <= ZERO_THRESHOLD * w_max] = 0.0
     return out
+
+
+def _clipped(dec: SpectralDecomposition, name: str) -> SpectralDecomposition:
+    w = clip_spectrum(dec.eigenvalues, name)
+    return SpectralDecomposition(w, dec.eigenvectors, dec.matrix)
+
+
+def psd_decompose(matrix, name: str) -> SpectralDecomposition:
+    """``spectral_decompose`` of the PSD ``name``, its spectrum under ``clip_spectrum``."""
+    return _clipped(spectral_decompose(matrix), name)
 
 
 def power_spectrum(w: np.ndarray, r: float) -> np.ndarray:
     """``w_i**r`` on the support of ``clip_spectrum(w)`` (ascending), 0 off it.
 
-    The one zero rule of the package, for every ``r``: ``r = 0`` gives the
+    The one power rule of the package, for every ``r``: ``r = 0`` gives the
     support indicator and a negative ``r`` the power of the pseudo-inverse.
     """
     w = clip_spectrum(w)
@@ -250,8 +266,8 @@ def matrix_power(matrix, r: float) -> np.ndarray:
 
     Unlike ``spectral_power``, ``A^0`` is the identity even off the support.
     """
-    dec = spectral_decompose(matrix)
-    w = clip_spectrum(dec.eigenvalues)
+    dec = psd_decompose(matrix, "matrix")
+    w = dec.eigenvalues
     if r < 0.0 and float(w[0]) <= PSD_TOL:
         raise SingularPower(
             f"negative power {r} of a singular matrix (min eigenvalue {w[0]:.3e})"
@@ -299,15 +315,12 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _decompose_psd_pair(a, b) -> tuple[SpectralDecomposition, SpectralDecomposition]:
-    """Validate and decompose two same-size PSD matrices (shape checked first)."""
+    """``psd_decompose`` two same-size PSD matrices, the shape checked first."""
     dec_a = spectral_decompose(a)
     dec_b = spectral_decompose(b)
     if dec_a.matrix.shape != dec_b.matrix.shape:
         raise DimensionMismatch("A and B must share dimensions")
-    for dec, name in ((dec_a, "A"), (dec_b, "B")):
-        if float(dec.eigenvalues[0]) < -PSD_TOL:
-            raise NotPsd(f"{name} is not PSD (min eigenvalue {dec.eigenvalues[0]:.3e})")
-    return dec_a, dec_b
+    return _clipped(dec_a, "A"), _clipped(dec_b, "B")
 
 
 def lemma2_check(a, b) -> BoundReport:
@@ -333,8 +346,7 @@ def lemma3_check(a, b) -> BoundReport:
     dec_a, dec_b = _decompose_psd_pair(a, b)
     am = dec_a.matrix
     n = am.shape[0]
-    w_a = clip_spectrum(dec_a.eigenvalues)
-    w_b = clip_spectrum(dec_b.eigenvalues)
+    w_a, w_b = dec_a.eigenvalues, dec_b.eigenvalues
     with np.errstate(over="ignore"):
         det_a = float(np.prod(w_a))
         det_b = float(np.prod(w_b))

@@ -17,16 +17,14 @@ from .exceptions import (
     AlphaOutOfRange,
     DimensionMismatch,
     InvalidDensityMatrix,
-    NotPsd,
 )
 from .linalg import (
     EQ_TOL,
     NORM_TOL,
     ORDER_ONE_BAND,
     PSD_TOL,
-    ZERO_THRESHOLD,
     SpectralDecomposition,
-    spectral_decompose,
+    psd_decompose,
     spectral_entropy,
 )
 from .report import BoundReport, chain_report, normalized_slack
@@ -52,22 +50,18 @@ class EntropyValue:
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with its spectrum precomputed.
 
-    Eigenvalues below ``ZERO_THRESHOLD`` in the cached spectrum are treated
-    as structural zeros and set to exactly 0 (after rejecting anything below
-    ``-PSD_TOL``), so support counts, bounds, and entropies all share one
-    notion of rank.  ``dims=(d_a, d_b)`` optionally tags the matrix as a
-    bipartite state.  Instances are immutable.
+    The cached spectrum is cleaned by ``linalg.clip_spectrum``: every
+    eigenvalue ``<= ZERO_THRESHOLD * w_max`` is exactly 0 (after rejecting
+    anything below ``-PSD_TOL``), so support counts, bounds, and entropies
+    all share one notion of rank.  ``dims=(d_a, d_b)`` optionally tags the
+    matrix as a bipartite state.  Instances are immutable.
     """
 
     __slots__ = ("_matrix", "_spectrum", "_dims")
 
     def __init__(self, matrix, dims: tuple[int, int] | None = None):
-        dec = spectral_decompose(matrix)
-        a, w = dec.matrix, dec.eigenvalues
-        if float(w[0]) < -PSD_TOL:
-            raise NotPsd(f"density matrix has eigenvalue {w[0]:.3e}")
-        w = w.copy()
-        w[w <= ZERO_THRESHOLD] = 0.0
+        dec = psd_decompose(matrix, "density matrix")
+        a = dec.matrix
         trace = float(np.trace(a).real)
         if abs(trace - 1.0) > NORM_TOL:
             raise InvalidDensityMatrix(f"trace is {trace!r}, not 1")
@@ -79,11 +73,9 @@ class DensityMatrix:
                 )
             dims = (d_a, d_b)
         a.setflags(write=False)
-        w.setflags(write=False)
+        dec.eigenvalues.setflags(write=False)
         object.__setattr__(self, "_matrix", a)
-        object.__setattr__(
-            self, "_spectrum", SpectralDecomposition(w, dec.eigenvectors, a)
-        )
+        object.__setattr__(self, "_spectrum", dec)
         object.__setattr__(self, "_dims", dims)
 
     def __setattr__(self, name, value):
@@ -154,7 +146,7 @@ def _support_bound(w: np.ndarray, alpha: float) -> tuple[float, int]:
     ``ln m/(1-alpha) + alpha/(1-alpha) * mean ln w'_i`` over the support of
     size m tends to ``-mean ln w'_i`` as alpha grows instead of overflowing.
     """
-    support = w[w > ZERO_THRESHOLD]
+    support = w[w > 0.0]
     d0 = int(w.size - support.size)
     m = support.size
     mean_log = float(np.sum(np.log(support))) / m

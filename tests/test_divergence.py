@@ -128,8 +128,9 @@ class TestRelativeEntropy:
             0.0, abs=1e-12
         )
 
-    @pytest.mark.parametrize("alpha", [0.9, 0.999])
-    def test_eigenvalue_dust_of_a_singular_sigma_is_off_its_support(self, alpha):
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.999])
+    def test_eigenvalue_dust_of_a_singular_sigma_is_off_its_support(self, alpha, scale):
         # sigma has rank 2, but its computed spectrum carries dust of order
         # 1e-18; raised to 1 - alpha near 0, dust would count as support
         rng = np.random.default_rng(3)
@@ -143,6 +144,14 @@ class TestRelativeEntropy:
         rho = DensityMatrix(np.eye(4) / 4)
         got = renyi_relative_entropy(rho, sigma, alpha).value
         assert got == pytest.approx(exact, rel=1e-9)
+        # the dust scales with sigma, and D(rho || c sigma) + ln c = D(rho || sigma)
+        for d in range(2, 7):
+            rho = DensityMatrix(np.eye(d) / d)
+            for rank in range(1, d):
+                sigma = random_density(rng, d, rank).matrix
+                base = renyi_relative_entropy(rho, sigma, alpha).value
+                scaled = renyi_relative_entropy(rho, scale * sigma, alpha).value
+                assert abs(scaled + math.log(scale) - base) <= 1e-12 * (1.0 + abs(base))
 
     def test_errors(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]))
@@ -184,8 +193,12 @@ class TestEqualityCondition:
 
     def test_rejects_singular_sigma(self):
         rho = DensityMatrix(np.eye(2) / 2)
-        with pytest.raises(NotPd):
-            t4_lower_bound(rho, np.diag([1.0, 0.0]), 2.0)
+        # 5e-9 clears PSD_TOL but is dust beside 1e4, off sigma's support
+        for sigma in (np.diag([1.0, 0.0]), np.diag([5e-9, 1e4])):
+            with pytest.raises(NotPd):
+                t4_lower_bound(rho, sigma, 2.0)
+            with pytest.raises(SigmaSingular):
+                renyi_relative_entropy(rho, sigma, 2.0)
 
 
 class TestT4LowerBound:
@@ -284,6 +297,22 @@ class TestOptimizedQuantities:
                 rho, kron(rho_a.matrix, np.eye(2) / 2), 2.0
             ).value
             assert value <= flat + 1e-12
+
+    @pytest.mark.parametrize("alpha", [1.5, 3.0, 5.0, 10.0, 20.0])
+    def test_pure_state_closed_forms(self, alpha):
+        # a pure 2x3 state with Schmidt coefficients lam, in any local bases:
+        # C_B has rank 2 and I_alpha = alpha/(alpha-1) ln sum lam^((2-alpha)/alpha),
+        # H_alpha(A|B) = -alpha/(alpha-1) ln sum lam^(1/alpha)
+        lam = np.array([0.7, 0.3])
+        want_i = alpha / (alpha - 1.0) * math.log(np.sum(lam ** ((2.0 - alpha) / alpha)))
+        want_h = -alpha / (alpha - 1.0) * math.log(np.sum(lam ** (1.0 / alpha)))
+        rng = np.random.default_rng(63)
+        for _ in range(3):
+            u, v = haar_unitary(rng, 2), haar_unitary(rng, 3)
+            psi = (u * np.sqrt(lam) @ v[:, :2].T).reshape(6)
+            rho = DensityMatrix(np.outer(psi, psi.conj()), dims=(2, 3))
+            assert abs(mutual_information(rho, alpha)[0] - want_i) <= 1e-10
+            assert abs(conditional_entropy(rho, alpha)[0] - want_h) <= 1e-10
 
     def test_requires_bipartite_tag(self):
         rho = DensityMatrix(np.eye(4) / 4)

@@ -327,6 +327,26 @@ class TestLemma3:
             rep = lemma3_check(np.diag([1.0, 0.0]), np.eye(2))
         assert rep.lhs == 0.0 and rep.passed
 
+    def test_singular_operands_give_exact_zeros(self):
+        # the rounding dust of a rank-deficient operand is off its support, so
+        # its determinant and the left side are exactly 0
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        a = g @ g.conj().T
+        cases = [(a, 5, np.eye(6), 6), (np.eye(6), 6, a, 5), (a, 5, a, 5)]
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            rank_a, rank_b = (int(r) for r in rng.integers(1, n + 1, size=2))
+            if min(rank_a, rank_b) == n:
+                rank_b = n - 1
+            cases.append((random_psd(rng, n, rank_a), rank_a, random_psd(rng, n, rank_b), rank_b))
+        for a, rank_a, b, rank_b in cases:
+            n = a.shape[0]
+            rep = lemma3_check(a, b)
+            assert rep.lhs == 0.0 and rep.passed
+            assert (rep.extras["det_a"] == 0.0) == (rank_a < n)
+            assert (rep.extras["det_b"] == 0.0) == (rank_b < n)
+
 
 class TestLemma4:
     def test_identity_equality(self):
