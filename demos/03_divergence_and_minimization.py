@@ -24,14 +24,15 @@ from renyi import (
 alpha = 2.0
 
 # Relative entropy basics: self-divergence vanishes, and the determinant
-# bound (with its proportionality flag) sits underneath.
+# bound sits underneath; it is tight only for sigma proportional to
+# rho^(a/(a-1)).
 rho = DensityMatrix(np.diag([0.5, 0.5]))
 sigma = np.diag([0.25, 0.75])
 print("D_2(rho||sigma) =", renyi_relative_entropy(rho, sigma, alpha).value)
 print("D_2(rho||rho)   =", renyi_relative_entropy(rho, rho.matrix, alpha).value)
 rep = t4_lower_bound(rho, sigma, alpha)
 print("t4 bound", rep.extras["bound"], "<= divergence", rep.extras["divergence"])
-print("proportionality flag:", rep.equality, " c =", rep.extras["c"])
+print("equality flag:", rep.equality)
 
 # The worked example: for the maximally mixed two-qubit state the mutual
 # information is zero, the conditional entropy is ln(2), and the minimizer
@@ -44,9 +45,10 @@ print("  I_2(A;B)  =", mi)
 print("  H_2(A|B)  =", ce, " (ln 2 =", math.log(2), ")")
 print("  sigma_B   =\n", np.round(out.optimizer_sigma.matrix.real, 6))
 
-# t5_closed_form evaluates the quantity where the determinant bound is tight.
-# For the maximally mixed state that sigma_B is also the minimizer, so it
-# agrees with the optimum: c1 = c2 = (1/4)^(1-2a) = 64 at alpha = 2.
+# t5_closed_form evaluates the quantity where the determinant bound is tight,
+# ref_A^(1-a) (x) sigma_B^(1-a) = c rho^(-a), and its value is the divergence
+# there, ln(c d)/(a-1).  For the maximally mixed state that sigma_B is also
+# the minimizer, so it agrees with the optimum: c = 4^(a-1)/4^a = 1/4.
 closed = t5_closed_form(mm, alpha, "mutual")
 print("  closed form: value", closed.value, " c =", closed.c)
 

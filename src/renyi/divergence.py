@@ -13,8 +13,8 @@ and the divergence at any ``sigma_B`` equals the minimum plus
 special case (``t5_closed_form``) stays as a cross check; the tests compare
 the minimum with a brute-force zoom grid over the Bloch ball.
 
-All divergences are in nats.  At extreme orders a power can leave the float
-range; a trace that is then undefined (``0 * inf``) or an overflowing
+All divergences are in nats.  ``D_alpha``, t4 and the triangle come from
+``linalg.petz_divergence``, finite at every order; an overflowing
 ``d_A^(alpha-1)`` raises a typed error, never a bare arithmetic exception.
 """
 
@@ -33,7 +33,6 @@ from .exceptions import (
     NotBipartite,
     NotPd,
     SigmaSingular,
-    TraceNonpositive,
 )
 from .linalg import (
     EQ_TOL,
@@ -43,19 +42,21 @@ from .linalg import (
     _partial_trace,
     clip_spectrum,
     max_abs,
+    petz_divergence,
     power_spectrum,
     psd_decompose,
     recombine,
     spectral_decompose,
-    spectral_entropy,
     spectral_power,
-    trace_product,
 )
 from .quantum import DensityMatrix
-from .report import BoundReport, chain_report
+from .report import BoundReport, chain_report, chain_tight, normalized_slack
 
 @dataclass(frozen=True)
 class DivergenceResult:
+    """``equality_case``: for alpha > 1, t4's slack rule, i.e. whether sigma
+    is proportional to ``rho^(alpha/(alpha-1))``; False otherwise."""
+
     value: float
     alpha: float
     equality_case: bool
@@ -101,33 +102,13 @@ def _sigma_spectrum(sigma, alpha: float) -> SpectralDecomposition:
     return dec
 
 
-def _divergence_terms(
-    rho: DensityMatrix, dec: SpectralDecomposition, alpha: float
-) -> tuple[float, bool, float | None]:
-    """``D_alpha(rho || sigma)``, the proportionality flag and ``c`` from
-    sigma's decomposition.
-
-    The flag tests ``sigma^(1-alpha) == c rho^alpha`` with
-    ``c = tr(sigma^(1-alpha)) / tr(rho^alpha)`` by comparing the two powers,
-    each divided by its own trace, so it holds where ``c`` overflows; both
-    are only computed for alpha > 1 (otherwise False and None).
-    """
+def _petz(rho: DensityMatrix, dec: SpectralDecomposition, alpha: float) -> tuple[float, float]:
+    """``D_alpha(rho || sigma)`` and its t4 bound from sigma's decomposition,
+    through ``linalg.petz_divergence``."""
     if dec.eigenvalues.size != rho.dim:
         raise DimensionMismatch("rho and sigma must share dimensions")
-    rho_pow = spectral_power(rho.spectrum, alpha)
-    sigma_pow = spectral_power(dec, 1.0 - alpha)
-    t = trace_product(rho_pow, sigma_pow)
-    if not t > 0.0:  # also catches NaN, from 0 * inf at extreme orders
-        raise TraceNonpositive(f"tr(rho^a sigma^(1-a)) = {t!r} is not positive")
-    equality, c = False, None
-    if alpha > 1.0:
-        tr_sigma = float(np.trace(sigma_pow).real)
-        tr_rho = float(np.trace(rho_pow).real)
-        c = tr_sigma / tr_rho
-        a, b = sigma_pow / tr_sigma, rho_pow / tr_rho
-        scale = 1.0 + max(max_abs(a), max_abs(b))
-        equality = max_abs(a - b) <= EQ_TOL * scale
-    return math.log(t) / (alpha - 1.0), equality, c
+    overlap = np.abs(rho.spectrum.eigenvectors.conj().T @ dec.eigenvectors) ** 2
+    return petz_divergence(rho.eigenvalues, dec.eigenvalues, overlap, alpha)
 
 
 def renyi_relative_entropy(
@@ -137,12 +118,11 @@ def renyi_relative_entropy(
 
     ``sigma`` is any PSD Hermitian matrix (unit trace not required; the
     identity is a legitimate reference).  For alpha > 1 it must be positive
-    definite.  The ``equality_case`` flag records whether sigma is, up to the
-    trace-matched constant, the power of rho that makes the dimension bound
-    tight; it is only meaningful (and only computed) for alpha > 1.
+    definite.
     """
     alpha = _check_alpha_nonneg(alpha)
-    value, equality, _ = _divergence_terms(rho, _sigma_spectrum(sigma, alpha), alpha)
+    value, bound = _petz(rho, _sigma_spectrum(sigma, alpha), alpha)
+    equality = alpha > 1.0 and bool(chain_tight([normalized_slack(bound, value)]))
     return DivergenceResult(value, alpha, equality)
 
 
@@ -150,7 +130,8 @@ def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     """Dimension/determinant lower bound on ``D_alpha`` for PD inputs, alpha > 1.
 
     ``bound = (alpha-1)^(-1) (ln d + (alpha/d) ln det rho
-    + ((1-alpha)/d) ln det sigma)``.
+    + ((1-alpha)/d) ln det sigma)``, tight exactly when ``sigma`` is
+    proportional to ``rho^(alpha/(alpha-1))``.
     """
     alpha = _check_alpha_gt1(alpha)
     if not rho.is_positive_definite:
@@ -159,18 +140,9 @@ def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     # PD on the spectrum that sigma's powers see, under the support rule
     if float(dec.eigenvalues[0]) <= PSD_TOL or clip_spectrum(dec.eigenvalues)[0] == 0.0:
         raise NotPd("sigma must be positive definite")
-    d = rho.dim
-    logdet_rho = float(np.sum(np.log(rho.eigenvalues)))
-    logdet_sigma = float(np.sum(np.log(dec.eigenvalues)))
-    bound = (
-        math.log(d) + alpha / d * logdet_rho + (1.0 - alpha) / d * logdet_sigma
-    ) / (alpha - 1.0)
-    value, eq, c = _divergence_terms(rho, dec, alpha)
+    value, bound = _petz(rho, dec, alpha)
     return chain_report(
-        "t4",
-        [("t4", bound, value)],
-        extras={"divergence": value, "bound": bound, "c": c},
-        equality=eq,
+        "t4", [("t4", bound, value)], extras={"divergence": value, "bound": bound}
     )
 
 
@@ -249,13 +221,14 @@ def t5_closed_form(
 ) -> T5ClosedForm | None:
     """Optimized quantity evaluated where the determinant bound is tight.
 
-    Looks for ``sigma_B`` with ``ref_A^(1-alpha) (x) sigma_B^(1-alpha)
-    = c rho_AB^alpha`` (``ref_A`` is ``mu_A`` for ``mode="conditional"``,
-    ``rho_A`` for ``mode="mutual"``) by factorizing ``rho_AB^alpha`` through
-    its partial traces.   Returns None when the condition fails.  The value
-    is the optimum only when that ``sigma_B`` is also the minimizer (as for
-    maximally mixed states); otherwise it lies on the feasible side (below
-    the conditional entropy, above the mutual information).
+    Looks for ``sigma_B`` with ``tau^(1-alpha) = c rho_AB^(-alpha)``, where
+    ``tau = ref_A (x) sigma_B`` (``ref_A`` is ``mu_A`` for ``mode="conditional"``,
+    ``rho_A`` for ``mode="mutual"``), by factorizing ``rho_AB^(-alpha)``
+    through its partial traces; there ``D_alpha(rho_AB || tau) = ln(c d)/(alpha-1)``.
+    Returns None when the condition fails.  The value is the optimum only
+    when that ``sigma_B`` is also the minimizer (as for maximally mixed
+    states); otherwise it lies on the feasible side (below the conditional
+    entropy, above the mutual information).
     """
     alpha = _check_alpha_gt1(alpha)
     if mode not in ("conditional", "mutual"):
@@ -263,13 +236,13 @@ def t5_closed_form(
     d_a, d_b = _bipartite_dims(rho_ab)
     if not rho_ab.is_positive_definite:
         return None
-    m_alpha = spectral_power(rho_ab.spectrum, alpha)
-    tr_m = float(np.trace(m_alpha).real)
-    x0 = _partial_trace(m_alpha, d_a, d_b, 1)
-    y0 = _partial_trace(m_alpha, d_a, d_b, 0)
+    m = spectral_power(rho_ab.spectrum, -alpha)
+    tr_m = float(np.trace(m).real)
+    x0 = _partial_trace(m, d_a, d_b, 1)
+    y0 = _partial_trace(m, d_a, d_b, 0)
     # each test reads "not <=" so that a NaN from a power past the float
     # range fails it
-    if not max_abs(m_alpha - np.kron(x0, y0) / tr_m) <= EQ_TOL * (1.0 + max_abs(m_alpha)):
+    if not max_abs(m - np.kron(x0, y0) / tr_m) <= EQ_TOL * (1.0 + max_abs(m)):
         return None
     if mode == "conditional":
         trial = x0
@@ -290,11 +263,9 @@ def t5_closed_form(
     sigma_pow = spectral_power(sigma_b.spectrum, 1.0 - alpha)
     lhs = np.kron(ref_pow, sigma_pow)
     c = float(np.trace(lhs).real) / tr_m
-    if not max_abs(lhs - c * m_alpha) <= EQ_TOL * (1.0 + max_abs(lhs)):
+    if not max_abs(lhs - c * m) <= EQ_TOL * (1.0 + max_abs(lhs)):
         return None
-    d = d_a * d_b
-    logdet = float(np.sum(np.log(rho_ab.eigenvalues)))
-    optimum = (math.log(d) + 2.0 * alpha / d * logdet + math.log(c)) / (alpha - 1.0)
+    optimum = (math.log(d_a * d_b) + math.log(c)) / (alpha - 1.0)
     value = math.log(d_a) - optimum if mode == "conditional" else optimum
     return T5ClosedForm(value=value, c=c, sigma_b=sigma_b)
 
@@ -325,11 +296,11 @@ def triangle_bound_check(rho: DensityMatrix, sigma, alpha: float) -> BoundReport
     """Check ``D(rho||sigma) <= D(rho||I) + D(I||sigma)`` for alpha > 1."""
     alpha = _check_alpha_gt1(alpha)
     dec = _sigma_spectrum(sigma, alpha)
-    lhs, _, _ = _divergence_terms(rho, dec, alpha)
-    # D(rho || I) = -H_alpha(rho)
-    d_rho_i = -spectral_entropy(rho.eigenvalues, alpha)
-    tr_sigma = float(np.sum(power_spectrum(dec.eigenvalues, 1.0 - alpha)))
-    d_i_sigma = math.log(tr_sigma) / (alpha - 1.0)
+    lhs, _ = _petz(rho, dec, alpha)
+    # I shares each operand's eigenbasis; D(rho || I) = -H_alpha(rho)
+    ones, same = np.ones(rho.dim), np.eye(rho.dim)
+    d_rho_i, _ = petz_divergence(rho.eigenvalues, ones, same, alpha)
+    d_i_sigma, _ = petz_divergence(ones, dec.eigenvalues, same, alpha)
     rhs = d_rho_i + d_i_sigma
     return chain_report(
         "triangle",

@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,11 +436,15 @@ STRICT_JSON_COMMANDS = (
 )
 
 # runs that used to end in ZeroDivisionError or OverflowError
-FORMER_TRACEBACKS = {
-    (command, order)
-    for command in ("divergence", "bounds-t4", "bounds-triangle")
-    for order in ("1e5", "1e308")
-} | {("conditional", order) for order in ("1025", "2000", "1e5", "1e308")}
+FORMER_TRACEBACKS = {("conditional", order) for order in ("1025", "2000", "1e5", "1e308")}
+
+# the commands that evaluate the Petz divergence, and where each --json
+# report carries D_alpha(rho || sigma)
+PETZ_VALUES = {
+    "divergence": lambda out: out["value"],
+    "bounds-t4": lambda out: out["report"]["extras"]["divergence"],
+    "bounds-triangle": lambda out: out["report"]["lhs"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -486,6 +492,73 @@ def test_extreme_orders_end_in_value_or_error_object(
     if command in STRICT_JSON_COMMANDS:
         code, out, err = run(capsys, argv + ["--json"])
         _value_or_error_object(code, out, err, strict_json=True)
+
+
+def load_matrix(path):
+    return matrix_from_payload(load_payload(Path(path).read_text(encoding="utf-8")))[0]
+
+
+def petz_reference(rho, sigma, alpha):
+    """``D_alpha(rho || sigma)`` for PD operands from LAPACK eigenpairs, with
+    ``tr(rho^alpha sigma^(1-alpha))`` summed in the log domain."""
+    p, u = np.linalg.eigh(rho)
+    q, v = np.linalg.eigh(sigma)
+    weight = np.abs(u.conj().T @ v) ** 2 * p[:, None]
+    y = np.log(p)[:, None] - np.log(q)[None, :]
+    top = y.max() if alpha > 1.0 else y.min()
+    with np.errstate(over="ignore"):
+        total = np.sum(weight * np.exp((alpha - 1.0) * (y - top)))
+    return top + math.log(total) / (alpha - 1.0)
+
+
+@pytest.mark.parametrize("command", sorted(PETZ_VALUES))
+def test_petz_commands_give_the_divergence_at_every_order(
+    capsys, extreme_files, command
+):
+    rho, sigma = load_matrix(extreme_files["rho8"]), load_matrix(extreme_files["pd8"])
+    values = []
+    for order in EXTREME_ORDERS:
+        argv = EXTREME_COMMANDS[command].format(order=order, **extreme_files).split()
+        code, out, err = run(capsys, argv + ["--json"])
+        if command != "divergence" and float(order) <= 1.0:
+            assert code == 1 and json.loads(err)["code"] == "AlphaOutOfRange"
+            continue
+        assert (code, err) == (0, "")
+        value = PETZ_VALUES[command](json.loads(out))
+        want = petz_reference(rho, sigma, float(order))
+        assert value == pytest.approx(want, rel=1e-10, abs=1e-12)
+        values.append(value)
+    # D_alpha does not decrease with the order
+    assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("order", EXTREME_ORDERS)
+@pytest.mark.parametrize("command", sorted(PETZ_VALUES))
+def test_petz_commands_raise_no_warning(capsys, extreme_files, command, order):
+    argv = EXTREME_COMMANDS[command].format(order=order, **extreme_files).split()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    _value_or_error_object(code, out, err)
+
+
+def test_scalar_t4_is_minus_log_sigma_at_every_order(capsys, tmp_path):
+    # the 1x1 state [1] against [q]: D_alpha = -ln q, and the bound is tight
+    state = write_matrix(tmp_path / "one.json", np.eye(1))
+    sigma = str(tmp_path / "q.json")
+    assert main(["gen", "pd", "--dim", "1", "--seed", "6", "--out", sigma]) == 0
+    capsys.readouterr()
+    q = float(load_matrix(sigma)[0, 0].real)
+    assert q == pytest.approx(0.2551, abs=1e-4)
+    for order in ("2", "1025", "2000", "1e5", "1e308"):
+        argv = ["bounds", "t4", "--state", state, "--sigma", sigma, "--alpha", order]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv + ["--json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["extras"]["divergence"] == pytest.approx(-math.log(q), rel=1e-14)
+        assert report["equality"]
 
 
 @st.composite

@@ -166,15 +166,16 @@ class TestRelativeEntropy:
 
 
 class TestEqualityCondition:
-    """The proportionality flag ``sigma^(1-alpha) == c rho^alpha`` and its
-    trace-matched ``c``, as t4 and the divergence report them."""
+    """Lemma 3's equality on ``rho^alpha`` and ``sigma^(1-alpha)``: the t4
+    bound meets the divergence exactly when ``sigma`` is proportional to
+    ``rho^(alpha/(alpha-1))``, and t4 and the divergence flag it by the
+    report's slack rule."""
 
     def test_maximally_mixed_pair(self):
         for d in (2, 3, 4):
             rho = DensityMatrix(np.eye(d) / d)
             rep = t4_lower_bound(rho, np.eye(d) / d, 2.0)
             assert rep.equality
-            assert rep.extras["c"] == pytest.approx(d**3, rel=1e-10)
             assert renyi_relative_entropy(rho, np.eye(d) / d, 2.0).equality_case
 
     def test_non_proportional_pair(self):
@@ -186,10 +187,17 @@ class TestEqualityCondition:
         for alpha in (1.5, 2.0, 3.0):
             m = random_pd(rng, 3)
             rho = DensityMatrix(m / np.trace(m).real)
-            sigma = matrix_power(rho.matrix, alpha / (1.0 - alpha))
-            sigma /= np.trace(sigma).real
-            assert t4_lower_bound(rho, sigma, alpha).equality
-            assert renyi_relative_entropy(rho, sigma, alpha).equality_case
+            tight = matrix_power(rho.matrix, alpha / (alpha - 1.0))
+            tight /= np.trace(tight).real
+            rep = t4_lower_bound(rho, tight, alpha)
+            assert rep.equality and abs(rep.gap) <= 1e-14
+            assert renyi_relative_entropy(rho, tight, alpha).equality_case
+            # the exponent's sign flipped, as the proportionality flag had it
+            loose = matrix_power(rho.matrix, alpha / (1.0 - alpha))
+            loose /= np.trace(loose).real
+            rep = t4_lower_bound(rho, loose, alpha)
+            assert not rep.equality and rep.gap > 0.1
+            assert not renyi_relative_entropy(rho, loose, alpha).equality_case
 
     def test_rejects_singular_sigma(self):
         rho = DensityMatrix(np.eye(2) / 2)
@@ -234,12 +242,11 @@ class TestT4LowerBound:
 
     @pytest.mark.parametrize("alpha", [5.0, 300.0, 400.0])
     def test_proportionality_flag_where_c_overflows(self, alpha):
-        # sigma^(1-alpha) = c rho^alpha exactly, with c = 4^(2 alpha - 1):
-        # 262144 at alpha = 5, past the float range at 300 and 400
+        # Lemma 3 is tight, sigma^(1-alpha) = rho^(-alpha) / 4, and the slack
+        # rule reads it from the bound and the divergence, with no c
         rho = DensityMatrix(np.eye(4) / 4)
         rep = t4_lower_bound(rho, np.eye(4) / 4, alpha)
         assert rep.passed and rep.equality
-        assert rep.extras["c"] == (262144.0 if alpha == 5.0 else math.inf)
 
     def test_proportionality_flag_clear_for_tiny_powers(self):
         # at alpha = 300 both powers lie far below EQ_TOL in size, yet rho^alpha
@@ -398,7 +405,8 @@ class TestT5ClosedForm:
         mutual = t5_closed_form(rho, 2.0, "mutual")
         assert mutual is not None
         assert mutual.value == pytest.approx(0.0, abs=1e-10)
-        assert mutual.c == pytest.approx(64.0, rel=1e-10)
+        # tr((I/2)^(-1) (x) (I/2)^(-1)) / tr((I/4)^(-2)) = 16/64
+        assert mutual.c == pytest.approx(0.25, rel=1e-10)
         conditional = t5_closed_form(rho, 2.0, "conditional")
         assert conditional.value == pytest.approx(math.log(2), abs=1e-10)
         np.testing.assert_allclose(
@@ -423,6 +431,30 @@ class TestT5ClosedForm:
         assert res.value == pytest.approx(
             math.log(2) - at_sigma.extras["bound"], abs=1e-10
         )
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_value_is_the_divergence_at_its_sigma(self, alpha):
+        # sigma_B makes the determinant bound tight, so the value is the
+        # divergence there: mu_A (x) tau gives 1.778892 ("mutual") and
+        # -1.085745 ("conditional") at alpha = 1.5
+        tau = random_density(np.random.default_rng(62), 3).matrix
+        rho = DensityMatrix(kron(np.eye(2) / 2, tau), dims=(2, 3))
+        for mode, ref in (
+            ("mutual", partial_trace_b(rho.matrix, 2, 3)),
+            ("conditional", np.eye(2) / 2),
+        ):
+            res = t5_closed_form(rho, alpha, mode)
+            at_sigma = renyi_relative_entropy(rho, kron(ref, res.sigma_b.matrix), alpha)
+            want = at_sigma.value if mode == "mutual" else math.log(2) - at_sigma.value
+            assert res.value == pytest.approx(want, abs=1e-10)
+            assert at_sigma.equality_case
+        if alpha == 1.5:
+            assert t5_closed_form(rho, alpha, "mutual").value == pytest.approx(
+                1.778892, abs=1e-6
+            )
+            assert t5_closed_form(rho, alpha, "conditional").value == pytest.approx(
+                -1.085745, abs=1e-6
+            )
 
     def test_mode_validation(self):
         rho = DensityMatrix(np.eye(4) / 4, dims=(2, 2))

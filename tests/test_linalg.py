@@ -10,6 +10,7 @@ from renyi.exceptions import (
     NotPd,
     NotPsd,
     SingularPower,
+    TraceNonpositive,
 )
 from renyi.linalg import (
     ZERO_THRESHOLD,
@@ -24,6 +25,8 @@ from renyi.linalg import (
     matrix_power,
     partial_trace_a,
     partial_trace_b,
+    petz_divergence,
+    psd_decompose,
     recombine,
     spectral_decompose,
     spectral_power,
@@ -346,6 +349,69 @@ class TestLemma3:
             assert rep.lhs == 0.0 and rep.passed
             assert (rep.extras["det_a"] == 0.0) == (rank_a < n)
             assert (rep.extras["det_b"] == 0.0) == (rank_b < n)
+
+
+class TestPetzDivergence:
+    """``petz_divergence`` from the two spectra and the overlap of their
+    eigenbases, against the trace of the two matrix powers."""
+
+    @staticmethod
+    def terms(rho, sigma):
+        dec_rho, dec_sigma = psd_decompose(rho, "rho"), psd_decompose(sigma, "sigma")
+        overlap = np.abs(dec_rho.eigenvectors.conj().T @ dec_sigma.eigenvectors) ** 2
+        return dec_rho.eigenvalues, dec_sigma.eigenvalues, overlap
+
+    @staticmethod
+    def pairs(rng, count):
+        for _ in range(count):
+            n = int(rng.integers(1, 7))
+            rho = random_psd(rng, n)
+            yield rho / np.trace(rho).real, random_psd(rng, n) + 0.1 * np.eye(n)
+
+    def test_matches_the_trace_of_matrix_powers(self):
+        for rho, sigma in self.pairs(np.random.default_rng(70), 100):
+            p, q, overlap = self.terms(rho, sigma)
+            for alpha in (0.0, 0.3, 0.5, 0.9, 1.5, 2.0, 3.0, 5.0):
+                got, _ = petz_divergence(p, q, overlap, alpha)
+                t = trace_product(matrix_power(rho, alpha), matrix_power(sigma, 1.0 - alpha))
+                want = math.log(t) / (alpha - 1.0)
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+    def test_bound_is_the_determinant_form_below_the_divergence(self):
+        for rho, sigma in self.pairs(np.random.default_rng(71), 100):
+            p, q, overlap = self.terms(rho, sigma)
+            n = p.size
+            for alpha in (1.5, 2.0, 3.0, 5.0):
+                value, bound = petz_divergence(p, q, overlap, alpha)
+                det_form = (
+                    math.log(n) + alpha / n * log_det(rho) + (1.0 - alpha) / n * log_det(sigma)
+                ) / (alpha - 1.0)
+                assert bound == pytest.approx(det_form, rel=1e-12, abs=1e-12)
+                assert bound <= value + 1e-12 * (1.0 + abs(value))
+
+    def test_bound_is_minus_infinity_off_full_rank(self):
+        p, q, overlap = self.terms(np.diag([0.5, 0.5, 0.0]), np.eye(3))
+        value, bound = petz_divergence(p, q, overlap, 2.0)
+        assert value == pytest.approx(math.log(0.5), abs=1e-15)
+        assert bound == -math.inf
+
+    def test_orthogonal_supports_raise(self):
+        p, q, overlap = self.terms(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        for alpha in (0.0, 0.5, 2.0):
+            with pytest.raises(TraceNonpositive):
+                petz_divergence(p, q, overlap, alpha)
+
+    def test_finite_and_nondecreasing_up_to_the_float_range(self):
+        rho, sigma = next(self.pairs(np.random.default_rng(72), 1))
+        p, q, overlap = self.terms(rho, sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [
+                petz_divergence(p, q, overlap, alpha)[0]
+                for alpha in (0.0, 0.5, 2.0, 1025.0, 1e5, 1e300, 1e308)
+            ]
+        assert all(math.isfinite(v) for v in values)
+        assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestLemma4:
