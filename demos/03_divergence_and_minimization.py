@@ -46,11 +46,12 @@ print("  H_2(A|B)  =", ce, " (ln 2 =", math.log(2), ")")
 print("  sigma_B   =\n", np.round(out.optimizer_sigma.matrix.real, 6))
 
 # t5_closed_form evaluates the quantity where the determinant bound is tight,
-# ref_A^(1-a) (x) sigma_B^(1-a) = c rho^(-a), and its value is the divergence
-# there, ln(c d)/(a-1).  For the maximally mixed state that sigma_B is also
-# the minimizer, so it agrees with the optimum: c = 4^(a-1)/4^a = 1/4.
+# (ref_A (x) sigma_B)^(1-a) proportional to rho^(-a), and its value is the
+# divergence there.  For the maximally mixed state that sigma_B is also the
+# minimizer, I/2, so it agrees with the optimum.
 closed = t5_closed_form(mm, alpha, "mutual")
-print("  closed form: value", closed.value, " c =", closed.c)
+print("  closed form: value", closed.value)
+print("  its sigma_B =\n", np.round(closed.sigma_b.matrix.real, 6))
 
 # The determinant lower bound on the mutual information (natural log).
 print("  t6 bound  =", t6_lower_bound(mm, alpha).extras["bound"])

@@ -13,9 +13,10 @@ and the divergence at any ``sigma_B`` equals the minimum plus
 special case (``t5_closed_form``) stays as a cross check; the tests compare
 the minimum with a brute-force zoom grid over the Bloch ball.
 
-All divergences are in nats.  ``D_alpha``, t4 and the triangle come from
-``linalg.petz_divergence``, finite at every order; an overflowing
-``d_A^(alpha-1)`` raises a typed error, never a bare arithmetic exception.
+All divergences are in nats.  ``D_alpha``, t4, t5 and the triangle come
+from ``linalg.petz_divergence``, finite at every order.  An overflowing
+``d_A^(alpha-1)`` or ``rho_A^(1-alpha)``, or a ``rho_AB^alpha`` that
+underflows to 0, raises ``AlphaOutOfRange``, never a bare arithmetic error.
 """
 
 from __future__ import annotations
@@ -35,14 +36,11 @@ from .exceptions import (
     SigmaSingular,
 )
 from .linalg import (
-    EQ_TOL,
     ORDER_ONE_BAND,
-    PSD_TOL,
     SpectralDecomposition,
     _partial_trace,
-    clip_spectrum,
-    max_abs,
     petz_divergence,
+    positive_definite,
     power_spectrum,
     psd_decompose,
     recombine,
@@ -71,7 +69,6 @@ class OptimizationOutcome:
 @dataclass(frozen=True)
 class T5ClosedForm:
     value: float
-    c: float
     sigma_b: DensityMatrix
 
 
@@ -97,7 +94,7 @@ def _sigma_spectrum(sigma, alpha: float) -> SpectralDecomposition:
     """Validate a PSD reference matrix, enforcing PD when alpha > 1, under the
     support rule: dust ``<= ZERO_THRESHOLD * w_max`` is 0 at every scale of sigma."""
     dec = psd_decompose(sigma, "sigma")
-    if alpha > 1.0 and float(dec.eigenvalues[0]) <= PSD_TOL:
+    if alpha > 1.0 and not positive_definite(dec.eigenvalues):
         raise SigmaSingular("alpha > 1 requires a positive definite sigma")
     return dec
 
@@ -137,8 +134,7 @@ def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     if not rho.is_positive_definite:
         raise NotPd("rho must be positive definite")
     dec = spectral_decompose(sigma)
-    # PD on the spectrum that sigma's powers see, under the support rule
-    if float(dec.eigenvalues[0]) <= PSD_TOL or clip_spectrum(dec.eigenvalues)[0] == 0.0:
+    if not positive_definite(dec.eigenvalues):
         raise NotPd("sigma must be positive definite")
     value, bound = _petz(rho, dec, alpha)
     return chain_report(
@@ -182,6 +178,8 @@ def _minimize_over_sigma(
     dec = spectral_decompose(_contraction(rho_ab, alpha, x_a))
     root = power_spectrum(dec.eigenvalues, 1.0 / alpha)
     total = float(np.sum(root))
+    if total == 0.0:
+        raise AlphaOutOfRange(f"rho_AB^alpha underflows to 0 at alpha = {alpha!r}")
     return OptimizationOutcome(
         optimum_value=alpha / (alpha - 1.0) * math.log(total),
         optimizer_sigma=DensityMatrix(recombine(dec, root / total)),
@@ -211,6 +209,11 @@ def mutual_information(
     rho_a = DensityMatrix(_partial_trace(rho_ab.matrix, d_a, d_b, 1))
     if not rho_a.is_positive_definite:
         raise MarginalSingular("marginal rho_A must be positive definite")
+    # the largest eigenvalue of rho_A^(1-alpha), as a float that raises past the range
+    try:
+        float(rho_a.eigenvalues[0]) ** (1.0 - alpha)
+    except OverflowError:
+        raise AlphaOutOfRange(f"rho_A^(1-alpha) overflows at alpha = {alpha!r}") from None
     x_a = spectral_power(rho_a.spectrum, 1.0 - alpha)
     outcome = _minimize_over_sigma(rho_ab, alpha, x_a)
     return outcome.optimum_value, outcome
@@ -221,14 +224,14 @@ def t5_closed_form(
 ) -> T5ClosedForm | None:
     """Optimized quantity evaluated where the determinant bound is tight.
 
-    Looks for ``sigma_B`` with ``tau^(1-alpha) = c rho_AB^(-alpha)``, where
-    ``tau = ref_A (x) sigma_B`` (``ref_A`` is ``mu_A`` for ``mode="conditional"``,
-    ``rho_A`` for ``mode="mutual"``), by factorizing ``rho_AB^(-alpha)``
-    through its partial traces; there ``D_alpha(rho_AB || tau) = ln(c d)/(alpha-1)``.
-    Returns None when the condition fails.  The value is the optimum only
-    when that ``sigma_B`` is also the minimizer (as for maximally mixed
-    states); otherwise it lies on the feasible side (below the conditional
-    entropy, above the mutual information).
+    Lemma 3 on ``rho_AB^alpha`` and ``tau^(1-alpha)``, ``tau = ref_A (x) sigma_B``
+    (``ref_A`` is ``mu_A`` for ``mode="conditional"``, ``rho_A`` for
+    ``mode="mutual"``), is tight only when ``tau^(1-alpha)`` is proportional to
+    ``rho_AB^(-alpha)``: ``sigma_B ~ (tr_A rho_AB^(-alpha))^(1/(1-alpha))``, and
+    the value is ``D_alpha(rho_AB || tau)``, or None unless ``sigma_B`` is PD and
+    t4's slack rule holds at ``tau``.  The value is the optimum only when that
+    ``sigma_B`` is also the minimizer (as for maximally mixed states); otherwise
+    it lies on the feasible side (below H_alpha(A|B), above I_alpha(A;B)).
     """
     alpha = _check_alpha_gt1(alpha)
     if mode not in ("conditional", "mutual"):
@@ -236,38 +239,28 @@ def t5_closed_form(
     d_a, d_b = _bipartite_dims(rho_ab)
     if not rho_ab.is_positive_definite:
         return None
-    m = spectral_power(rho_ab.spectrum, -alpha)
-    tr_m = float(np.trace(m).real)
-    x0 = _partial_trace(m, d_a, d_b, 1)
-    y0 = _partial_trace(m, d_a, d_b, 0)
-    # each test reads "not <=" so that a NaN from a power past the float
-    # range fails it
-    if not max_abs(m - np.kron(x0, y0) / tr_m) <= EQ_TOL * (1.0 + max_abs(m)):
+    # each power raises eigenvalue ratios >= 1 to a negative order: none overflows
+    w = rho_ab.eigenvalues
+    m = recombine(rho_ab.spectrum, power_spectrum(w / w[0], -alpha))
+    y = spectral_decompose(_partial_trace(m, d_a, d_b, 0))
+    if not positive_definite(y.eigenvalues):
         return None
-    if mode == "conditional":
-        trial = x0
-        ref_pow = _mixed_power(d_a, alpha)
-    else:
-        rho_a = DensityMatrix(_partial_trace(rho_ab.matrix, d_a, d_b, 1))
-        if not rho_a.is_positive_definite:
-            return None
-        ref_pow = spectral_power(rho_a.spectrum, 1.0 - alpha)
-        trial = x0 @ spectral_power(rho_a.spectrum, alpha - 1.0)
-    dev = trial - float(np.trace(trial).real) / d_a * np.eye(d_a)
-    if not max_abs(dev) <= EQ_TOL * (1.0 + max_abs(trial)):
+    root = power_spectrum(y.eigenvalues / y.eigenvalues[0], 1.0 / (1.0 - alpha))
+    root /= float(np.sum(root))
+    sigma_b = DensityMatrix(recombine(y, root))
+    if not sigma_b.is_positive_definite:
         return None
-    sigma_raw = spectral_power(spectral_decompose(y0), 1.0 / (1.0 - alpha))
-    sigma_b = DensityMatrix(sigma_raw / float(np.trace(sigma_raw).real))
-    if not sigma_b.is_positive_definite:  # a factor of y0 lost to rounding
+    ref = SpectralDecomposition(np.full(d_a, 1.0 / d_a), np.eye(d_a))
+    if mode == "mutual":
+        ref = DensityMatrix(_partial_trace(rho_ab.matrix, d_a, d_b, 1)).spectrum
+    # tau from its factors' spectra keeps its small eigenvalues' relative precision
+    tau = SpectralDecomposition(
+        np.kron(ref.eigenvalues, root), np.kron(ref.eigenvectors, y.eigenvectors)
+    )
+    value, bound = _petz(rho_ab, tau, alpha)
+    if not chain_tight([normalized_slack(bound, value)]):
         return None
-    sigma_pow = spectral_power(sigma_b.spectrum, 1.0 - alpha)
-    lhs = np.kron(ref_pow, sigma_pow)
-    c = float(np.trace(lhs).real) / tr_m
-    if not max_abs(lhs - c * m) <= EQ_TOL * (1.0 + max_abs(lhs)):
-        return None
-    optimum = (math.log(d_a * d_b) + math.log(c)) / (alpha - 1.0)
-    value = math.log(d_a) - optimum if mode == "conditional" else optimum
-    return T5ClosedForm(value=value, c=c, sigma_b=sigma_b)
+    return T5ClosedForm(math.log(d_a) - value if mode == "conditional" else value, sigma_b)
 
 
 def t6_lower_bound(rho_ab: DensityMatrix, alpha: float) -> BoundReport:

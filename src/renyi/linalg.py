@@ -11,6 +11,7 @@ Spectral conventions used throughout the package:
   eigenvalue ``w_max``: below ``-PSD_TOL * max(1, w_max)`` is NotPsd, and
   every eigenvalue ``<= ZERO_THRESHOLD * w_max`` is exactly 0, so ``c A``
   has the support of ``A``; ``psd_decompose`` applies it to each PSD operand,
+  and ``positive_definite`` (full support under it) is the one PD test,
 * ``power_spectrum`` is the one place a spectrum is raised to a power: it
   takes ``w_i**r`` on the support and 0 off it, for every ``r``, so ``A^0``
   is the support projector (the ``r -> 0+`` limit).  ``matrix_power`` alone
@@ -201,12 +202,12 @@ class PsdClass:
 
 
 def classify_definiteness(matrix) -> PsdClass:
-    """Classify a Hermitian matrix by its smallest eigenvalue against ``PSD_TOL``."""
+    """Classify a Hermitian matrix under the support rule of ``clip_spectrum``."""
     w = spectral_decompose(matrix).eigenvalues
     lo = float(w[0])
-    if lo > PSD_TOL:
+    if positive_definite(w):
         kind = Definiteness.POSITIVE_DEFINITE
-    elif lo >= -PSD_TOL:
+    elif lo >= -PSD_TOL * max(1.0, float(w[-1])):
         kind = Definiteness.POSITIVE_SEMIDEFINITE
     else:
         kind = Definiteness.INDEFINITE
@@ -223,6 +224,11 @@ def clip_spectrum(w: np.ndarray, name: str = "matrix") -> np.ndarray:
     out = w.copy()
     out[out <= ZERO_THRESHOLD * w_max] = 0.0
     return out
+
+
+def positive_definite(w: np.ndarray) -> bool:
+    """Full support of the ascending ``w``: ``w[0] > ZERO_THRESHOLD * w[-1]``."""
+    return float(w[0]) > ZERO_THRESHOLD * float(w[-1])
 
 
 def _clipped(dec: SpectralDecomposition, name: str) -> SpectralDecomposition:
@@ -303,7 +309,7 @@ def matrix_power(matrix, r: float) -> np.ndarray:
     """
     dec = psd_decompose(matrix, "matrix")
     w = dec.eigenvalues
-    if r < 0.0 and float(w[0]) <= PSD_TOL:
+    if r < 0.0 and not positive_definite(w):
         raise SingularPower(
             f"negative power {r} of a singular matrix (min eigenvalue {w[0]:.3e})"
         )
@@ -315,7 +321,7 @@ def matrix_power(matrix, r: float) -> np.ndarray:
 def log_det(matrix) -> float:
     """Natural-log determinant of a positive definite matrix."""
     w = spectral_decompose(matrix).eigenvalues
-    if float(w[0]) <= PSD_TOL:
+    if not positive_definite(w):
         raise NotPd(f"log_det needs a positive definite matrix (min eig {w[0]:.3e})")
     return float(np.sum(np.log(w)))
 
@@ -402,7 +408,7 @@ def lemma4_check(a) -> BoundReport:
     """
     dec = spectral_decompose(a)
     am, w = dec.matrix, dec.eigenvalues
-    if float(w[0]) <= PSD_TOL:
+    if not positive_definite(w):
         raise NotPd(f"lemma4 needs a positive definite matrix (min eig {w[0]:.3e})")
     lower = float(np.sum(1.0 - 1.0 / w))
     mid = float(np.sum(np.log(w)))

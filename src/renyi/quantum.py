@@ -22,8 +22,8 @@ from .linalg import (
     EQ_TOL,
     NORM_TOL,
     ORDER_ONE_BAND,
-    PSD_TOL,
     SpectralDecomposition,
+    positive_definite,
     psd_decompose,
     spectral_entropy,
 )
@@ -52,9 +52,9 @@ class DensityMatrix:
 
     The cached spectrum is cleaned by ``linalg.clip_spectrum``: every
     eigenvalue ``<= ZERO_THRESHOLD * w_max`` is exactly 0 (after rejecting
-    anything below ``-PSD_TOL``), so support counts, bounds, and entropies
-    all share one notion of rank.  ``dims=(d_a, d_b)`` optionally tags the
-    matrix as a bipartite state.  Instances are immutable.
+    anything below ``-PSD_TOL``), so support counts, bounds, entropies and
+    ``is_positive_definite`` (full support) share one notion of rank.
+    ``dims=(d_a, d_b)`` tags a bipartite state.  Instances are immutable.
     """
 
     __slots__ = ("_matrix", "_spectrum", "_dims")
@@ -103,7 +103,7 @@ class DensityMatrix:
 
     @property
     def is_positive_definite(self) -> bool:
-        return float(self.eigenvalues[0]) > PSD_TOL
+        return positive_definite(self.eigenvalues)
 
     def __repr__(self):
         tag = f", dims={self._dims}" if self._dims else ""

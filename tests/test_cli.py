@@ -401,7 +401,7 @@ class TestErrorHandling:
         assert json.loads(err)["code"] == "BetaOne"
 
 
-EXTREME_ORDERS = ("0", "1e-9", "0.5", "2", "1025", "2000", "1e5", "1e308")
+EXTREME_ORDERS = ("0", "1e-9", "0.5", "2", "600", "1025", "2000", "1e5", "1e308")
 
 # each command's flags, with {order} for the order; files come from `gen`
 EXTREME_COMMANDS = {
@@ -421,6 +421,9 @@ EXTREME_COMMANDS = {
     "entropy-quantum-mixed": "entropy quantum --state {mixed8} --alpha {order}",
     "bounds-t3-mixed": "bounds t3 --state {mixed8} --alpha {order}",
     "bounds-t3_2-mixed": "bounds t3_2 --state {mixed8} --alpha {order}",
+    "conditional-mixed": "conditional --state {mixed4} --alpha {order}",
+    "mutual-info-mixed": "mutual-info --state {mixed4} --alpha {order}",
+    "bounds-t6-mixed": "bounds t6 --state {mixed4} --alpha {order}",
 }
 
 # commands whose --json report must be strict JSON at every order
@@ -460,6 +463,8 @@ def extreme_files(tmp_path_factory):
         files[name] = str(root / f"{name}.json")
         assert main(["gen", *spec.split(), "--out", files[name]]) == 0
     files["mixed8"] = write_matrix(root / "mixed8.json", np.eye(8) / 8)
+    # rho_AB^alpha underflows to 0 from alpha = 538 on
+    files["mixed4"] = write_matrix(root / "mixed4.json", np.eye(4) / 4, dims=(2, 2))
     return files
 
 

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the in-tree package."""
+"""Each demo script runs to completion against the in-tree package, with
+numpy's RuntimeWarnings as errors."""
 
 import os
 import subprocess
@@ -18,6 +19,10 @@ def test_demo_runs(script):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert result.returncode == 0, result.stderr

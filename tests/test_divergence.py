@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,8 +129,8 @@ class TestRelativeEntropy:
             0.0, abs=1e-12
         )
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e6])
-    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("scale", [1e-14, 1e-11, 1e-6, 1e6])
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.999, 2.0])
     def test_eigenvalue_dust_of_a_singular_sigma_is_off_its_support(self, alpha, scale):
         # sigma has rank 2, but its computed spectrum carries dust of order
         # 1e-18; raised to 1 - alpha near 0, dust would count as support
@@ -140,14 +141,16 @@ class TestRelativeEntropy:
         # the nonzero spectrum of g g† is that of g† g
         q = np.linalg.eigvalsh(g.conj().T @ g)
         q /= q.sum()
-        exact = math.log(0.25**alpha * np.sum(q ** (1.0 - alpha))) / (alpha - 1.0)
-        rho = DensityMatrix(np.eye(4) / 4)
-        got = renyi_relative_entropy(rho, sigma, alpha).value
-        assert got == pytest.approx(exact, rel=1e-9)
-        # the dust scales with sigma, and D(rho || c sigma) + ln c = D(rho || sigma)
+        if alpha < 1.0:
+            exact = math.log(0.25**alpha * np.sum(q ** (1.0 - alpha))) / (alpha - 1.0)
+            rho = DensityMatrix(np.eye(4) / 4)
+            got = renyi_relative_entropy(rho, sigma, alpha).value
+            assert got == pytest.approx(exact, rel=1e-9)
+        # the dust scales with sigma, and D(rho || c sigma) + ln c = D(rho || sigma);
+        # above order 1 sigma must be positive definite, which holds at every scale
         for d in range(2, 7):
             rho = DensityMatrix(np.eye(d) / d)
-            for rank in range(1, d):
+            for rank in range(1, d) if alpha < 1.0 else (d,):
                 sigma = random_density(rng, d, rank).matrix
                 base = renyi_relative_entropy(rho, sigma, alpha).value
                 scaled = renyi_relative_entropy(rho, scale * sigma, alpha).value
@@ -405,13 +408,26 @@ class TestT5ClosedForm:
         mutual = t5_closed_form(rho, 2.0, "mutual")
         assert mutual is not None
         assert mutual.value == pytest.approx(0.0, abs=1e-10)
-        # tr((I/2)^(-1) (x) (I/2)^(-1)) / tr((I/4)^(-2)) = 16/64
-        assert mutual.c == pytest.approx(0.25, rel=1e-10)
         conditional = t5_closed_form(rho, 2.0, "conditional")
         assert conditional.value == pytest.approx(math.log(2), abs=1e-10)
-        np.testing.assert_allclose(
-            conditional.sigma_b.matrix, np.eye(2) / 2, atol=1e-10
-        )
+        for res in (mutual, conditional):
+            np.testing.assert_allclose(res.sigma_b.matrix, np.eye(2) / 2, atol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [2.0, 200.0, 400.0, 1025.0, 1e5, 1e308])
+    def test_exact_and_warning_free_at_every_order(self, alpha):
+        # no power of a spectrum ratio overflows, so I/4 stays exact and the
+        # mu_A (x) tau state (a value or None) raises no warning
+        rho = DensityMatrix(np.eye(4) / 4, dims=(2, 2))
+        tau = random_density(np.random.default_rng(62), 3).matrix
+        product = DensityMatrix(kron(np.eye(2) / 2, tau), dims=(2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mutual = t5_closed_form(rho, alpha, "mutual")
+            conditional = t5_closed_form(rho, alpha, "conditional")
+            for mode in ("mutual", "conditional"):
+                t5_closed_form(product, alpha, mode)
+        assert mutual.value == pytest.approx(0.0, abs=1e-12)
+        assert conditional.value == pytest.approx(math.log(2), abs=1e-12)
 
     def test_generic_state_absent(self):
         rho = random_density(np.random.default_rng(57), 4, dims=(2, 2))

@@ -169,6 +169,10 @@ class TestLogDet:
         with pytest.raises(NotPd):
             log_det(np.diag([1.0, 0.0]))
 
+    def test_small_scaled_identity_is_positive_definite(self):
+        # definiteness is full support under the support rule, at every scale
+        assert log_det(1e-11 * np.eye(3)) == pytest.approx(3.0 * math.log(1e-11), rel=1e-14)
+
 
 class TestKronAndPartialTrace:
     def test_kron_identity(self):
@@ -229,6 +233,9 @@ class TestClassify:
             (np.eye(2), Definiteness.POSITIVE_DEFINITE),
             (np.diag([1.0, 0.0]), Definiteness.POSITIVE_SEMIDEFINITE),
             (np.diag([1.0, -1.0]), Definiteness.INDEFINITE),
+            (1e-11 * np.eye(2), Definiteness.POSITIVE_DEFINITE),
+            # within clip_spectrum's -PSD_TOL * max(1, w_max)
+            (np.diag([1e4, -1e-7]), Definiteness.POSITIVE_SEMIDEFINITE),
         ],
     )
     def test_kinds(self, matrix, kind):
@@ -445,6 +452,11 @@ class TestLemma4:
     def test_rejects_singular(self):
         with pytest.raises(NotPd):
             lemma4_check(np.diag([1.0, 0.0]))
+
+    def test_small_scaled_identity(self):
+        rep = lemma4_check(1e-11 * np.eye(2))
+        assert rep.extras["log_det"] == pytest.approx(2.0 * math.log(1e-11), rel=1e-14)
+        assert rep.passed and not rep.equality
 
 
 class TestTraceProduct:
