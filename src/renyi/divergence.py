@@ -9,14 +9,15 @@ identity): with ``C_B = tr_A[rho_AB^alpha (ref_A^(1-alpha) (x) 1)]``,
     sigma_B* = C_B^(1/alpha) / tr C_B^(1/alpha),
 
 and the divergence at any ``sigma_B`` equals the minimum plus
-``D_alpha(sigma_B* || sigma_B) >= 0``.  The paper's proportionality
-special case (``t5_closed_form``) stays as a cross check; the tests compare
-the minimum with a brute-force zoom grid over the Bloch ball.
+``D_alpha(sigma_B* || sigma_B) >= 0``.  C_B is never formed: both come from
+the SVD of a Gram factor ``C_B = G^H G`` with log-scaled rows, so C_B's
+small eigenvalues keep relative precision.  ``t5_closed_form`` stays as a
+cross check; the tests compare the minimum with a Bloch-ball zoom grid.
 
 All divergences are in nats.  ``D_alpha``, t4, t5 and the triangle come
-from ``linalg.petz_divergence``, finite at every order.  An overflowing
-``d_A^(alpha-1)`` or ``rho_A^(1-alpha)``, or a ``rho_AB^alpha`` that
-underflows to 0, raises ``AlphaOutOfRange``, never a bare arithmetic error.
+from ``linalg.petz_divergence``, finite at every order.  A Gram factor
+weight that underflows to 0 raises ``AlphaOutOfRange``, never a bare
+arithmetic error.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .linalg import (
     psd_decompose,
     recombine,
     spectral_decompose,
-    spectral_power,
 )
 from .quantum import DensityMatrix
 from .report import BoundReport, chain_report, chain_tight, normalized_slack
@@ -148,40 +148,52 @@ def _bipartite_dims(rho_ab: DensityMatrix) -> tuple[int, int]:
     return rho_ab.dims
 
 
-def _contraction(rho_ab: DensityMatrix, alpha: float, x_a: np.ndarray) -> np.ndarray:
-    """``C_B = tr_A[rho^alpha (X_A (x) 1)]``.
-
-    Collapses ``tr(rho^alpha (X_A (x) Y_B))`` to ``tr(C_B Y_B)``.
-    """
+def _reference(rho_ab: DensityMatrix, mode: str) -> SpectralDecomposition:
+    """ref_A's spectrum: ``mu_A`` for ``mode="conditional"``, the marginal
+    ``rho_A`` for ``mode="mutual"``, which must be positive definite."""
     d_a, d_b = _bipartite_dims(rho_ab)
-    r = spectral_power(rho_ab.spectrum, alpha).reshape(d_a, d_b, d_a, d_b)
-    return np.einsum("abcd,ca->bd", r, x_a)
-
-
-def _mixed_power(d_a: int, alpha: float) -> np.ndarray:
-    """``mu_A^(1-alpha) = d_A^(alpha-1) I``, or a typed error past float range."""
-    try:
-        return d_a ** (alpha - 1.0) * np.eye(d_a, dtype=np.complex128)
-    except OverflowError:
-        raise AlphaOutOfRange(f"d_A^(alpha-1) overflows at alpha = {alpha!r}") from None
+    if mode == "conditional":
+        return SpectralDecomposition(np.full(d_a, 1.0 / d_a), np.eye(d_a))
+    rho_a = DensityMatrix(_partial_trace(rho_ab.matrix, d_a, d_b, 1))
+    if not rho_a.is_positive_definite:
+        raise MarginalSingular("marginal rho_A must be positive definite")
+    return rho_a.spectrum
 
 
 def _minimize_over_sigma(
-    rho_ab: DensityMatrix, alpha: float, x_a: np.ndarray
+    rho_ab: DensityMatrix, alpha: float, ref: SpectralDecomposition
 ) -> OptimizationOutcome:
     """Minimize ``D_alpha(rho_AB || ref_A (x) sigma_B)`` over density sigma_B.
 
-    ``x_a = ref_A^(1-alpha)`` is the fixed reference factor already powered.
-    Exact by Sibson's identity: the minimizer is ``C_B^(1/alpha)`` normalized,
-    with ``C_B`` the contraction of ``rho_AB^alpha`` against ``x_a``.
+    Exact by Sibson's identity, from ``C_B = G^H G`` without forming C_B: G
+    has a row ``e^(s_ik) conj(b_ik)``, ``b_ik = (<v_k| (x) 1) u_i``, per
+    support eigenpair (p_i, u_i) of rho and (a_k, v_k) of ref, with ``s_ik =
+    (alpha/2)(ln p_i - ln a_k) + (ln a_k)/2`` scaled against the largest pair
+    with ``b_ik != 0``; a weight that underflows to 0 raises AlphaOutOfRange.
+    G's singular values s_j give ``tr C_B^(1/alpha) = e^(2 s_max/alpha) sum_j
+    s_j^(2/alpha)``, and its right singular vectors the minimizer.
     """
-    dec = spectral_decompose(_contraction(rho_ab, alpha, x_a))
-    root = power_spectrum(dec.eigenvalues, 1.0 / alpha)
+    d_a, d_b = rho_ab.dims
+    w, a = rho_ab.eigenvalues, ref.eigenvalues
+    u = rho_ab.spectrum.eigenvectors[:, w > 0.0].reshape(d_a, d_b, -1)
+    rows = np.einsum("ak,abi->kib", ref.eigenvectors, u.conj())
+    nonzero = np.any(rows != 0.0, axis=2)
+    # 2 s_ik / alpha, which no order overflows
+    t = np.log(w[w > 0.0]) - np.log(a)[:, None] + np.log(a)[:, None] / alpha
+    top = float(t[nonzero].max())
+    # a difference past the float range is -inf, and its weight exactly 0
+    with np.errstate(over="ignore"):
+        weight = np.where(nonzero, np.exp(alpha / 2.0 * (t - top)), 0.0)
+    if np.any(nonzero & (weight == 0.0)):
+        raise AlphaOutOfRange(f"a Gram factor weight underflows at alpha = {alpha!r}")
+    g = (weight[:, :, None] * rows).reshape(-1, d_b)
+    g = g[np.argsort(-np.linalg.norm(g, axis=1), kind="stable")]
+    _, s, vh = np.linalg.svd(g, full_matrices=False)
+    dec = SpectralDecomposition(s[::-1], vh[::-1].conj().T)
+    root = power_spectrum(dec.eigenvalues, 2.0 / alpha)
     total = float(np.sum(root))
-    if total == 0.0:
-        raise AlphaOutOfRange(f"rho_AB^alpha underflows to 0 at alpha = {alpha!r}")
     return OptimizationOutcome(
-        optimum_value=alpha / (alpha - 1.0) * math.log(total),
+        optimum_value=alpha / (alpha - 1.0) * (top + math.log(total)),
         optimizer_sigma=DensityMatrix(recombine(dec, root / total)),
     )
 
@@ -195,9 +207,8 @@ def conditional_entropy(
     together with the minimizer record.
     """
     alpha = _check_alpha_gt1(alpha)
-    d_a, _ = _bipartite_dims(rho_ab)
-    outcome = _minimize_over_sigma(rho_ab, alpha, _mixed_power(d_a, alpha))
-    return math.log(d_a) - outcome.optimum_value, outcome
+    outcome = _minimize_over_sigma(rho_ab, alpha, _reference(rho_ab, "conditional"))
+    return math.log(rho_ab.dims[0]) - outcome.optimum_value, outcome
 
 
 def mutual_information(
@@ -205,17 +216,7 @@ def mutual_information(
 ) -> tuple[float, OptimizationOutcome]:
     """``I_alpha(A;B) = min_sigma D_alpha(rho_AB || rho_A (x) sigma_B)``."""
     alpha = _check_alpha_gt1(alpha)
-    d_a, d_b = _bipartite_dims(rho_ab)
-    rho_a = DensityMatrix(_partial_trace(rho_ab.matrix, d_a, d_b, 1))
-    if not rho_a.is_positive_definite:
-        raise MarginalSingular("marginal rho_A must be positive definite")
-    # the largest eigenvalue of rho_A^(1-alpha), as a float that raises past the range
-    try:
-        float(rho_a.eigenvalues[0]) ** (1.0 - alpha)
-    except OverflowError:
-        raise AlphaOutOfRange(f"rho_A^(1-alpha) overflows at alpha = {alpha!r}") from None
-    x_a = spectral_power(rho_a.spectrum, 1.0 - alpha)
-    outcome = _minimize_over_sigma(rho_ab, alpha, x_a)
+    outcome = _minimize_over_sigma(rho_ab, alpha, _reference(rho_ab, "mutual"))
     return outcome.optimum_value, outcome
 
 
@@ -250,9 +251,7 @@ def t5_closed_form(
     sigma_b = DensityMatrix(recombine(y, root))
     if not sigma_b.is_positive_definite:
         return None
-    ref = SpectralDecomposition(np.full(d_a, 1.0 / d_a), np.eye(d_a))
-    if mode == "mutual":
-        ref = DensityMatrix(_partial_trace(rho_ab.matrix, d_a, d_b, 1)).spectrum
+    ref = _reference(rho_ab, mode)
     # tau from its factors' spectra keeps its small eigenvalues' relative precision
     tau = SpectralDecomposition(
         np.kron(ref.eigenvalues, root), np.kron(ref.eigenvectors, y.eigenvectors)

@@ -463,7 +463,7 @@ def extreme_files(tmp_path_factory):
         files[name] = str(root / f"{name}.json")
         assert main(["gen", *spec.split(), "--out", files[name]]) == 0
     files["mixed8"] = write_matrix(root / "mixed8.json", np.eye(8) / 8)
-    # rho_AB^alpha underflows to 0 from alpha = 538 on
+    # every Gram factor weight of the Sibson path is 1, at every order
     files["mixed4"] = write_matrix(root / "mixed4.json", np.eye(4) / 4, dims=(2, 2))
     return files
 
@@ -497,6 +497,29 @@ def test_extreme_orders_end_in_value_or_error_object(
     if command in STRICT_JSON_COMMANDS:
         code, out, err = run(capsys, argv + ["--json"])
         _value_or_error_object(code, out, err, strict_json=True)
+
+
+# the Sibson commands on I/4, and where each --json report carries the value,
+# which is ln 2 for H_alpha(A|B) and 0 for I_alpha(A;B) at every order
+MIXED_SIBSON_VALUES = {
+    "conditional-mixed": (lambda out: out["value"], math.log(2)),
+    "mutual-info-mixed": (lambda out: out["value"], 0.0),
+    "bounds-t6-mixed": (lambda out: out["report"]["extras"]["mutual_information"], 0.0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MIXED_SIBSON_VALUES))
+def test_sibson_commands_are_exact_on_the_mixed_state(capsys, extreme_files, command):
+    value_of, want = MIXED_SIBSON_VALUES[command]
+    for order in EXTREME_ORDERS:
+        if float(order) <= 1.0:
+            continue
+        argv = EXTREME_COMMANDS[command].format(order=order, **extreme_files).split()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv + ["--json"])
+        assert (code, err) == (0, ""), order
+        assert value_of(json.loads(out)) == pytest.approx(want, abs=1e-12), order
 
 
 def load_matrix(path):

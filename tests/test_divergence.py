@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyi.divergence import (
     conditional_entropy,
@@ -324,6 +326,40 @@ class TestOptimizedQuantities:
             assert abs(mutual_information(rho, alpha)[0] - want_i) <= 1e-10
             assert abs(conditional_entropy(rho, alpha)[0] - want_h) <= 1e-10
 
+    @pytest.mark.parametrize("alpha", [5.0, 8.0, 10.0, 12.0])
+    @pytest.mark.parametrize("d_a", [2, 3])
+    def test_mixed_product_state_at_large_orders(self, d_a, alpha):
+        # mu_A (x) tau: I_alpha = 0 and H_alpha(A|B) = ln d_A at every order.
+        # C_B = tau^alpha spans 22 decades at alpha = 12, which its Gram
+        # factor keeps to relative precision
+        tau = random_density(np.random.default_rng(62), 3).matrix
+        rho = DensityMatrix(kron(np.eye(d_a) / d_a, tau), dims=(d_a, 3))
+        assert abs(mutual_information(rho, alpha)[0]) <= 1e-12
+        assert abs(conditional_entropy(rho, alpha)[0] - math.log(d_a)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [8.0, 10.0, 12.0])
+    def test_product_states_raise_no_typed_error(self, alpha):
+        # a valid state: C_B = G^H G is PSD by construction, so no check rejects it
+        rng = np.random.default_rng(64)
+        for _ in range(10):
+            rho_a, tau = random_density(rng, 2).matrix, random_density(rng, 3).matrix
+            rho = DensityMatrix(kron(rho_a, tau), dims=(2, 3))
+            assert math.isfinite(mutual_information(rho, alpha)[0])
+            assert math.isfinite(conditional_entropy(rho, alpha)[0])
+
+    @pytest.mark.parametrize("alpha", [2.0, 5.0])
+    def test_pure_b_leg_gives_the_marginal_entropy(self, alpha):
+        # rho_A (x) |psi><psi|: C_B has rank 1, H_alpha(A|B) = H_alpha(rho_A)
+        # and I_alpha = 0
+        rng = np.random.default_rng(65)
+        for _ in range(5):
+            rho_a = random_density(rng, 2)
+            psi = haar_unitary(rng, 3)[:, 0]
+            rho = DensityMatrix(kron(rho_a.matrix, np.outer(psi, psi.conj())), dims=(2, 3))
+            want = quantum_renyi_entropy(rho_a, alpha).value
+            assert abs(conditional_entropy(rho, alpha)[0] - want) <= 1e-12
+            assert abs(mutual_information(rho, alpha)[0]) <= 1e-12
+
     def test_requires_bipartite_tag(self):
         rho = DensityMatrix(np.eye(4) / 4)
         with pytest.raises(NotBipartite):
@@ -400,6 +436,55 @@ class TestOptimizedQuantities:
             check=True,
         )
         assert out.stdout.strip() == "False"
+
+
+_DIMS = st.sampled_from([(2, 2), (2, 3), (3, 2)])
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _local_rotation(rho, rng):
+    """``(U_A (x) U_B) rho (U_A (x) U_B)^dagger`` for Haar-random U_A, U_B."""
+    d_a, d_b = rho.dims
+    u = np.kron(haar_unitary(rng, d_a), haar_unitary(rng, d_b))
+    return DensityMatrix(u @ rho.matrix @ u.conj().T, dims=rho.dims)
+
+
+class TestOptimizedProperties:
+    """Properties of I_alpha and H_alpha(A|B) that need no second
+    implementation, at orders alpha <= 5, where the value of a random state
+    is resolved.  Data processing holds for the Petz divergence only for
+    alpha <= 2, so the properties that rest on it are drawn there."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_SEEDS, dims=_DIMS, alpha=st.floats(1.05, 5.0))
+    def test_nonnegative_and_local_unitary_invariant(self, seed, dims, alpha):
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, dims[0] * dims[1], dims=dims)
+        rotated = _local_rotation(rho, rng)
+        assert mutual_information(rho, alpha)[0] >= -1e-12
+        for solver in (mutual_information, conditional_entropy):
+            value = solver(rho, alpha)[0]
+            assert solver(rotated, alpha)[0] == pytest.approx(value, rel=1e-10, abs=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_SEEDS, dims=_DIMS, low=st.floats(1.05, 2.0), high=st.floats(1.05, 5.0))
+    def test_conditional_entropy_falls_with_the_order_within_ln_d_a(
+        self, seed, dims, low, high
+    ):
+        rho = random_density(np.random.default_rng(seed), dims[0] * dims[1], dims=dims)
+        low, high = sorted((low, high))
+        h_low, h_high = conditional_entropy(rho, low)[0], conditional_entropy(rho, high)[0]
+        assert h_high <= h_low + 1e-12
+        assert abs(h_low) <= math.log(dims[0]) + 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_SEEDS, alpha=st.floats(1.05, 2.0))
+    def test_tracing_out_half_of_b_does_not_raise_mutual_information(self, seed, alpha):
+        rho = random_density(np.random.default_rng(seed), 8, dims=(2, 4))
+        # B = B1 (x) B2 with two qubits; keep A (x) B1
+        half = np.trace(rho.matrix.reshape(4, 2, 4, 2), axis1=1, axis2=3)
+        reduced = DensityMatrix(half, dims=(2, 2))
+        assert mutual_information(reduced, alpha)[0] <= mutual_information(rho, alpha)[0] + 1e-12
 
 
 class TestT5ClosedForm:

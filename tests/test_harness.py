@@ -377,7 +377,7 @@ class TestWorkPerTrial:
             ("t3_2", 1, 1),
             ("lemma2", 2, 2),
             ("lemma4", 1, 1),
-            ("t6", 4, 4),
+            ("t6", 3, 3),
         ],
     )
     def test_counts(self, monkeypatch, name, decompositions, validations):
