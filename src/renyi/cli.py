@@ -21,7 +21,7 @@ import numpy as np
 from . import divergence as dv
 from . import harness
 from .classical import entropy_type_beta, renyi_entropy
-from .exceptions import BadKind, FileFormatError, IoError, RenyiError
+from .exceptions import BadKind, FileFormatError, IoError, RenyiError, SuiteFailures
 from .fileformat import (
     distribution_from_payload,
     distribution_payload,
@@ -299,14 +299,10 @@ def _cmd_verify(args) -> int:
         },
     )
     if report.failures:
-        error = {
-            "code": "SuiteFailures",
-            "message": f"suite {report.name} recorded {len(report.failures)} "
-            f"violation(s) beyond tolerance",
-            "offending_field": "",
-        }
-        print(json.dumps(error, sort_keys=True), file=sys.stderr)
-        return 1
+        raise SuiteFailures(
+            f"suite {report.name} recorded {len(report.failures)} "
+            f"violation(s) beyond tolerance"
+        )
     return 0
 
 

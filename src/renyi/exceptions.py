@@ -113,6 +113,10 @@ class UnknownSuite(RenyiError):
     pass
 
 
+class SuiteFailures(RenyiError):
+    pass
+
+
 # file I/O
 class FileFormatError(RenyiError):
     pass

@@ -16,8 +16,9 @@ one equality flag and one failure tolerance per trial, as arrays.
 mask and the equality counts, and builds a trial's
 :class:`~renyi.report.BoundReport` only when the trial fails.  The classical
 checks evaluate each formula once on a block's zero-padded stack and apply
-the :mod:`renyi.report` rules to the stacked values; the matrix checks run
-their one-trial check on each input and collect its reports.
+the :mod:`renyi.report` rules to the stacked values; a matrix suite calls
+its library bound on each trial's operands, in ``Suite.inputs`` order, and
+collects its reports.
 ``bounds`` and :func:`replay` run the same kernel on a batch of one and take
 its report.  A matrix input is an ``(array, dims)`` pair and a distribution
 a float array; they are serialized to the CLI file format only when a
@@ -288,12 +289,6 @@ def _gen_lemma2(rng, i: int) -> dict:
     return {"a": (a, None), "b": (b, None), "equality_injected": eq}
 
 
-def _check_lemma2(inputs: dict) -> BoundReport:
-    a, _ = inputs["a"]
-    b, _ = inputs["b"]
-    return lemma2_check(a, b)
-
-
 def _gen_lemma3(rng, i: int) -> dict:
     eq = i % _EQUALITY_EVERY == 0
     if eq:
@@ -310,12 +305,6 @@ def _gen_lemma3(rng, i: int) -> dict:
     return {"a": (a, None), "b": (b, None), "equality_injected": eq}
 
 
-def _check_lemma3(inputs: dict) -> BoundReport:
-    a, _ = inputs["a"]
-    b, _ = inputs["b"]
-    return lemma3_check(a, b)
-
-
 def _gen_lemma4(rng, i: int) -> dict:
     eq = i % _EQUALITY_EVERY == 0
     dim = DIMS_CYCLE[i % 8]
@@ -324,11 +313,6 @@ def _gen_lemma4(rng, i: int) -> dict:
     else:
         a = _pd_from_rng(rng, dim, CONDITION_CAPS[i % 3])
     return {"a": (a, None), "equality_injected": eq}
-
-
-def _check_lemma4(inputs: dict) -> BoundReport:
-    a, _ = inputs["a"]
-    return lemma4_check(a)
 
 
 def _uniform_support(rng, n: int, zeros: int) -> np.ndarray:
@@ -507,10 +491,11 @@ def _gen_diag_oracle(rng, i: int) -> dict:
     return {"p": p, "q": q, "alpha": alpha, "equality_injected": eq}
 
 
-def _check_diag_oracle(inputs: dict) -> BoundReport:
-    p = probability_vector(inputs["p"])
-    q = probability_vector(inputs["q"])
-    alpha = float(inputs["alpha"])
+def _diag_oracle(p, q, alpha: float) -> BoundReport:
+    """The quantum entropy and divergence of ``diag(p)`` against ``diag(q)``,
+    each an identity with its classical value; the gap is the smaller one."""
+    p = probability_vector(p)
+    q = probability_vector(q)
     rho = DensityMatrix(np.diag(p))
     h_quantum = quantum_renyi_entropy(rho, alpha, units="bits").value
     h_classical = float(_renyi_entropy(p, np.asarray(alpha)))
@@ -520,9 +505,7 @@ def _check_diag_oracle(inputs: dict) -> BoundReport:
         math.log(float(np.sum(p[support] ** alpha * q[support] ** (1.0 - alpha))))
         / (alpha - 1.0)
     )
-    gap_h = -abs(h_quantum - h_classical) / (1.0 + abs(h_classical))
-    gap_d = -abs(d_quantum - d_classical) / (1.0 + abs(d_classical))
-    gap = min(gap_h, gap_d)
+    gap = min(identity_gap(h_quantum, h_classical), identity_gap(d_quantum, d_classical))
     tolerance = 1e-10
     return BoundReport(
         "diag_oracle",
@@ -536,33 +519,6 @@ def _check_diag_oracle(inputs: dict) -> BoundReport:
             "divergence_diff": abs(d_quantum - d_classical),
         },
     )
-
-
-def _state_check(bound: Callable, *matrices: str) -> Callable[[dict], BoundReport]:
-    """The one-trial check ``bound(rho, *matrices, alpha)``, with ``rho`` a
-    :class:`DensityMatrix` of its ``(array, dims)`` and the other matrices arrays."""
-
-    def check(inputs: dict) -> BoundReport:
-        rho = DensityMatrix(*inputs["rho"])
-        return bound(rho, *(inputs[k][0] for k in matrices), float(inputs["alpha"]))
-
-    return check
-
-
-def _each(check: Callable[[dict], BoundReport]) -> Callable[[list], Verdict]:
-    """A batch check that runs a one-trial check on each input in turn and
-    reads the verdict arrays off the reports."""
-
-    def kernel(batch: list[dict]) -> Verdict:
-        reports = [check(inputs) for inputs in batch]
-        return Verdict(
-            np.array([r.gap for r in reports], dtype=np.float64),
-            np.array([r.equality for r in reports], dtype=bool),
-            np.array([r.tolerance for r in reports], dtype=np.float64),
-            reports.__getitem__,
-        )
-
-    return kernel
 
 
 @dataclass(frozen=True)
@@ -595,31 +551,53 @@ class Suite:
         }
 
 
+def _matrix_suite(gen, bound: Callable[..., BoundReport], inputs: dict[str, str]) -> Suite:
+    """The suite whose batch check calls the library ``bound`` on each trial's
+    operands, in ``inputs`` order, and reads the verdict arrays off its
+    reports.  ``rho`` is a :class:`DensityMatrix` of its ``(array, dims)``,
+    any other matrix is its array, and a number is a float."""
+
+    def operand(key: str, value):
+        kind = inputs[key]
+        if kind == MATRIX:
+            return DensityMatrix(*value) if key == "rho" else value[0]
+        return float(value) if kind == NUMBER else value
+
+    def check(batch: list[dict]) -> Verdict:
+        reports = [bound(*(operand(key, x[key]) for key in inputs)) for x in batch]
+        return Verdict(
+            np.array([r.gap for r in reports], dtype=np.float64),
+            np.array([r.equality for r in reports], dtype=bool),
+            np.array([r.tolerance for r in reports], dtype=np.float64),
+            reports.__getitem__,
+        )
+
+    return Suite(gen, check, inputs)
+
+
 _PAIR = {"a": MATRIX, "b": MATRIX}
 _DIST = {"p": DISTRIBUTION, "beta": NUMBER}
 _STATE = {"rho": MATRIX, "alpha": NUMBER}
 _STATE_SIGMA = {"rho": MATRIX, "sigma": MATRIX, "alpha": NUMBER}
 
 SUITES: dict[str, Suite] = {
-    "lemma2": Suite(_gen_lemma2, _each(_check_lemma2), _PAIR),
-    "lemma3": Suite(_gen_lemma3, _each(_check_lemma3), _PAIR),
-    "lemma4": Suite(_gen_lemma4, _each(_check_lemma4), {"a": MATRIX}),
+    "lemma2": _matrix_suite(_gen_lemma2, lemma2_check, _PAIR),
+    "lemma3": _matrix_suite(_gen_lemma3, lemma3_check, _PAIR),
+    "lemma4": _matrix_suite(_gen_lemma4, lemma4_check, {"a": MATRIX}),
     "t1": Suite(_gen_distribution(ORDERS_CYCLE), _check_t1, _DIST),
     "t2_2": Suite(_gen_distribution(ORDERS_BELOW_ONE), _check_t2_2, _DIST),
-    "t3": Suite(_gen_t3, _each(_state_check(t3_bound)), _STATE),
-    "t3_2": Suite(_gen_t3_2, _each(_state_check(log_dim_cap)), _STATE),
-    "t4": Suite(_gen_t4, _each(_state_check(t4_lower_bound, "sigma")), _STATE_SIGMA),
-    "t6": Suite(_gen_t6, _each(_state_check(t6_lower_bound)), _STATE),
-    "triangle": Suite(
-        _gen_triangle, _each(_state_check(triangle_bound_check, "sigma")), _STATE_SIGMA
-    ),
+    "t3": _matrix_suite(_gen_t3, t3_bound, _STATE),
+    "t3_2": _matrix_suite(_gen_t3_2, log_dim_cap, _STATE),
+    "t4": _matrix_suite(_gen_t4, t4_lower_bound, _STATE_SIGMA),
+    "t6": _matrix_suite(_gen_t6, t6_lower_bound, _STATE),
+    "triangle": _matrix_suite(_gen_triangle, triangle_bound_check, _STATE_SIGMA),
     "info_fn_eq": Suite(
         _gen_info_fn_eq, _check_info_fn_eq, {"x": NUMBER, "y": NUMBER, "beta": NUMBER}
     ),
     "eq4_roundtrip": Suite(_gen_distribution(ORDERS_CYCLE), _check_eq4, _DIST),
-    "diag_oracle": Suite(
+    "diag_oracle": _matrix_suite(
         _gen_diag_oracle,
-        _each(_check_diag_oracle),
+        _diag_oracle,
         {"p": DISTRIBUTION, "q": DISTRIBUTION, "alpha": NUMBER},
     ),
 }

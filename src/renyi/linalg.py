@@ -111,13 +111,25 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rotations zero one off-diagonal pair at a time; a sweep visits every
     ``p < q``.  Converged once the off-diagonal Frobenius mass drops below
-    ``1e-12 * ||A||_F``; gives up after 100 sweeps.
+    ``1e-12 * ||A||_F``; gives up after 100 sweeps.  Where ``max|A|`` leaves
+    ``[2^-400, 2^400]`` a sum of squares can over- or underflow, so the
+    iteration runs on ``A / 2^e`` with ``max|A / 2^e|`` in ``[0.5, 1)`` and
+    its spectrum is scaled back.  The rotations are scale free, so inside
+    that range the scaling would change no bit, and it is skipped.
     """
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128)
     if n == 1:
         return np.array([a[0, 0].real]), v
-    fro = math.sqrt(float(np.sum(np.abs(a) ** 2)))
+    modulus = np.abs(a)
+    top = float(modulus.max())
+    if top > 0.0 and not 2.0**-400 <= top <= 2.0**400:
+        _, exp = math.frexp(top)
+        parts = a.view(np.float64)  # the real and imaginary parts, scaled in place
+        np.ldexp(parts, -exp, out=parts)
+        w, v = _jacobi(a)
+        return np.ldexp(w, exp), v
+    fro = math.sqrt(float(np.sum(modulus**2)))
     threshold = _JACOBI_REL_TOL * fro
     if fro == 0.0:
         return np.zeros(n), v

@@ -93,6 +93,15 @@ class TestEntropyCommands:
         assert code == 0
         assert out.splitlines()[0] == "value 0.678071905113"
 
+    def test_classical_nats_are_bits_times_ln2(self, capsys, tmp_path):
+        dist = write_dist(tmp_path / "p.json", [0.75, 0.25])
+        argv = ["entropy", "classical", "--dist", dist, "--beta", "2", "--json"]
+        _, out, _ = run(capsys, argv)
+        code, nats, _ = run(capsys, argv + ["--units", "nats"])
+        assert code == 0
+        assert json.loads(nats)["units"] == "nats"
+        assert json.loads(nats)["value"] == json.loads(out)["value"] * math.log(2.0)
+
     def test_json_report_echoes_inputs(self, capsys, u2):
         code, out, _ = run(
             capsys,
@@ -142,6 +151,15 @@ class TestDivergenceCommands:
         )
         assert abs(float(lines["value"])) <= 1e-4
         assert "sigma_b" in out
+
+    def test_mutual_info_rejects_a_singular_marginal(self, capsys, tmp_path):
+        # |0><0| (x) I/2 has the singular marginal rho_A = |0><0|
+        state = write_matrix(
+            tmp_path / "rho.json", np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2), dims=(2, 2)
+        )
+        code, out, err = run(capsys, ["mutual-info", "--state", state, "--alpha", "2"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["code"] == "MarginalSingular"
 
     def test_conditional_json(self, capsys, mm4):
         code, out, _ = run(
@@ -257,6 +275,26 @@ class TestVerifyAndGen:
         code2, out2, _ = run(capsys, argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_verify_failures_end_in_one_error_object(self, capsys, monkeypatch):
+        # a suite that records failures prints its report, then main prints
+        # the SuiteFailures object and exits 1
+        from renyi import harness
+
+        forced = harness.run_suite
+
+        def run_suite(name, trials, seed):
+            return forced(name, trials, seed, tolerance=-1.0)
+
+        monkeypatch.setattr(harness, "run_suite", run_suite)
+        code, out, err = run(capsys, ["verify", "lemma4", "--trials", "3", "--seed", "1"])
+        assert code == 1
+        assert "failures 3" in out
+        assert sum(line.startswith("failure trial=") for line in out.splitlines()) == 3
+        assert err == (
+            '{"code": "SuiteFailures", "message": "suite lemma4 recorded 3 '
+            'violation(s) beyond tolerance", "offending_field": ""}\n'
+        )
 
     def test_gen_deterministic_files(self, capsys, tmp_path):
         one = tmp_path / "one.json"

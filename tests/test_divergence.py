@@ -22,6 +22,7 @@ from renyi.divergence import (
 from renyi.exceptions import (
     AlphaOne,
     AlphaOutOfRange,
+    MarginalSingular,
     NotBipartite,
     NotPd,
     SigmaSingular,
@@ -131,7 +132,7 @@ class TestRelativeEntropy:
             0.0, abs=1e-12
         )
 
-    @pytest.mark.parametrize("scale", [1e-14, 1e-11, 1e-6, 1e6])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-14, 1e-11, 1e-6, 1e6, 1e200])
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.999, 2.0])
     def test_eigenvalue_dust_of_a_singular_sigma_is_off_its_support(self, alpha, scale):
         # sigma has rank 2, but its computed spectrum carries dust of order
@@ -285,6 +286,12 @@ class TestOptimizedQuantities:
         mi, out = mutual_information(rho, 2.0)
         assert abs(mi) <= 1e-10
         assert np.abs(out.optimizer_sigma.matrix - rho_b).max() <= 1e-10
+
+    def test_mutual_information_needs_a_full_rank_marginal(self):
+        # |0><0| (x) I/2 has the singular marginal rho_A = |0><0|
+        rho = DensityMatrix(kron(np.diag([1.0, 0.0]), np.eye(2) / 2), dims=(2, 2))
+        with pytest.raises(MarginalSingular):
+            mutual_information(rho, 2.0)
 
     def test_conditional_on_pure_b_leg(self):
         # rho_A (x) |0><0| : the optimum concentrates sigma_B on the support

@@ -75,6 +75,19 @@ class TestSpectralDecompose:
                 dec.eigenvalues, np.sort(np.linalg.eigvalsh(a)), atol=1e-10
             )
 
+    @pytest.mark.parametrize("exponent", [-560, 560])
+    def test_extreme_scales_match_numpy_eigh(self, exponent):
+        # a sum of squares of these entries under- or overflows; the solver
+        # scales by a power of two first, so the spectrum is still resolved
+        rng = np.random.default_rng(13)
+        for n in range(1, 9):
+            a = math.ldexp(1.0, exponent) * random_hermitian(rng, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w = spectral_decompose(a).eigenvalues
+            expected = np.linalg.eigvalsh(a)
+            np.testing.assert_allclose(w, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
     def test_reconstruction_and_unitarity(self):
         rng = np.random.default_rng(12)
         for _ in range(300):
