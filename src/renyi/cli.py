@@ -2,10 +2,12 @@
 
 Subcommands: ``entropy classical|quantum``, ``type-beta``, ``divergence``,
 ``conditional``, ``mutual-info``, ``bounds <theorem-id>``, ``verify``, and
-``gen``.  Human-readable output prints numbers with 12 significant digits;
-``--json`` switches to a structured report that echoes every input needed to
-recompute the result.  Exit codes: 0 success, 1 computation/validation error
-(machine-readable error object on stderr), 2 usage error.
+``gen``.  Each read command builds one ordered record of its output fields,
+and :func:`_emit` prints it: by default as ``key value`` lines, numbers with
+12 significant digits; under ``--json`` as one object with the tolerances,
+the command, the fields and every input needed to recompute the result.
+Exit codes: 0 success, 1 computation/validation error (machine-readable error
+object on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -93,94 +95,60 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return d_a, d_b
 
 
-def _emit(args, human_lines: list[str], payload: dict) -> None:
-    if getattr(args, "json", False):
-        payload = {"tolerances": LINALG_TOLERANCES, **payload}
+def _emit(
+    args, command: str, record: dict, inputs: dict | None = None,
+    shown: dict | None = None, lines=(),
+) -> None:
+    """Print one command's ordered output ``record``.
+
+    By default each field of ``shown`` (the record itself unless given) is a
+    ``key value`` line: a float with 12 significant digits, any other scalar
+    as ``str``, and a matrix as its name line plus one line per row.  The
+    human-only ``lines`` follow.  ``--json`` prints the object ``{tolerances,
+    command, **record, inputs}``, each matrix as its payload.
+    """
+    if args.json:
+        payload = {"tolerances": LINALG_TOLERANCES, "command": command}
+        for key, value in record.items():
+            payload[key] = matrix_payload(value) if isinstance(value, np.ndarray) else value
+        if inputs is not None:
+            payload["inputs"] = inputs
         print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-
-
-def _report_lines(report) -> list[str]:
-    lines = [
-        f"check {report.name}",
-        f"lhs {_fmt(report.lhs)}",
-        f"rhs {_fmt(report.rhs)}",
-        f"gap {_fmt(report.gap)}",
-        f"passed {report.passed}",
-        f"equality {report.equality}",
-        f"tolerance {_fmt(report.tolerance)}",
-    ]
-    for key in sorted(report.extras):
-        value = report.extras[key]
-        if isinstance(value, float):
-            lines.append(f"{key} {_fmt(value)}")
+        return
+    for key, value in (record if shown is None else shown).items():
+        if isinstance(value, np.ndarray):
+            print(key)
+            for row in value:
+                print("  " + "  ".join(f"{_fmt(z.real)}{z.imag:+.12g}j" for z in row))
         else:
-            lines.append(f"{key} {value}")
-    return lines
-
-
-def _matrix_lines(name: str, matrix: np.ndarray) -> list[str]:
-    lines = [name]
-    for row in matrix:
-        lines.append(
-            "  "
-            + "  ".join(f"{_fmt(z.real)}{z.imag:+.12g}j" for z in row)
-        )
-    return lines
+            print(key, _fmt(value) if isinstance(value, float) else value)
+    for line in lines:
+        print(line)
 
 
 def _cmd_entropy(args) -> int:
     if args.which == "classical":
         p, payload = _load_distribution(args.dist)
         units = args.units or "bits"
-        value = renyi_entropy(p, args.beta)
-        if units == "nats":
-            value *= _LN2
-        _emit(
-            args,
-            [f"value {_fmt(value)}", f"units {units}", f"beta {_fmt(args.beta)}"],
-            {
-                "command": "entropy classical",
-                "beta": args.beta,
-                "units": units,
-                "value": value,
-                "inputs": {"dist": payload},
-            },
-        )
+        value = renyi_entropy(p, args.beta) * (_LN2 if units == "nats" else 1.0)
+        record = {"value": value, "units": units, "beta": args.beta}
+        inputs = {"dist": payload}
     else:
         matrix, dims, payload = _load_matrix(args.state)
         units = args.units or "nats"
         rho = DensityMatrix(matrix, dims=dims)
         value = quantum_renyi_entropy(rho, args.alpha, units=units).value
-        _emit(
-            args,
-            [f"value {_fmt(value)}", f"units {units}", f"alpha {_fmt(args.alpha)}"],
-            {
-                "command": "entropy quantum",
-                "alpha": args.alpha,
-                "units": units,
-                "value": value,
-                "inputs": {"state": payload},
-            },
-        )
+        record = {"value": value, "units": units, "alpha": args.alpha}
+        inputs = {"state": payload}
+    _emit(args, f"entropy {args.which}", record, inputs)
     return 0
 
 
 def _cmd_type_beta(args) -> int:
     p, payload = _load_distribution(args.dist)
     value = entropy_type_beta(p, args.beta)
-    _emit(
-        args,
-        [f"value {_fmt(value)}", f"beta {_fmt(args.beta)}", "units type-beta"],
-        {
-            "command": "type-beta",
-            "beta": args.beta,
-            "value": value,
-            "inputs": {"dist": payload},
-        },
-    )
+    record = {"value": value, "beta": args.beta}
+    _emit(args, "type-beta", record, {"dist": payload}, lines=["units type-beta"])
     return 0
 
 
@@ -192,23 +160,9 @@ def _cmd_divergence(args) -> int:
         DensityMatrix(rho_m, dims=rho_dims), sigma, args.alpha
     )
     value = result.value if units == "nats" else result.value / _LN2
-    _emit(
-        args,
-        [
-            f"value {_fmt(value)}",
-            f"units {units}",
-            f"alpha {_fmt(args.alpha)}",
-            f"equality_case {result.equality_case}",
-        ],
-        {
-            "command": "divergence",
-            "alpha": args.alpha,
-            "units": units,
-            "value": value,
-            "equality_case": result.equality_case,
-            "inputs": {"state": rho_payload, "sigma": sigma_payload},
-        },
-    )
+    record = {"value": value, "units": units, "alpha": args.alpha,
+              "equality_case": result.equality_case}
+    _emit(args, "divergence", record, {"state": rho_payload, "sigma": sigma_payload})
     return 0
 
 
@@ -222,25 +176,11 @@ def _optimized(args, mode: str) -> int:
         value, outcome = dv.conditional_entropy(rho, args.alpha)
     else:
         value, outcome = dv.mutual_information(rho, args.alpha)
-    shown = value if units == "nats" else value / _LN2
-    sigma = outcome.optimizer_sigma.matrix
-    lines = [
-        f"value {_fmt(shown)}",
-        f"units {units}",
-        f"alpha {_fmt(args.alpha)}",
-    ] + _matrix_lines("sigma_b", sigma)
-    _emit(
-        args,
-        lines,
-        {
-            "command": mode,
-            "alpha": args.alpha,
-            "units": units,
-            "value": shown,
-            "sigma_b": matrix_payload(sigma),
-            "inputs": {"state": payload, "dims": list(rho.dims)},
-        },
-    )
+    if units == "bits":
+        value /= _LN2
+    record = {"value": value, "units": units, "alpha": args.alpha,
+              "sigma_b": outcome.optimizer_sigma.matrix}
+    _emit(args, mode, record, {"state": payload, "dims": list(rho.dims)})
     return 0
 
 
@@ -259,6 +199,7 @@ def _cmd_bounds(args) -> int:
             matrix, dims, value = _load_matrix(value)
             if name == "rho" and args.dims:
                 dims = _parse_dims(args.dims)
+                echo["dims"] = list(dims)
             inputs[name] = (matrix, dims)
         elif kind == harness.DISTRIBUTION:
             inputs[name], value = _load_distribution(value)
@@ -266,38 +207,24 @@ def _cmd_bounds(args) -> int:
             inputs[name] = value
         echo[flag] = value
     report = suite.check([inputs])[0]
-    _emit(
-        args,
-        _report_lines(report),
-        {"command": f"bounds {args.theorem}", "report": report.to_dict(), "inputs": echo},
-    )
+    # the human form flattens the report under "check", its extras sorted
+    flat = report.to_dict()
+    extras = flat.pop("extras")
+    shown = {"check": flat.pop("name"), **flat, **dict(sorted(extras.items()))}
+    _emit(args, f"bounds {args.theorem}", {"report": report.to_dict()}, echo, shown=shown)
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = harness.run_suite(args.suite, args.trials, args.seed)
+    summary = report.to_dict()
     lines = [
-        f"suite {report.name}",
-        f"trials {report.trials}",
-        f"failures {len(report.failures)}",
-        f"max_violation {_fmt(report.max_violation)}",
-        f"injected_equality {report.injected_equality}",
-        f"equality_flagged {report.equality_flagged}",
+        f"failure trial={record.trial} gap={_fmt(record.report.gap)} "
+        + json.dumps(record.inputs, sort_keys=True)
+        for record in report.failures
     ]
-    for record in report.failures:
-        lines.append(
-            f"failure trial={record.trial} gap={_fmt(record.report.gap)} "
-            + json.dumps(record.inputs, sort_keys=True)
-        )
-    _emit(
-        args,
-        lines,
-        {
-            "command": "verify",
-            "seed": args.seed,
-            **report.to_dict(),
-        },
-    )
+    shown = {**summary, "failures": len(report.failures)}
+    _emit(args, "verify", {"seed": args.seed, **summary}, shown=shown, lines=lines)
     if report.failures:
         raise SuiteFailures(
             f"suite {report.name} recorded {len(report.failures)} "

@@ -12,7 +12,8 @@ and the divergence at any ``sigma_B`` equals the minimum plus
 ``D_alpha(sigma_B* || sigma_B) >= 0``.  C_B is never formed: both come from
 the SVD of a Gram factor ``C_B = G^H G`` with log-scaled rows, so C_B's
 small eigenvalues keep relative precision.  ``t5_closed_form`` stays as a
-cross check; the tests compare the minimum with a Bloch-ball zoom grid.
+cross check, from the same graded factor of ``tr_A rho_AB^(-alpha)``; the
+tests compare the minimum with a Bloch-ball zoom grid.
 
 All divergences are in nats.  ``D_alpha``, t4, t5 and the triangle come
 from ``linalg.petz_divergence``, finite at every order.  A Gram factor
@@ -160,27 +161,23 @@ def _reference(rho_ab: DensityMatrix, mode: str) -> SpectralDecomposition:
     return rho_a.spectrum
 
 
-def _minimize_over_sigma(
-    rho_ab: DensityMatrix, alpha: float, ref: SpectralDecomposition
-) -> OptimizationOutcome:
-    """Minimize ``D_alpha(rho_AB || ref_A (x) sigma_B)`` over density sigma_B.
+def _gram_factor(
+    rho_ab: DensityMatrix, basis: np.ndarray, t: np.ndarray, alpha: float
+) -> tuple[float, SpectralDecomposition]:
+    """SVD of the graded factor G of ``sum_ik e^(alpha t_ik) b_ik b_ik^H``.
 
-    Exact by Sibson's identity, from ``C_B = G^H G`` without forming C_B: G
-    has a row ``e^(s_ik) conj(b_ik)``, ``b_ik = (<v_k| (x) 1) u_i``, per
-    support eigenpair (p_i, u_i) of rho and (a_k, v_k) of ref, with ``s_ik =
-    (alpha/2)(ln p_i - ln a_k) + (ln a_k)/2`` scaled against the largest pair
-    with ``b_ik != 0``; a weight that underflows to 0 raises AlphaOutOfRange.
-    G's singular values s_j give ``tr C_B^(1/alpha) = e^(2 s_max/alpha) sum_j
-    s_j^(2/alpha)``, and its right singular vectors the minimizer.
+    G has a row ``e^((alpha/2) (t_ik - top)) conj(b_ik)``, ``b_ik = (<v_k| (x)
+    1) u_i``, per support eigenvector u_i of rho and column v_k of ``basis``;
+    ``top`` is the largest ``t_ik`` with ``b_ik != 0``, and a weight that
+    underflows to 0 raises AlphaOutOfRange.  Returns ``top`` and G's singular
+    values (ascending) with its right singular vectors.
     """
     d_a, d_b = rho_ab.dims
-    w, a = rho_ab.eigenvalues, ref.eigenvalues
+    w = rho_ab.eigenvalues
     u = rho_ab.spectrum.eigenvectors[:, w > 0.0].reshape(d_a, d_b, -1)
-    rows = np.einsum("ak,abi->kib", ref.eigenvectors, u.conj())
+    rows = np.einsum("ak,abi->kib", basis, u.conj())
     nonzero = np.any(rows != 0.0, axis=2)
-    # 2 s_ik / alpha, which no order overflows
-    t = np.log(w[w > 0.0]) - np.log(a)[:, None] + np.log(a)[:, None] / alpha
-    top = float(t[nonzero].max())
+    top = float(np.where(nonzero, t, -np.inf).max())
     # a difference past the float range is -inf, and its weight exactly 0
     with np.errstate(over="ignore"):
         weight = np.where(nonzero, np.exp(alpha / 2.0 * (t - top)), 0.0)
@@ -189,7 +186,24 @@ def _minimize_over_sigma(
     g = (weight[:, :, None] * rows).reshape(-1, d_b)
     g = g[np.argsort(-np.linalg.norm(g, axis=1), kind="stable")]
     _, s, vh = np.linalg.svd(g, full_matrices=False)
-    dec = SpectralDecomposition(s[::-1], vh[::-1].conj().T)
+    return top, SpectralDecomposition(s[::-1], vh[::-1].conj().T)
+
+
+def _minimize_over_sigma(
+    rho_ab: DensityMatrix, alpha: float, ref: SpectralDecomposition
+) -> OptimizationOutcome:
+    """Minimize ``D_alpha(rho_AB || ref_A (x) sigma_B)`` over density sigma_B.
+
+    Exact by Sibson's identity, from ``C_B = G^H G`` without forming C_B: G is
+    the ``_gram_factor`` over ref's eigenvectors v_k with ``t_ik = ln p_i - ln
+    a_k + (ln a_k)/alpha`` for rho's support eigenvalues p_i and ref's a_k.
+    G's singular values s_j give ``tr C_B^(1/alpha) = e^top sum_j
+    s_j^(2/alpha)``, and its right singular vectors the minimizer.
+    """
+    w, a = rho_ab.eigenvalues, ref.eigenvalues
+    # 2 s_ik / alpha, which no order overflows
+    t = np.log(w[w > 0.0]) - np.log(a)[:, None] + np.log(a)[:, None] / alpha
+    top, dec = _gram_factor(rho_ab, ref.eigenvectors, t, alpha)
     root = power_spectrum(dec.eigenvalues, 2.0 / alpha)
     total = float(np.sum(root))
     return OptimizationOutcome(
@@ -230,31 +244,34 @@ def t5_closed_form(
     ``mode="mutual"``), is tight only when ``tau^(1-alpha)`` is proportional to
     ``rho_AB^(-alpha)``: ``sigma_B ~ (tr_A rho_AB^(-alpha))^(1/(1-alpha))``, and
     the value is ``D_alpha(rho_AB || tau)``, or None unless ``sigma_B`` is PD and
-    t4's slack rule holds at ``tau``.  The value is the optimum only when that
-    ``sigma_B`` is also the minimizer (as for maximally mixed states); otherwise
-    it lies on the feasible side (below H_alpha(A|B), above I_alpha(A;B)).
+    t4's slack rule holds at ``tau``.  ``tr_A rho_AB^(-alpha)`` is never formed:
+    it is ``G^H G`` for the ``_gram_factor`` on A's standard basis with ``t_ik =
+    -ln p_i``, so sigma_B is G's ``s_j^(2/(1-alpha))`` on its right singular
+    vectors, normalized.  The value is the optimum only when that ``sigma_B``
+    is also the minimizer (as for maximally mixed states); otherwise it lies
+    on the feasible side (below H_alpha(A|B), above I_alpha(A;B)).
     """
     alpha = _check_alpha_gt1(alpha)
     if mode not in ("conditional", "mutual"):
         raise ValueError(f"mode must be 'conditional' or 'mutual', got {mode!r}")
-    d_a, d_b = _bipartite_dims(rho_ab)
+    d_a, _ = _bipartite_dims(rho_ab)
     if not rho_ab.is_positive_definite:
         return None
-    # each power raises eigenvalue ratios >= 1 to a negative order: none overflows
-    w = rho_ab.eigenvalues
-    m = recombine(rho_ab.spectrum, power_spectrum(w / w[0], -alpha))
-    y = spectral_decompose(_partial_trace(m, d_a, d_b, 0))
-    if not positive_definite(y.eigenvalues):
+    try:
+        _, g = _gram_factor(rho_ab, np.eye(d_a), -np.log(rho_ab.eigenvalues)[None, :], alpha)
+    except AlphaOutOfRange:
         return None
-    root = power_spectrum(y.eigenvalues / y.eigenvalues[0], 1.0 / (1.0 - alpha))
+    if not positive_definite(g.eigenvalues):
+        return None
+    root = power_spectrum(g.eigenvalues, 2.0 / (1.0 - alpha))
     root /= float(np.sum(root))
-    sigma_b = DensityMatrix(recombine(y, root))
+    sigma_b = DensityMatrix(recombine(g, root))
     if not sigma_b.is_positive_definite:
         return None
     ref = _reference(rho_ab, mode)
     # tau from its factors' spectra keeps its small eigenvalues' relative precision
     tau = SpectralDecomposition(
-        np.kron(ref.eigenvalues, root), np.kron(ref.eigenvectors, y.eigenvectors)
+        np.kron(ref.eigenvalues, root), np.kron(ref.eigenvectors, g.eigenvectors)
     )
     value, bound = _petz(rho_ab, tau, alpha)
     if not chain_tight([normalized_slack(bound, value)]):

@@ -29,7 +29,6 @@ exercised.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -110,27 +109,11 @@ def _substream(seed: int, stream: int) -> dict:
     }
 
 
-@functools.cache
-def _key_sequence() -> type:
-    """A seed sequence that hands Philox its key as is, where ``Philox(key=)``
-    first seeds one from OS entropy, most of its cost.  Built on first use, so
-    importing the package does not import ``numpy.random``."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeySequence(ISeedSequence):
-        def __init__(self, key: np.ndarray):
-            self.key = key
-
-        def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
-            return self.key
-
-    return KeySequence
-
-
 def derive_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream): portable and splittable."""
-    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_key_sequence()(key)))
+    rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = _substream(seed, stream)
+    return rng
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

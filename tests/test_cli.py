@@ -236,6 +236,7 @@ class TestBounds:
         assert err == f"error: bounds {theorem} requires --{flags}\n"
 
     def test_t6_dims_flag_retags_the_state(self, capsys, tmp_path):
+        # the JSON report echoes the split it used, so it replays itself
         rho = SUITES["t6"].gen(derive_rng(2, 1), 1)["rho"][0]  # a 2x3 split
         state = write_matrix(tmp_path / "rho6.json", rho, dims=(3, 2))
         reports = {}
@@ -246,6 +247,7 @@ class TestBounds:
             )
             assert code == 0
             reports[dims] = json.loads(out)["report"]
+            assert json.loads(out)["inputs"]["dims"] == [int(d) for d in dims.split(",")]
         expected = SUITES["t6"].check([{"rho": (rho, (2, 3)), "alpha": 2.0}])[0]
         assert reports["2,3"] == json.loads(json.dumps(expected.to_dict()))
         assert reports["2,3"] != reports["3,2"]
@@ -256,6 +258,46 @@ class TestBounds:
         assert code == 1
         assert out == ""
         assert json.loads(err)["code"] == "InvalidDistribution"
+
+
+# default stdout, byte for byte, on inputs whose printed values are exact:
+# u2 = (1/2, 1/2), mm4 = I/4, bell = |Phi+><Phi+|, and diag(1/2, 1/2) against
+# diag(1/4, 3/4) (ln 4/3)
+PINNED_STDOUT = {
+    "entropy classical --dist u2 --beta 2": "value 1\nunits bits\nbeta 2\n",
+    "entropy quantum --state mm4 --alpha 2": "value 1.38629436112\nunits nats\nalpha 2\n",
+    "type-beta --dist u2 --beta 2": "value 1\nbeta 2\nunits type-beta\n",
+    "divergence --state half --sigma quarter --alpha 2": (
+        "value 0.287682072452\nunits nats\nalpha 2\nequality_case False\n"
+    ),
+    "mutual-info --state bell --alpha 2": (
+        "value 1.38629436112\nunits nats\nalpha 2\n"
+        "sigma_b\n  0.5+0j  0+0j\n  0+0j  0.5+0j\n"
+    ),
+    "bounds t3 --state mm4 --alpha 2": (
+        "check t3\nlhs 1.38629436112\nrhs 1.38629436112\ngap 0\npassed True\n"
+        "equality True\ntolerance 1e-08\nbound 1.38629436112\ncap 1.38629436112\n"
+        "d0 0\nentropy 1.38629436112\nslack_cap 0\nslack_t3 0\n"
+    ),
+    "bounds t4 --state mm4 --sigma mm4 --alpha 2": (
+        "check t4\nlhs 0\nrhs 0\ngap 0\npassed True\nequality True\n"
+        "tolerance 1e-08\nbound 0\ndivergence 0\nslack_t4 0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_default_stdout_bytes(capsys, tmp_path, u2, mm4, command):
+    bell = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]) / 2
+    files = {
+        "u2": u2,
+        "mm4": mm4,
+        "bell": write_matrix(tmp_path / "bell.json", bell, dims=(2, 2)),
+        "half": write_matrix(tmp_path / "half.json", np.diag([0.5, 0.5])),
+        "quarter": write_matrix(tmp_path / "quarter.json", np.diag([0.25, 0.75])),
+    }
+    argv = [files.get(word, word) for word in command.split()]
+    assert run(capsys, argv) == (0, PINNED_STDOUT[command], "")
 
 
 class TestVerifyAndGen:

@@ -569,6 +569,21 @@ class TestT5ClosedForm:
         with pytest.raises(ValueError):
             t5_closed_form(rho, 2.0, "joint")
 
+    @pytest.mark.parametrize("alpha", [3.0, 5.0, 7.0, 10.0])
+    @pytest.mark.parametrize("mode", ["mutual", "conditional"])
+    def test_product_state_matches_its_closed_form(self, mode, alpha):
+        # mu_2 (x) tau: sigma_B ~ tau^r with r = alpha/(alpha-1), and the value
+        # is ln 3/(alpha-1) + ln tr tau^r ("mutual"), ln 2 minus that
+        # ("conditional").  tr_A rho^(-alpha) spans (p_min/p_max)^alpha, 1.5e-13
+        # at alpha = 7, which its Gram factor keeps to relative precision
+        tau = random_density(np.random.default_rng(62), 3).matrix
+        rho = DensityMatrix(kron(np.eye(2) / 2, tau), dims=(2, 3))
+        r = alpha / (alpha - 1.0)
+        want = math.log(3) / (alpha - 1.0) + math.log(np.sum(np.linalg.eigvalsh(tau) ** r))
+        res = t5_closed_form(rho, alpha, mode)
+        assert res is not None
+        assert abs(res.value - (want if mode == "mutual" else math.log(2) - want)) <= 1e-12
+
     @pytest.mark.parametrize("mode", ["mutual", "conditional"])
     def test_absent_where_a_power_loses_a_factor(self, mode):
         # mu_A (x) tau_B factorizes, but at alpha = 50 the smallest eigenvalue
