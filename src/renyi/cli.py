@@ -97,15 +97,15 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 def _emit(
     args, command: str, record: dict, inputs: dict | None = None,
-    shown: dict | None = None, lines=(),
+    shown: dict | None = None,
 ) -> None:
     """Print one command's ordered output ``record``.
 
     By default each field of ``shown`` (the record itself unless given) is a
     ``key value`` line: a float with 12 significant digits, any other scalar
-    as ``str``, and a matrix as its name line plus one line per row.  The
-    human-only ``lines`` follow.  ``--json`` prints the object ``{tolerances,
-    command, **record, inputs}``, each matrix as its payload.
+    as ``str``, and a matrix as its name line plus one line per row.
+    ``--json`` prints the object ``{tolerances, command, **record, inputs}``,
+    each matrix as its payload.
     """
     if args.json:
         payload = {"tolerances": LINALG_TOLERANCES, "command": command}
@@ -122,8 +122,6 @@ def _emit(
                 print("  " + "  ".join(f"{_fmt(z.real)}{z.imag:+.12g}j" for z in row))
         else:
             print(key, _fmt(value) if isinstance(value, float) else value)
-    for line in lines:
-        print(line)
 
 
 def _cmd_entropy(args) -> int:
@@ -148,7 +146,8 @@ def _cmd_type_beta(args) -> int:
     p, payload = _load_distribution(args.dist)
     value = entropy_type_beta(p, args.beta)
     record = {"value": value, "beta": args.beta}
-    _emit(args, "type-beta", record, {"dist": payload}, lines=["units type-beta"])
+    shown = {**record, "units": "type-beta"}
+    _emit(args, "type-beta", record, {"dist": payload}, shown=shown)
     return 0
 
 
@@ -218,13 +217,14 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     report = harness.run_suite(args.suite, args.trials, args.seed)
     summary = report.to_dict()
-    lines = [
-        f"failure trial={record.trial} gap={_fmt(record.report.gap)} "
-        + json.dumps(record.inputs, sort_keys=True)
-        for record in report.failures
-    ]
     shown = {**summary, "failures": len(report.failures)}
-    _emit(args, "verify", {"seed": args.seed, **summary}, shown=shown, lines=lines)
+    _emit(args, "verify", {"seed": args.seed, **summary}, shown=shown)
+    if not args.json:
+        for record in report.failures:
+            print(
+                f"failure trial={record.trial} gap={_fmt(record.report.gap)} "
+                + json.dumps(record.inputs, sort_keys=True)
+            )
     if report.failures:
         raise SuiteFailures(
             f"suite {report.name} recorded {len(report.failures)} "

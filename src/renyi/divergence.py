@@ -263,7 +263,8 @@ def t5_closed_form(
         return None
     if not positive_definite(g.eigenvalues):
         return None
-    root = power_spectrum(g.eigenvalues, 2.0 / (1.0 - alpha))
+    # ratios >= 1 to a negative power: none overflows, and the sum is >= 1
+    root = power_spectrum(g.eigenvalues / g.eigenvalues[0], 2.0 / (1.0 - alpha))
     root /= float(np.sum(root))
     sigma_b = DensityMatrix(recombine(g, root))
     if not sigma_b.is_positive_definite:

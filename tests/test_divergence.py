@@ -505,7 +505,9 @@ class TestT5ClosedForm:
         for res in (mutual, conditional):
             np.testing.assert_allclose(res.sigma_b.matrix, np.eye(2) / 2, atol=1e-10)
 
-    @pytest.mark.parametrize("alpha", [2.0, 200.0, 400.0, 1025.0, 1e5, 1e308])
+    @pytest.mark.parametrize(
+        "alpha", [1.0 + 1e-8, 1.0 + 1e-4, 1.005, 2.0, 200.0, 400.0, 1025.0, 1e5, 1e308]
+    )
     def test_exact_and_warning_free_at_every_order(self, alpha):
         # no power of a spectrum ratio overflows, so I/4 stays exact and the
         # mu_A (x) tau state (a value or None) raises no warning
