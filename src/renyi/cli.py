@@ -7,7 +7,8 @@ and :func:`_emit` prints it: by default as ``key value`` lines, numbers with
 12 significant digits; under ``--json`` as one object with the tolerances,
 the command, the fields and every input needed to recompute the result.
 Exit codes: 0 success, 1 computation/validation error (machine-readable error
-object on stderr), 2 usage error.
+object on stderr), 2 usage error (for ``bounds`` also a missing input flag,
+or a given one its theorem does not read).
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ _LN2 = math.log(2.0)
 
 # the flag that names each suite input, where the two differ
 _FLAGS = {"rho": "state", "p": "dist"}
+# the input flags of ``bounds``: a theorem reads the flags of its suite's
+# inputs, and ``--dims`` when it reads ``rho``
+_BOUNDS_FLAGS = ("a", "b", "dist", "state", "sigma", "dims", "beta", "alpha")
 
 LINALG_TOLERANCES = {
     "herm_tol": HERM_TOL,
@@ -187,10 +191,13 @@ def _cmd_bounds(args) -> int:
     suite = harness.SUITES[args.theorem]
     flags = [_FLAGS.get(name, name) for name in suite.inputs]
     missing = [flag for flag in flags if getattr(args, flag) is None]
-    if missing:
-        message = f"error: bounds {args.theorem} requires --" + " --".join(missing)
-        print(message, file=sys.stderr)
-        return 2
+    reads = flags + (["dims"] if "rho" in suite.inputs else [])
+    unread = [f for f in _BOUNDS_FLAGS if f not in reads and getattr(args, f) is not None]
+    for problem, names in (("requires", missing), ("does not read", unread)):
+        if names:
+            message = f"error: bounds {args.theorem} {problem} --" + " --".join(names)
+            print(message, file=sys.stderr)
+            return 2
     inputs, echo = {}, {}
     for (name, kind), flag in zip(suite.inputs.items(), flags):
         value = getattr(args, flag)
@@ -312,14 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         "theorem",
         choices=("lemma2", "lemma3", "lemma4", "t1", "t2_2", "t3", "t3_2", "t4", "t6", "triangle"),
     )
-    bounds.add_argument("--a")
-    bounds.add_argument("--b")
-    bounds.add_argument("--dist")
-    bounds.add_argument("--state")
-    bounds.add_argument("--sigma")
-    bounds.add_argument("--dims")
-    bounds.add_argument("--beta", type=float)
-    bounds.add_argument("--alpha", type=float)
+    for flag in _BOUNDS_FLAGS:
+        bounds.add_argument(f"--{flag}", type=float if flag in ("beta", "alpha") else str)
     bounds.add_argument("--json", action="store_true")
     bounds.set_defaults(func=_cmd_bounds)
 

@@ -41,6 +41,7 @@ from .linalg import (
     ORDER_ONE_BAND,
     SpectralDecomposition,
     _partial_trace,
+    _single,
     petz_divergence,
     positive_definite,
     power_spectrum,
@@ -92,21 +93,24 @@ def _check_alpha_gt1(alpha: float) -> float:
 
 
 def _sigma_spectrum(sigma, alpha: float) -> SpectralDecomposition:
-    """Validate a PSD reference matrix, enforcing PD when alpha > 1, under the
-    support rule: dust ``<= ZERO_THRESHOLD * w_max`` is 0 at every scale of sigma."""
+    """Validate a PSD reference matrix, or a stack of them, enforcing PD when
+    alpha > 1, under the support rule: dust ``<= ZERO_THRESHOLD * w_max`` is
+    0 at every scale of sigma."""
     dec = psd_decompose(sigma, "sigma")
-    if alpha > 1.0 and not positive_definite(dec.eigenvalues):
+    if alpha > 1.0 and not positive_definite(dec.eigenvalues).all():
         raise SigmaSingular("alpha > 1 requires a positive definite sigma")
     return dec
 
 
-def _petz(rho: DensityMatrix, dec: SpectralDecomposition, alpha: float) -> tuple[float, float]:
-    """``D_alpha(rho || sigma)`` and its t4 bound from sigma's decomposition,
+def _petz(
+    rho: SpectralDecomposition, sigma: SpectralDecomposition, alpha: float
+) -> tuple[float, float]:
+    """``D_alpha(rho || sigma)`` and its t4 bound from the two decompositions,
     through ``linalg.petz_divergence``."""
-    if dec.eigenvalues.size != rho.dim:
+    if sigma.eigenvalues.shape != rho.eigenvalues.shape:
         raise DimensionMismatch("rho and sigma must share dimensions")
-    overlap = np.abs(rho.spectrum.eigenvectors.conj().T @ dec.eigenvectors) ** 2
-    return petz_divergence(rho.eigenvalues, dec.eigenvalues, overlap, alpha)
+    overlap = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
+    return petz_divergence(rho.eigenvalues, sigma.eigenvalues, overlap, alpha)
 
 
 def renyi_relative_entropy(
@@ -119,7 +123,7 @@ def renyi_relative_entropy(
     definite.
     """
     alpha = _check_alpha_nonneg(alpha)
-    value, bound = _petz(rho, _sigma_spectrum(sigma, alpha), alpha)
+    value, bound = _petz(rho.spectrum, _sigma_spectrum(sigma, alpha), alpha)
     equality = alpha > 1.0 and bool(chain_tight([normalized_slack(bound, value)]))
     return DivergenceResult(value, alpha, equality)
 
@@ -134,10 +138,10 @@ def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     alpha = _check_alpha_gt1(alpha)
     if not rho.is_positive_definite:
         raise NotPd("rho must be positive definite")
-    dec = spectral_decompose(sigma)
+    dec = spectral_decompose(_single(sigma))
     if not positive_definite(dec.eigenvalues):
         raise NotPd("sigma must be positive definite")
-    value, bound = _petz(rho, dec, alpha)
+    value, bound = _petz(rho.spectrum, dec, alpha)
     return chain_report(
         "t4", [("t4", bound, value)], extras={"divergence": value, "bound": bound}
     )
@@ -274,7 +278,7 @@ def t5_closed_form(
     tau = SpectralDecomposition(
         np.kron(ref.eigenvalues, root), np.kron(ref.eigenvectors, g.eigenvectors)
     )
-    value, bound = _petz(rho_ab, tau, alpha)
+    value, bound = _petz(rho_ab.spectrum, tau, alpha)
     if not chain_tight([normalized_slack(bound, value)]):
         return None
     return T5ClosedForm(math.log(d_a) - value if mode == "conditional" else value, sigma_b)
@@ -306,7 +310,7 @@ def triangle_bound_check(rho: DensityMatrix, sigma, alpha: float) -> BoundReport
     """Check ``D(rho||sigma) <= D(rho||I) + D(I||sigma)`` for alpha > 1."""
     alpha = _check_alpha_gt1(alpha)
     dec = _sigma_spectrum(sigma, alpha)
-    lhs, _ = _petz(rho, dec, alpha)
+    lhs, _ = _petz(rho.spectrum, dec, alpha)
     # I shares each operand's eigenbasis; D(rho || I) = -H_alpha(rho)
     ones, same = np.ones(rho.dim), np.eye(rho.dim)
     d_rho_i, _ = petz_divergence(rho.eigenvalues, ones, same, alpha)

@@ -5,6 +5,14 @@ Hermitian matrices, and every spectral function (fractional powers, log-det,
 definiteness tests) is built on it.  Matrices are plain ``complex128``
 ndarrays; validation happens at the operation boundary.
 
+The validation and spectral layer takes a leading stack axis: ``as_hermitian``
+and ``spectral_decompose`` accept an ``(k, n, n)`` stack, and
+``clip_spectrum``, ``psd_decompose``, ``positive_definite`` and
+``spectral_entropy`` work on each spectrum along the last axis.  One matrix
+is the stack-free case of the same code, and each row of a stacked result
+has the bits of that matrix's own call.  Every other function takes one
+matrix and rejects a stack with DimensionMismatch.
+
 Spectral conventions used throughout the package:
 
 * ``clip_spectrum`` is the one support rule, scaled to the largest
@@ -59,38 +67,58 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _single(matrix):
+    """``matrix`` itself where one matrix is expected: a stack, or any other
+    shape that is not two-dimensional, is a DimensionMismatch."""
+    if np.ndim(matrix) != 2:
+        raise DimensionMismatch(f"expected one square matrix, got shape {np.shape(matrix)}")
+    return matrix
+
+
 def as_hermitian(matrix) -> np.ndarray:
-    """Validate and return a Hermitian ``complex128`` matrix.
+    """Validate and return a Hermitian ``complex128`` matrix, or a stack of
+    them along a leading axis.
 
     Checks squareness, finiteness, the scaled Hermiticity bound
-    ``max|A - A†| <= HERM_TOL * (1 + max|A|)`` and that diagonal imaginary
-    parts are below ``HERM_TOL``.  Returns the Hermitian average ``(A + A†)/2`` so later
-    arithmetic never sees the (tolerated) asymmetry dust.
+    ``max|A - A†| <= HERM_TOL * (1 + max|A|)`` of each matrix and that
+    diagonal imaginary parts are below ``HERM_TOL``.  Returns the Hermitian
+    average ``(A + A†)/2`` so later arithmetic never sees the (tolerated)
+    asymmetry dust.
     """
     a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise NonHermitianInput("matrix contains non-finite entries")
-    scale = 1.0 + max_abs(a)
-    asym = max_abs(a - a.conj().T)
-    if asym > HERM_TOL * scale:
-        raise NonHermitianInput(
-            f"matrix is not Hermitian: max|A - A^dagger| = {asym:.3e}"
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise DimensionMismatch(
+            f"expected a square matrix or a stack of them, got shape {a.shape}"
         )
-    if max_abs(np.diag(a).imag) > HERM_TOL:
+    if not np.isfinite(a).all():
+        raise NonHermitianInput("matrix contains non-finite entries")
+    adjoint = a.conj().swapaxes(-1, -2)
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1))
+    asym = np.abs(a - adjoint).max(axis=(-2, -1))
+    bad = asym > HERM_TOL * scale
+    if bad.any():
+        raise NonHermitianInput(
+            f"matrix is not Hermitian: max|A - A^dagger| = {np.extract(bad, asym)[0]:.3e}"
+        )
+    if np.abs(a.diagonal(0, -2, -1).imag).max() > HERM_TOL:
         raise NonHermitianInput("diagonal entries have non-negligible imaginary part")
-    return (a + a.conj().T) / 2.0
+    return (a + adjoint) / 2.0
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (real, ascending), unitary eigenvector columns, and the
-    validated Hermitian matrix they decompose (``None`` when built by hand)."""
+    validated Hermitian matrix they decompose (``None`` when built by hand);
+    for a stack, one of each per matrix along the leading axis."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __getitem__(self, i: int) -> SpectralDecomposition:
+        """Matrix ``i`` of a stacked decomposition."""
+        m = None if self.matrix is None else self.matrix[i]
+        return SpectralDecomposition(self.eigenvalues[i], self.eigenvectors[i], m)
 
 
 def _rotation(app: float, aqq: float, apq: complex, r: float) -> tuple[float, float, complex]:
@@ -183,15 +211,23 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_decompose(matrix) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix: ``A = V diag(w) V†``, ``w`` ascending.
+    """Diagonalize a Hermitian matrix: ``A = V diag(w) V†``, ``w`` ascending;
+    for a stack, each matrix along the leading axis.
 
-    The only entry to the eigensolver and the one place inputs are validated:
-    the result keeps the validated matrix, so callers never re-validate.
+    The only entry to the eigensolver and the one place inputs are validated,
+    once per stack: the result keeps the validated matrix, so callers never
+    re-validate.  The solver runs on each matrix of the stack in turn.
     """
     a = as_hermitian(matrix)
-    w, v = _jacobi(a.copy())
-    order = np.argsort(w, kind="stable")
-    return SpectralDecomposition(w[order], np.ascontiguousarray(v[:, order]), a)
+    n = a.shape[-1]
+    w = np.empty(a.shape[:-1])
+    v = np.empty(a.shape, dtype=np.complex128)
+    for m, w_m, v_m in zip(a.reshape(-1, n, n), w.reshape(-1, n), v.reshape(-1, n, n)):
+        values, vectors = _jacobi(m.copy())
+        order = np.argsort(values, kind="stable")
+        w_m[:] = values[order]
+        v_m[:] = vectors[:, order]
+    return SpectralDecomposition(w, v, a)
 
 
 def recombine(dec: SpectralDecomposition, w: np.ndarray) -> np.ndarray:
@@ -215,7 +251,7 @@ class PsdClass:
 
 def classify_definiteness(matrix) -> PsdClass:
     """Classify a Hermitian matrix under the support rule of ``clip_spectrum``."""
-    w = spectral_decompose(matrix).eigenvalues
+    w = spectral_decompose(_single(matrix)).eigenvalues
     lo = float(w[0])
     if positive_definite(w):
         kind = Definiteness.POSITIVE_DEFINITE
@@ -227,20 +263,25 @@ def classify_definiteness(matrix) -> PsdClass:
 
 
 def clip_spectrum(w: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """The support rule on the ascending spectrum of the PSD ``name``: NotPsd
-    if ``w[0] < -PSD_TOL * max(1, w_max)``, else a copy with each ``w_i <=
-    ZERO_THRESHOLD * w_max`` set to 0.  A cleaned spectrum passes unchanged."""
-    w_max = float(w[-1])
-    if float(w[0]) < -PSD_TOL * max(1.0, w_max):
-        raise NotPsd(f"{name} has eigenvalue {w[0]:.3e}")
+    """The support rule on the ascending spectrum of the PSD ``name``, or on
+    each spectrum along the last axis of a stack: NotPsd if ``w[0] < -PSD_TOL
+    * max(1, w_max)``, else a copy with each ``w_i <= ZERO_THRESHOLD * w_max``
+    set to 0.  A cleaned spectrum passes unchanged."""
+    # the ends of each spectrum: scalars for one, one entry per spectrum of a stack
+    w_min, w_max = w.T[0], w.T[-1]
+    # w_min < -PSD_TOL * max(1, w_max), without a ufunc on scalars
+    low = (w_min < -PSD_TOL) & (w_min < -PSD_TOL * w_max)
+    if low.any():
+        raise NotPsd(f"{name} has eigenvalue {np.extract(low, w_min)[0]:.3e}")
     out = w.copy()
-    out[out <= ZERO_THRESHOLD * w_max] = 0.0
+    out.T[out.T <= ZERO_THRESHOLD * w_max] = 0.0
     return out
 
 
-def positive_definite(w: np.ndarray) -> bool:
-    """Full support of the ascending ``w``: ``w[0] > ZERO_THRESHOLD * w[-1]``."""
-    return float(w[0]) > ZERO_THRESHOLD * float(w[-1])
+def positive_definite(w: np.ndarray):
+    """Full support of the ascending ``w``: ``w[0] > ZERO_THRESHOLD * w[-1]``;
+    for a stack, one flag per spectrum along the last axis."""
+    return w.T[0] > ZERO_THRESHOLD * w.T[-1]
 
 
 def _clipped(dec: SpectralDecomposition, name: str) -> SpectralDecomposition:
@@ -270,16 +311,24 @@ def spectral_power(dec: SpectralDecomposition, r: float) -> np.ndarray:
     return recombine(dec, power_spectrum(dec.eigenvalues, r))
 
 
-def spectral_entropy(w: np.ndarray, r: float) -> float:
-    """``ln(sum_i w_i^r) / (1 - r)`` for a nonnegative vector with a positive entry.
+def spectral_entropy(w: np.ndarray, r: float):
+    """``ln(sum_i w_i^r) / (1 - r)`` for a nonnegative vector with a positive
+    entry, or an array of it for each vector along the last axis of a stack,
+    all at the one order ``r``.
 
     Computed as ``r/(1-r) ln w_max + ln sum_i (w_i/w_max)^r / (1-r)``: no
     power overflows, the dominant term never underflows to zero, and the
     first term tends to ``-ln w_max`` as ``r`` grows instead of overflowing.
+    The two logarithms are ``math.log`` per vector, since numpy's vectorized
+    log may round apart from it.
     """
-    w_max = float(np.max(w))
-    s = float(np.sum((w / w_max) ** r))
-    return r / (1.0 - r) * math.log(w_max) + math.log(s) / (1.0 - r)
+    w_max = np.max(w, axis=-1)
+    s = np.sum((w / w_max[..., None]) ** r, axis=-1)
+    h = [
+        r / (1.0 - r) * math.log(top) + math.log(total) / (1.0 - r)
+        for top, total in zip(w_max.flat, s.flat)
+    ]
+    return h[0] if w.ndim == 1 else np.array(h)
 
 
 def petz_divergence(
@@ -299,7 +348,7 @@ def petz_divergence(
     """
     sp, sq = p > 0.0, q > 0.0
     ln_p, ln_q = np.log(p[sp]), np.log(q[sq])
-    weight = overlap[np.ix_(sp, sq)] * p[sp][:, None]
+    weight = overlap[sp][:, sq] * p[sp][:, None]
     pairs = weight > 0.0
     if not pairs.any():
         raise TraceNonpositive("tr(rho^a sigma^(1-a)) = 0: the supports are orthogonal")
@@ -308,7 +357,7 @@ def petz_divergence(
     # an exponent past the float range is -inf, and its term exactly 0
     with np.errstate(over="ignore"):
         terms = weight[pairs] * np.exp((alpha - 1.0) * (y[pairs] - top))
-    value = top + math.log(float(np.sum(terms))) / (alpha - 1.0)
+    value = top + math.log(float(terms.sum())) / (alpha - 1.0)
     if not (sp.all() and sq.all()):
         return value, -math.inf
     return value, float(np.mean(y)) + (math.log(p.size) + float(np.mean(ln_p))) / (alpha - 1.0)
@@ -319,7 +368,7 @@ def matrix_power(matrix, r: float) -> np.ndarray:
 
     Unlike ``spectral_power``, ``A^0`` is the identity even off the support.
     """
-    dec = psd_decompose(matrix, "matrix")
+    dec = psd_decompose(_single(matrix), "matrix")
     w = dec.eigenvalues
     if r < 0.0 and not positive_definite(w):
         raise SingularPower(
@@ -332,7 +381,7 @@ def matrix_power(matrix, r: float) -> np.ndarray:
 
 def log_det(matrix) -> float:
     """Natural-log determinant of a positive definite matrix."""
-    w = spectral_decompose(matrix).eigenvalues
+    w = spectral_decompose(_single(matrix)).eigenvalues
     if not positive_definite(w):
         raise NotPd(f"log_det needs a positive definite matrix (min eig {w[0]:.3e})")
     return float(np.sum(np.log(w)))
@@ -340,7 +389,7 @@ def log_det(matrix) -> float:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product with A-major composite indexing."""
-    return np.kron(as_hermitian(a), as_hermitian(b))
+    return np.kron(as_hermitian(_single(a)), as_hermitian(_single(b)))
 
 
 def _partial_trace(m: np.ndarray, d_a: int, d_b: int, factor: int) -> np.ndarray:
@@ -354,12 +403,12 @@ def _partial_trace(m: np.ndarray, d_a: int, d_b: int, factor: int) -> np.ndarray
 
 def partial_trace_b(matrix, d_a: int, d_b: int) -> np.ndarray:
     """Trace out the second factor of a ``d_a * d_b`` composite matrix."""
-    return _partial_trace(as_hermitian(matrix), d_a, d_b, 1)
+    return _partial_trace(as_hermitian(_single(matrix)), d_a, d_b, 1)
 
 
 def partial_trace_a(matrix, d_a: int, d_b: int) -> np.ndarray:
     """Trace out the first factor of a ``d_a * d_b`` composite matrix."""
-    return _partial_trace(as_hermitian(matrix), d_a, d_b, 0)
+    return _partial_trace(as_hermitian(_single(matrix)), d_a, d_b, 0)
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -369,8 +418,8 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
 
 def _decompose_psd_pair(a, b) -> tuple[SpectralDecomposition, SpectralDecomposition]:
     """``psd_decompose`` two same-size PSD matrices, the shape checked first."""
-    dec_a = spectral_decompose(a)
-    dec_b = spectral_decompose(b)
+    dec_a = spectral_decompose(_single(a))
+    dec_b = spectral_decompose(_single(b))
     if dec_a.matrix.shape != dec_b.matrix.shape:
         raise DimensionMismatch("A and B must share dimensions")
     return _clipped(dec_a, "A"), _clipped(dec_b, "B")
@@ -418,7 +467,7 @@ def lemma4_check(a) -> BoundReport:
     Natural log throughout; equality detected when ``A`` is the identity to
     within ``EQ_TOL`` in max-norm.
     """
-    dec = spectral_decompose(a)
+    dec = spectral_decompose(_single(a))
     am, w = dec.matrix, dec.eigenvalues
     if not positive_definite(w):
         raise NotPd(f"lemma4 needs a positive definite matrix (min eig {w[0]:.3e})")

@@ -23,6 +23,7 @@ from .linalg import (
     NORM_TOL,
     ORDER_ONE_BAND,
     SpectralDecomposition,
+    _single,
     positive_definite,
     psd_decompose,
     spectral_entropy,
@@ -60,7 +61,7 @@ class DensityMatrix:
     __slots__ = ("_matrix", "_spectrum", "_dims")
 
     def __init__(self, matrix, dims: tuple[int, int] | None = None):
-        dec = psd_decompose(matrix, "density matrix")
+        dec = psd_decompose(_single(matrix), "density matrix")
         a = dec.matrix
         trace = float(np.trace(a).real)
         if abs(trace - 1.0) > NORM_TOL:
@@ -103,7 +104,7 @@ class DensityMatrix:
 
     @property
     def is_positive_definite(self) -> bool:
-        return positive_definite(self.eigenvalues)
+        return bool(positive_definite(self.eigenvalues))
 
     def __repr__(self):
         tag = f", dims={self._dims}" if self._dims else ""

@@ -56,6 +56,35 @@ BOUNDS_FLAGS = {
 }
 
 
+# one flag per theorem that its suite does not read; --dims counts as read
+# by the theorems that read a state
+UNREAD_FLAGS = {
+    "lemma2": ("dims", "x,y"),
+    "lemma3": ("alpha", "2"),
+    "lemma4": ("b", "b.json"),
+    "t1": ("alpha", "2"),
+    "t2_2": ("state", "rho.json"),
+    "t3": ("beta", "2"),
+    "t3_2": ("sigma", "sigma.json"),
+    "t4": ("beta", "2"),
+    "t6": ("sigma", "sigma.json"),
+    "triangle": ("dist", "p.json"),
+}
+
+
+def _bounds_argv(tmp_path, theorem, record) -> list[str]:
+    """``bounds theorem`` with a flag for each input of a serialized record,
+    each payload written to a file."""
+    argv = ["bounds", theorem]
+    for name, flag in zip(SUITES[theorem].inputs, BOUNDS_FLAGS[theorem]):
+        value = record[name]
+        if isinstance(value, dict):
+            value = tmp_path / f"{name}.json"
+            value.write_text(dump_payload(record[name]), encoding="utf-8")
+        argv += [f"--{flag}", str(value)]
+    return argv
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -213,14 +242,7 @@ class TestBounds:
     def test_report_is_the_suite_check(self, capsys, tmp_path, theorem):
         suite = SUITES[theorem]
         record = suite.serialize(suite.gen(derive_rng(11, 5), 5))
-        argv = ["bounds", theorem, "--json"]
-        for name, flag in zip(suite.inputs, BOUNDS_FLAGS[theorem]):
-            value = record[name]
-            if isinstance(value, dict):
-                value = tmp_path / f"{name}.json"
-                value.write_text(dump_payload(record[name]), encoding="utf-8")
-            argv += [f"--{flag}", str(value)]
-        code, out, _ = run(capsys, argv)
+        code, out, _ = run(capsys, _bounds_argv(tmp_path, theorem, record) + ["--json"])
         assert code == 0
         payload = json.loads(out)
         expected = suite.check([suite.parse(record)])[0]
@@ -234,6 +256,17 @@ class TestBounds:
         assert out == ""
         flags = " --".join(BOUNDS_FLAGS[theorem])
         assert err == f"error: bounds {theorem} requires --{flags}\n"
+
+    @pytest.mark.parametrize("theorem", sorted(UNREAD_FLAGS))
+    def test_unread_flag_is_usage_error(self, capsys, tmp_path, theorem):
+        flag, value = UNREAD_FLAGS[theorem]
+        suite = SUITES[theorem]
+        record = suite.serialize(suite.gen(derive_rng(11, 5), 5))
+        argv = _bounds_argv(tmp_path, theorem, record)
+        assert run(capsys, argv)[0] == 0
+        code, out, err = run(capsys, argv + [f"--{flag}", value])
+        assert (code, out) == (2, "")
+        assert err == f"error: bounds {theorem} does not read --{flag}\n"
 
     def test_t6_dims_flag_retags_the_state(self, capsys, tmp_path):
         # the JSON report echoes the split it used, so it replays itself

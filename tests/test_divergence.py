@@ -28,7 +28,7 @@ from renyi.exceptions import (
     SigmaSingular,
     TraceNonpositive,
 )
-from renyi.linalg import kron, matrix_power, partial_trace_b
+from renyi.linalg import kron, matrix_power, partial_trace_a, partial_trace_b
 from renyi.quantum import DensityMatrix, quantum_renyi_entropy
 
 from bloch_oracle import zoom_grid_minimum
@@ -492,6 +492,87 @@ class TestOptimizedProperties:
         half = np.trace(rho.matrix.reshape(4, 2, 4, 2), axis1=1, axis2=3)
         reduced = DensityMatrix(half, dims=(2, 2))
         assert mutual_information(reduced, alpha)[0] <= mutual_information(rho, alpha)[0] + 1e-12
+
+
+def _orders(top: float):
+    return st.floats(0.0, top).filter(lambda a: abs(a - 1.0) > 1e-3)
+
+
+_ORDERS = _orders(5.0)
+
+
+def _state(rng, n, rank):
+    """A Haar-rotated density matrix of the given rank whose nonzero
+    eigenvalues lie within a factor 10 of each other."""
+    w = np.zeros(n)
+    w[:rank] = rng.uniform(0.1, 1.0, rank)
+    u = haar_unitary(rng, n)
+    m = (u * (w / w.sum())) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def _pair(rng, n, alpha):
+    """rho of any rank, and sigma of any rank below order 1 and positive
+    definite above it, where D_alpha needs that."""
+    rho = _state(rng, n, int(rng.integers(1, n + 1)))
+    return rho, _state(rng, n, n if alpha > 1.0 else int(rng.integers(1, n + 1)))
+
+
+def _d(rho, sigma, alpha):
+    return renyi_relative_entropy(DensityMatrix(rho), sigma, alpha).value
+
+
+def _at_most(x, y):
+    """``x <= y`` up to the relative tolerance 1e-10."""
+    return x <= y + 1e-10 * (1.0 + abs(y))
+
+
+class TestDivergenceProperties:
+    """Properties of the Petz D_alpha of states at orders alpha <= 5, over
+    rank-deficient operands, to a relative tolerance of 1e-10.  Data
+    processing holds for the Petz divergence for alpha in [0, 2]."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, n=st.integers(1, 4), alpha=_ORDERS)
+    def test_zero_on_equal_states_and_nonnegative(self, seed, n, alpha):
+        rho, sigma = _pair(np.random.default_rng(seed), n, alpha)
+        assert abs(_d(sigma, sigma, alpha)) <= 1e-10
+        assert _at_most(0.0, _d(rho, sigma, alpha))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, n=st.integers(1, 3), m=st.integers(1, 3), alpha=_ORDERS)
+    def test_additive_under_tensor_products(self, seed, n, m, alpha):
+        rng = np.random.default_rng(seed)
+        (rho1, sigma1), (rho2, sigma2) = _pair(rng, n, alpha), _pair(rng, m, alpha)
+        joint = _d(kron(rho1, rho2), kron(sigma1, sigma2), alpha)
+        parts = _d(rho1, sigma1, alpha) + _d(rho2, sigma2, alpha)
+        assert _at_most(joint, parts) and _at_most(parts, joint)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, n=st.integers(1, 4), alpha=_ORDERS)
+    def test_invariant_under_a_joint_unitary(self, seed, n, alpha):
+        rng = np.random.default_rng(seed)
+        rho, sigma = _pair(rng, n, alpha)
+        u = haar_unitary(rng, n)
+        rotated = _d(u @ rho @ u.conj().T, u @ sigma @ u.conj().T, alpha)
+        value = _d(rho, sigma, alpha)
+        assert _at_most(rotated, value) and _at_most(value, rotated)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, n=st.integers(1, 4), orders=st.lists(_ORDERS, min_size=2, max_size=2))
+    def test_nondecreasing_in_the_order(self, seed, n, orders):
+        low, high = sorted(orders)
+        rho, sigma = _pair(np.random.default_rng(seed), n, high)
+        assert _at_most(_d(rho, sigma, low), _d(rho, sigma, high))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, d_a=st.integers(1, 3), d_b=st.integers(1, 3), alpha=_orders(2.0))
+    def test_partial_trace_does_not_raise_it_up_to_order_two(self, seed, d_a, d_b, alpha):
+        rho, sigma = _pair(np.random.default_rng(seed), d_a * d_b, alpha)
+        value = _d(rho, sigma, alpha)
+        for trace in (partial_trace_b, partial_trace_a):
+            reduced = _d(trace(rho, d_a, d_b), trace(sigma, d_a, d_b), alpha)
+            assert _at_most(reduced, value)
 
 
 class TestT5ClosedForm:

@@ -9,7 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renyi import harness
-from renyi.exceptions import BadCap, BadDim, BadRank, BadTrials, BadZeros, UnknownSuite
+from renyi.exceptions import (
+    AlphaOne,
+    AlphaOutOfRange,
+    BadCap,
+    BadDim,
+    BadRank,
+    BadTrials,
+    BadZeros,
+    InvalidDistribution,
+    SigmaSingular,
+    UnknownSuite,
+)
 from renyi.harness import (
     SUITES,
     _basis_from_rng,
@@ -274,6 +285,29 @@ class TestRunSuite:
         text = json.dumps(run_suite(name, 200, 9, tolerance=-1.0).to_dict())
         assert json.loads(text)["suite"] == name
 
+    @pytest.mark.parametrize(
+        "faults,error",
+        [
+            ({"p", "q", "alpha", "sigma"}, InvalidDistribution),
+            ({"q", "alpha", "sigma"}, InvalidDistribution),
+            ({"alpha", "sigma"}, AlphaOutOfRange),
+            ({"one", "sigma"}, AlphaOne),
+            ({"sigma"}, SigmaSingular),
+        ],
+    )
+    def test_diag_oracle_replay_raises_the_first_fault(self, faults, error):
+        # the library's order: p and q, then the order, then sigma's support
+        inputs = {
+            "p": {"p": [0.5, 0.4] if "p" in faults else [0.5, 0.5]},
+            "q": {"p": [0.6, 0.6] if "q" in faults else [1.0, 0.0]},
+            "alpha": -1.0 if "alpha" in faults else 1.0 if "one" in faults else 2.0,
+        }
+        with pytest.raises(error):
+            replay("diag_oracle", inputs)
+        if not faults - {"sigma"}:
+            inputs["q"] = {"p": [0.25, 0.75]}
+            assert replay("diag_oracle", inputs).passed
+
     def test_negative_trials_rejected(self):
         with pytest.raises(BadTrials):
             run_suite("t4", -1, seed=1)
@@ -378,6 +412,7 @@ class TestWorkPerTrial:
             ("lemma2", 2, 2),
             ("lemma4", 1, 1),
             ("t6", 3, 3),
+            ("diag_oracle", 2, 2),
         ],
     )
     def test_counts(self, monkeypatch, name, decompositions, validations):
@@ -392,6 +427,19 @@ class TestWorkPerTrial:
                 "spectral_decompose": decompositions,
                 "as_hermitian": validations,
             }, trial
+
+    @pytest.mark.parametrize("trials", [1, 6, 7, 60, 256])
+    def test_diag_oracle_decomposes_each_shape_group_once(self, monkeypatch, trials):
+        # diag(p) and diag(q) are validated and decomposed as one stack each
+        # per shape group, however many trials the group holds
+        from renyi import linalg
+
+        counts = _count_calls(monkeypatch, linalg, ("spectral_decompose", "as_hermitian"))
+        suite = SUITES["diag_oracle"]
+        batch = [suite.gen(derive_rng(3, trial), trial) for trial in range(1, 1 + trials)]
+        groups = len({len(inputs["p"]) for inputs in batch})
+        suite.check(batch)
+        assert counts == {"spectral_decompose": 2 * groups, "as_hermitian": 2 * groups}
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_generators_neither_decompose_nor_serialize(self, monkeypatch, name):
@@ -438,7 +486,8 @@ class TestWorkPerTrial:
             assert counts == {"probability_vector": per_trial}
         counts["probability_vector"] = 0
         suite.check(batch)
-        if name == "diag_oracle":
-            assert counts == {"probability_vector": 2 * len(batch)}
+        if name == "diag_oracle":  # p and q once per shape group
+            groups = len({len(inputs["p"]) for inputs in batch})
+            assert counts == {"probability_vector": 2 * groups}
         else:  # one zero-padded stack per block, whatever the lengths
             assert counts == {"probability_vector": 1}

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -12,6 +13,9 @@ from renyi.exceptions import (
     SingularPower,
     TraceNonpositive,
 )
+from renyi.classical import renyi_entropy
+from renyi.divergence import renyi_relative_entropy, t4_lower_bound, triangle_bound_check
+from renyi.harness import SUITES
 from renyi.linalg import (
     ZERO_THRESHOLD,
     Definiteness,
@@ -26,13 +30,16 @@ from renyi.linalg import (
     partial_trace_a,
     partial_trace_b,
     petz_divergence,
+    positive_definite,
     psd_decompose,
     recombine,
     spectral_decompose,
+    spectral_entropy,
     spectral_power,
     trace_product,
 )
-from renyi.quantum import DensityMatrix
+from renyi.quantum import DensityMatrix, quantum_renyi_entropy
+from renyi.report import BoundReport, identity_gap
 
 
 def random_hermitian(rng, n):
@@ -518,3 +525,139 @@ def test_lemma_shape_mismatch_precedes_psd_checks():
             check(np.diag([1.0, -1.0]), np.eye(3))
         with pytest.raises(NonHermitianInput):
             check(np.eye(2), np.triu(np.ones((3, 3))))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def _random_stack(rng, n, k):
+    """k matrices of order n: rank-deficient, dusty (rank-deficient plus
+    Hermitian noise and tolerated asymmetry at 1e-13) and positive definite."""
+    stack = []
+    for _ in range(k):
+        kind = rng.integers(3)
+        m = random_psd(rng, n, int(rng.integers(1, n + 1)))
+        if kind == 1:
+            m = m + 1e-13 * random_hermitian(rng, n)
+            m[0, -1] += 1e-13
+        elif kind == 2:
+            m = m + 0.1 * np.eye(n)
+        stack.append(m)
+    return np.array(stack)
+
+
+class TestStackAxis:
+    """The validation and spectral layer on a leading stack axis: each row
+    has the bits of the one-matrix call, and a stack holding one bad matrix
+    raises what that matrix raises alone."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_match_one_matrix_calls(self, n):
+        rng = np.random.default_rng(300 + n)
+        for k in (int(rng.integers(1, 41)), 40):
+            stack = _random_stack(rng, n, k)
+            hermitian = as_hermitian(stack)
+            dec = spectral_decompose(stack)
+            psd = psd_decompose(stack, "A")
+            assert positive_definite(psd.eigenvalues).tolist() == [
+                positive_definite(w) for w in psd.eigenvalues
+            ]
+            for r in (0.3, 0.5, 2.0, 3.7):
+                entropies = spectral_entropy(psd.eigenvalues, r)
+                for i, w in enumerate(psd.eigenvalues):
+                    assert _bits(spectral_entropy(w, r)) == _bits(entropies[i])
+            for i, m in enumerate(stack):
+                alone, clipped = spectral_decompose(m), psd_decompose(m, "A")
+                assert _bits(hermitian[i]) == _bits(as_hermitian(m))
+                for row, one in ((dec[i], alone), (psd[i], clipped)):
+                    assert _bits(row.eigenvalues) == _bits(one.eigenvalues)
+                    assert _bits(row.eigenvectors) == _bits(one.eigenvectors)
+                    assert _bits(row.matrix) == _bits(one.matrix)
+
+    @pytest.mark.parametrize("fault", ["non-finite", "non-Hermitian", "indefinite"])
+    def test_one_bad_matrix_fails_the_stack_as_it_fails_alone(self, fault):
+        rng = np.random.default_rng(17)
+        layer = (as_hermitian, spectral_decompose, lambda a: psd_decompose(a, "A"))
+        for n in range(1, 9):
+            stack = _random_stack(rng, n, 12)
+            bad = stack[5]
+            if fault == "non-finite":
+                bad[-1, 0] = np.inf
+            elif fault == "non-Hermitian":
+                bad[-1, 0] += 1e-3j
+            else:
+                bad -= (np.linalg.eigvalsh(bad)[-1] + 1.0) * np.eye(n)
+            for fn in layer:
+                try:
+                    fn(bad)
+                except Exception as exc:
+                    with pytest.raises(type(exc)):
+                        fn(stack)
+                else:
+                    fn(stack)
+
+
+_HALF = DensityMatrix(np.eye(2) / 2)
+_ONE_MATRIX = {
+    "classify_definiteness": classify_definiteness,
+    "matrix_power": lambda a: matrix_power(a, 0.5),
+    "log_det": log_det,
+    "kron": lambda a: kron(a, np.eye(2)),
+    "partial_trace_a": lambda a: partial_trace_a(a, 1, 2),
+    "partial_trace_b": lambda a: partial_trace_b(a, 2, 1),
+    "lemma2_check": lambda a: lemma2_check(a, a),
+    "lemma3_check": lambda a: lemma3_check(a, a),
+    "lemma4_check": lemma4_check,
+    "DensityMatrix": lambda a: DensityMatrix(a / 2),
+    "renyi_relative_entropy": lambda a: renyi_relative_entropy(_HALF, a, 2.0),
+    "t4_lower_bound": lambda a: t4_lower_bound(_HALF, a, 2.0),
+    "triangle_bound_check": lambda a: triangle_bound_check(_HALF, a, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_MATRIX))
+def test_one_matrix_functions_reject_a_stack(name):
+    # only the validation and spectral layer takes a stack
+    with pytest.raises(DimensionMismatch):
+        _ONE_MATRIX[name](np.array([np.eye(2), 2.0 * np.eye(2)]))
+
+
+def _public_diag_oracle(p, q, alpha):
+    """The diag_oracle report of one trial from the public functions: the
+    quantum entropy and divergence of diag(p) against diag(q) next to their
+    classical values."""
+    rho = DensityMatrix(np.diag(p))
+    h_quantum = quantum_renyi_entropy(rho, alpha, units="bits").value
+    h_classical = renyi_entropy(p, alpha)
+    d_quantum = renyi_relative_entropy(rho, np.diag(q), alpha).value
+    support = p > 0.0
+    terms = p[support] ** alpha * q[support] ** (1.0 - alpha)
+    d_classical = math.log(float(np.sum(terms))) / (alpha - 1.0)
+    gap = min(identity_gap(h_quantum, h_classical), identity_gap(d_quantum, d_classical))
+    extras = {
+        "entropy_diff": abs(h_quantum - h_classical),
+        "divergence_diff": abs(d_quantum - d_classical),
+    }
+    return BoundReport("diag_oracle", h_quantum, h_classical, gap, gap >= -1e-10, 1e-10, extras)
+
+
+def test_diag_oracle_block_gives_the_public_values():
+    # the entropies are the report's lhs and rhs, and the divergence enters
+    # through divergence_diff, an exact difference of two nearly equal values
+    rng = np.random.default_rng(29)
+    batch = []
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        alpha = float(rng.choice([0.3, 0.5, 0.9, 1.5, 2.0, 3.0, 5.0, 0.73, 2.41]))
+        p = rng.standard_exponential(n) * (rng.random(n) < 0.7)
+        p[rng.integers(n)] += 1.0
+        p[rng.random(n) < 0.2] *= 1e-14  # dust, off the quantum support
+        q = rng.standard_exponential(n) + 1e-6
+        if alpha < 1.0:  # a singular reference that still meets p's support
+            q[(rng.random(n) < 0.3) & (np.arange(n) != np.argmax(p))] = 0.0
+        batch.append({"p": p / p.sum(), "q": q / q.sum(), "alpha": alpha})
+    verdict = SUITES["diag_oracle"].check(batch)
+    for i, x in enumerate(batch):
+        expected = _public_diag_oracle(x["p"], x["q"], x["alpha"])
+        assert json.dumps(verdict[i].to_dict()) == json.dumps(expected.to_dict()), i
