@@ -10,9 +10,11 @@ along the last axis, with one order per vector (or one order for all), and
 the result then has one entry per vector.  A single 1-D vector with a scalar
 order gives a Python float.  Each public function validates its inputs and
 hands them to a private kernel; the suite checks validate a stack once and
-call the kernels directly.  Every sum along a vector runs left to right
-(:func:`_row_sum`), so a vector zero-padded into a wider stack gives the
-bits it gives alone.
+call the kernels directly.  ``linalg.check_order`` admits beta > 0 off the
+band around 1; :func:`renyi_entropy` takes beta = 1 as the Shannon limit, and
+the product bound takes 0 < beta < 1 only.  Every sum along a vector runs
+left to right (:func:`_row_sum`), so a vector zero-padded into a wider stack
+gives the bits it gives alone.
 """
 
 from __future__ import annotations
@@ -21,14 +23,8 @@ import math
 
 import numpy as np
 
-from .exceptions import (
-    BetaOne,
-    BetaOutOfRange,
-    DomainError,
-    EmptySupport,
-    InvalidDistribution,
-)
-from .linalg import NORM_TOL, ORDER_ONE_BAND, ZERO_THRESHOLD
+from .exceptions import DomainError, EmptySupport, InvalidDistribution
+from .linalg import NORM_TOL, ORDER_ONE_BAND, ZERO_THRESHOLD, check_order
 
 _LN2 = math.log(2.0)
 
@@ -82,25 +78,6 @@ def probability_vector(values) -> np.ndarray:
     return p
 
 
-def _check_beta(beta, require_not_one: bool = True) -> np.ndarray:
-    """Validate an order, or an array of orders, as a float array."""
-    b = np.asarray(beta, dtype=np.float64)
-    bad = ~(np.isfinite(b) & (b > 0.0))
-    if bad.any():
-        raise BetaOutOfRange(f"beta must be a positive real, got {_first(b, bad)!r}")
-    if require_not_one and (np.abs(b - 1.0) < ORDER_ONE_BAND).any():
-        raise BetaOne("beta = 1 is not admitted here; use the Shannon limit")
-    return b
-
-
-def _check_product_beta(beta) -> np.ndarray:
-    b = np.asarray(beta, dtype=np.float64)
-    bad = ~((b > 0.0) & (b < 1.0))
-    if bad.any():
-        raise BetaOutOfRange(f"bound is defined for 0 < beta < 1, got {_first(b, bad)!r}")
-    return b
-
-
 def _type_scale(beta: np.ndarray) -> np.ndarray:
     """The normalization ``2^(1-beta) - 1`` shared by the type-beta forms."""
     return _power(2.0, 1.0 - beta) - 1.0
@@ -128,7 +105,7 @@ def info_function_beta(x, beta):
     so the defining normalization holds exactly in floating point.  ``x``
     and ``beta`` broadcast against each other.
     """
-    beta = _check_beta(beta)
+    beta = check_order(beta, "beta")
     x = np.asarray(x, dtype=np.float64)
     bad = ~((x >= 0.0) & (x <= 1.0))
     if bad.any():
@@ -143,7 +120,7 @@ def _entropy_type_beta(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def entropy_type_beta(p, beta):
     """Entropy of type beta: ``(2^(1-beta) - 1)^(-1) (sum p_i^beta - 1)``."""
     p = probability_vector(p)
-    return _value(_entropy_type_beta(p, _check_beta(beta)))
+    return _value(_entropy_type_beta(p, check_order(beta, "beta")))
 
 
 def entropy_type_beta_chain(p, beta: float) -> float:
@@ -153,7 +130,7 @@ def entropy_type_beta_chain(p, beta: float) -> float:
     terms with ``s_i == 0`` contribute nothing.  Kept as the definitional
     oracle for the closed form.
     """
-    beta = float(_check_beta(beta))
+    beta = float(check_order(beta, "beta"))
     p = probability_vector(p)
     s = np.cumsum(p)
     total = 0.0
@@ -194,7 +171,7 @@ def _renyi_entropy(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def renyi_entropy(p, beta):
     """Renyi entropy of order beta in bits; beta = 1 is the Shannon limit."""
     p = probability_vector(p)
-    return _value(_renyi_entropy(p, _check_beta(beta, require_not_one=False)))
+    return _value(_renyi_entropy(p, check_order(beta, "beta", one=True)))
 
 
 def _t1_bound(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -210,7 +187,7 @@ def t1_bound(p, beta):
     upper bound for beta > 1.  Written with ``beta/(1-beta)`` so it tends to
     ``-mean log2 p'_i`` as beta grows instead of overflowing.
     """
-    beta = _check_beta(beta)
+    beta = check_order(beta, "beta")
     return _value(_t1_bound(probability_vector(p), beta))
 
 
@@ -227,7 +204,7 @@ def type_beta_product_bound(p, beta):
     order-from-type transform, hence a lower bound on the type-beta entropy,
     tight exactly when the support is uniform.
     """
-    beta = _check_product_beta(beta)
+    beta = check_order(beta, "beta", high=1.0, one=True)
     return _value(_product_bound(probability_vector(p), beta))
 
 
@@ -241,5 +218,5 @@ def _order_from_type(h_type: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 def order_from_type(h_type, beta):
     """Map an entropy-of-type-beta value to the order-beta (Renyi) scale."""
-    beta = _check_beta(beta)
+    beta = check_order(beta, "beta")
     return _value(_order_from_type(np.asarray(h_type, dtype=np.float64), beta))

@@ -7,8 +7,9 @@ and :func:`_emit` prints it: by default as ``key value`` lines, numbers with
 12 significant digits; under ``--json`` as one object with the tolerances,
 the command, the fields and every input needed to recompute the result.
 Exit codes: 0 success, 1 computation/validation error (machine-readable error
-object on stderr), 2 usage error (for ``bounds`` also a missing input flag,
-or a given one its theorem does not read).
+object on stderr; a reader that closes stdout early, as ``| head`` does, is an
+``IoError``), 2 usage error (for ``bounds`` also a missing input flag, or a
+given one its theorem does not read).
 """
 
 from __future__ import annotations
@@ -345,6 +346,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Run the command with stdout flushed, also when it raises; a reader that
+    closed stdout early is an IoError."""
+    try:
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # what stdout still buffers goes to devnull, so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise IoError("stdout was closed before the output was complete")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -352,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run(args)
     except RenyiError as exc:
         error = {
             "code": type(exc).__name__,

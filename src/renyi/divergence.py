@@ -15,10 +15,11 @@ small eigenvalues keep relative precision.  ``t5_closed_form`` stays as a
 cross check, from the same graded factor of ``tr_A rho_AB^(-alpha)``; the
 tests compare the minimum with a Bloch-ball zoom grid.
 
-All divergences are in nats.  ``D_alpha``, t4, t5 and the triangle come
-from ``linalg.petz_divergence``, finite at every order.  A Gram factor
-weight that underflows to 0 raises ``AlphaOutOfRange``, never a bare
-arithmetic error.
+All divergences are in nats.  Orders go through ``linalg.check_order``:
+alpha >= 0 with alpha != 1 for ``D_alpha``, alpha > 1 for everything else.
+``D_alpha``, t4, t5 and the triangle come from ``linalg.petz_divergence``,
+finite at every order.  A Gram factor weight that underflows to 0 raises
+``AlphaOutOfRange``, never a bare arithmetic error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
-    AlphaOne,
     AlphaOutOfRange,
     DimensionMismatch,
     MarginalSingular,
@@ -38,10 +38,10 @@ from .exceptions import (
     SigmaSingular,
 )
 from .linalg import (
-    ORDER_ONE_BAND,
     SpectralDecomposition,
     _partial_trace,
     _single,
+    check_order,
     petz_divergence,
     positive_definite,
     power_spectrum,
@@ -74,24 +74,6 @@ class T5ClosedForm:
     sigma_b: DensityMatrix
 
 
-def _check_alpha_nonneg(alpha: float) -> float:
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha < 0.0:
-        raise AlphaOutOfRange(f"alpha must be >= 0, got {alpha!r}")
-    if abs(alpha - 1.0) < ORDER_ONE_BAND:
-        raise AlphaOne("alpha = 1 is not admitted for the relative entropy")
-    return alpha
-
-
-def _check_alpha_gt1(alpha: float) -> float:
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 1.0:
-        raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha!r}")
-    if alpha - 1.0 < ORDER_ONE_BAND:
-        raise AlphaOne("alpha is indistinguishable from 1")
-    return alpha
-
-
 def _sigma_spectrum(sigma, alpha: float) -> SpectralDecomposition:
     """Validate a PSD reference matrix, or a stack of them, enforcing PD when
     alpha > 1, under the support rule: dust ``<= ZERO_THRESHOLD * w_max`` is
@@ -122,7 +104,7 @@ def renyi_relative_entropy(
     identity is a legitimate reference).  For alpha > 1 it must be positive
     definite.
     """
-    alpha = _check_alpha_nonneg(alpha)
+    alpha = float(check_order(alpha, "alpha", closed=True))
     value, bound = _petz(rho.spectrum, _sigma_spectrum(sigma, alpha), alpha)
     equality = alpha > 1.0 and bool(chain_tight([normalized_slack(bound, value)]))
     return DivergenceResult(value, alpha, equality)
@@ -135,7 +117,7 @@ def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     + ((1-alpha)/d) ln det sigma)``, tight exactly when ``sigma`` is
     proportional to ``rho^(alpha/(alpha-1))``.
     """
-    alpha = _check_alpha_gt1(alpha)
+    alpha = float(check_order(alpha, "alpha", low=1.0))
     if not rho.is_positive_definite:
         raise NotPd("rho must be positive definite")
     dec = spectral_decompose(_single(sigma))
@@ -224,7 +206,7 @@ def conditional_entropy(
     ``mu_A`` is the maximally mixed state on A.  Returns the value in nats
     together with the minimizer record.
     """
-    alpha = _check_alpha_gt1(alpha)
+    alpha = float(check_order(alpha, "alpha", low=1.0))
     outcome = _minimize_over_sigma(rho_ab, alpha, _reference(rho_ab, "conditional"))
     return math.log(rho_ab.dims[0]) - outcome.optimum_value, outcome
 
@@ -233,7 +215,7 @@ def mutual_information(
     rho_ab: DensityMatrix, alpha: float
 ) -> tuple[float, OptimizationOutcome]:
     """``I_alpha(A;B) = min_sigma D_alpha(rho_AB || rho_A (x) sigma_B)``."""
-    alpha = _check_alpha_gt1(alpha)
+    alpha = float(check_order(alpha, "alpha", low=1.0))
     outcome = _minimize_over_sigma(rho_ab, alpha, _reference(rho_ab, "mutual"))
     return outcome.optimum_value, outcome
 
@@ -255,7 +237,7 @@ def t5_closed_form(
     is also the minimizer (as for maximally mixed states); otherwise it lies
     on the feasible side (below H_alpha(A|B), above I_alpha(A;B)).
     """
-    alpha = _check_alpha_gt1(alpha)
+    alpha = float(check_order(alpha, "alpha", low=1.0))
     if mode not in ("conditional", "mutual"):
         raise ValueError(f"mode must be 'conditional' or 'mutual', got {mode!r}")
     d_a, _ = _bipartite_dims(rho_ab)
@@ -291,14 +273,14 @@ def t6_lower_bound(rho_ab: DensityMatrix, alpha: float) -> BoundReport:
     nats; the report compares it against the exact mutual information at
     ``CHAIN_TOL`` and flags equality when the two agree to ``EQ_TOL``.
     """
-    alpha = _check_alpha_gt1(alpha)
+    alpha = float(check_order(alpha, "alpha", low=1.0))
     d_a, d_b = _bipartite_dims(rho_ab)
     if not rho_ab.is_positive_definite:
         raise NotPd("t6 bound requires a positive definite state")
     d = d_a * d_b
     logdet = float(np.sum(np.log(rho_ab.eigenvalues)))
     bound = alpha / (alpha - 1.0) * (math.log(d) + logdet / d)
-    value, _ = mutual_information(rho_ab, alpha)
+    value = _minimize_over_sigma(rho_ab, alpha, _reference(rho_ab, "mutual")).optimum_value
     return chain_report(
         "t6",
         [("t6", bound, value)],
@@ -308,7 +290,7 @@ def t6_lower_bound(rho_ab: DensityMatrix, alpha: float) -> BoundReport:
 
 def triangle_bound_check(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     """Check ``D(rho||sigma) <= D(rho||I) + D(I||sigma)`` for alpha > 1."""
-    alpha = _check_alpha_gt1(alpha)
+    alpha = float(check_order(alpha, "alpha", low=1.0))
     dec = _sigma_spectrum(sigma, alpha)
     lhs, _ = _petz(rho.spectrum, dec, alpha)
     # I shares each operand's eigenbasis; D(rho || I) = -H_alpha(rho)

@@ -38,8 +38,6 @@ from typing import Callable
 import numpy as np
 
 from .classical import (
-    _check_beta,
-    _check_product_beta,
     _entropy_type_beta,
     _order_from_type,
     _product_bound,
@@ -49,7 +47,6 @@ from .classical import (
     probability_vector,
 )
 from .divergence import (
-    _check_alpha_nonneg,
     _petz,
     _sigma_spectrum,
     t4_lower_bound,
@@ -63,8 +60,10 @@ from .fileformat import (
     matrix_from_payload,
     matrix_payload,
 )
-from .linalg import lemma2_check, lemma3_check, lemma4_check, psd_decompose, spectral_entropy
-from .quantum import DensityMatrix, _check_alpha, _unit_scale, log_dim_cap, t3_bound
+from .linalg import (
+    check_order, lemma2_check, lemma3_check, lemma4_check, psd_decompose, spectral_entropy
+)
+from .quantum import DensityMatrix, _unit_scale, log_dim_cap, t3_bound
 from .report import (
     CHAIN_TOL,
     BoundReport,
@@ -330,7 +329,7 @@ def _stacked(batch: list[dict], kernel: Callable) -> list[np.ndarray]:
     sizes = np.array([len(x["p"]) for x in batch])
     p = np.zeros((len(batch), sizes.max()))
     p[np.arange(p.shape[1]) < sizes[:, None]] = np.concatenate([x["p"] for x in batch])
-    return kernel(probability_vector(p), _check_beta([x["beta"] for x in batch]))
+    return kernel(probability_vector(p), check_order([x["beta"] for x in batch], "beta"))
 
 
 def _check_t1(batch: list[dict]) -> Verdict:
@@ -348,7 +347,7 @@ def _check_t2_2(batch: list[dict]) -> Verdict:
         batch,
         lambda p, beta: (
             _entropy_type_beta(p, beta),
-            _product_bound(p, _check_product_beta(beta)),
+            _product_bound(p, check_order(beta, "beta", high=1.0, one=True)),
         ),
     )
     parts = [("nonneg", np.zeros_like(h), h), ("product", bound, h)]
@@ -382,42 +381,28 @@ def _gen_t3_2(rng, i: int) -> dict:
     return {"rho": (rho, None), "alpha": alpha, "equality_injected": eq}
 
 
-def _gen_t4(rng, i: int) -> dict:
-    eq = i % _EQUALITY_EVERY == 0
-    dim = DIMS_CYCLE[i % 8]
-    alpha = ORDERS_ABOVE_ONE[i % 4]
-    if eq:
-        # maximally mixed against a scaled identity: the bound is exactly
-        # tight there and the proportionality flag fires
-        rho = np.eye(dim) / dim
-        sigma = rng.uniform(0.5, 2.0) * np.eye(dim)
-    else:
-        rho = _density_from_rng(rng, dim, dim)
-        sigma = _pd_from_rng(rng, dim, CONDITION_CAPS[i % 3])
-    return {
-        "rho": (rho, None),
-        "sigma": (sigma, None),
-        "alpha": alpha,
-        "equality_injected": eq,
-    }
+def _gen_state_sigma(equality_dim: int | None) -> Callable[[np.random.Generator, int], dict]:
+    """Trial ``i`` draws a full-rank state and a PD sigma of dimension
+    ``DIMS_CYCLE[i % 8]`` at order ``ORDERS_ABOVE_ONE[i % 4]``.  An equality
+    case is the maximally mixed state against a scaled identity, where t4's
+    bound is exactly tight and its proportionality flag fires; it has
+    dimension ``equality_dim`` when one is given (1 for the triangle, whose
+    two sides meet there)."""
 
+    def gen(rng, i: int) -> dict:
+        eq = i % _EQUALITY_EVERY == 0
+        dim = equality_dim if eq and equality_dim else DIMS_CYCLE[i % 8]
+        alpha = ORDERS_ABOVE_ONE[i % 4]
+        if eq:
+            rho = np.eye(dim) / dim
+            sigma = rng.uniform(0.5, 2.0) * np.eye(dim)
+        else:
+            rho = _density_from_rng(rng, dim, dim)
+            sigma = _pd_from_rng(rng, dim, CONDITION_CAPS[i % 3])
+        return {"rho": (rho, None), "sigma": (sigma, None), "alpha": alpha,
+                "equality_injected": eq}
 
-def _gen_triangle(rng, i: int) -> dict:
-    eq = i % _EQUALITY_EVERY == 0
-    dim = 1 if eq else DIMS_CYCLE[i % 8]
-    alpha = ORDERS_ABOVE_ONE[i % 4]
-    rho = np.array([[1.0]]) if eq else _density_from_rng(rng, dim, dim)
-    sigma = (
-        np.array([[rng.uniform(0.5, 2.0)]])
-        if eq
-        else _pd_from_rng(rng, dim, CONDITION_CAPS[i % 3])
-    )
-    return {
-        "rho": (rho, None),
-        "sigma": (sigma, None),
-        "alpha": alpha,
-        "equality_injected": eq,
-    }
+    return gen
 
 
 def _gen_t6(rng, i: int) -> dict:
@@ -504,8 +489,7 @@ def _check_diag_oracle(batch: list[dict]) -> Verdict:
     for (_, _, alpha), rows in groups.items():
         p = probability_vector([batch[i]["p"] for i in rows])
         q = probability_vector([batch[i]["q"] for i in rows])
-        alpha = _check_alpha(alpha, require_not_one=False)
-        _check_alpha_nonneg(alpha)
+        alpha = float(check_order(alpha, "alpha"))
         rho = psd_decompose(_diagonals(p), "density matrix")
         h_quantum[rows] = spectral_entropy(rho.eigenvalues, alpha) * _unit_scale("bits")
         h_classical[rows] = _renyi_entropy(p, np.asarray(alpha))
@@ -602,9 +586,9 @@ SUITES: dict[str, Suite] = {
     "t2_2": Suite(_gen_distribution(ORDERS_BELOW_ONE), _check_t2_2, _DIST),
     "t3": _matrix_suite(_gen_t3, t3_bound, _STATE),
     "t3_2": _matrix_suite(_gen_t3_2, log_dim_cap, _STATE),
-    "t4": _matrix_suite(_gen_t4, t4_lower_bound, _STATE_SIGMA),
+    "t4": _matrix_suite(_gen_state_sigma(None), t4_lower_bound, _STATE_SIGMA),
     "t6": _matrix_suite(_gen_t6, t6_lower_bound, _STATE),
-    "triangle": _matrix_suite(_gen_triangle, triangle_bound_check, _STATE_SIGMA),
+    "triangle": _matrix_suite(_gen_state_sigma(1), triangle_bound_check, _STATE_SIGMA),
     "info_fn_eq": Suite(
         _gen_info_fn_eq, _check_info_fn_eq, {"x": NUMBER, "y": NUMBER, "beta": NUMBER}
     ),

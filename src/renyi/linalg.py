@@ -37,6 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import (
+    AlphaOne,
+    AlphaOutOfRange,
+    BetaOne,
+    BetaOutOfRange,
     ConvergenceFailure,
     DimensionMismatch,
     NonHermitianInput,
@@ -57,6 +61,32 @@ NORM_TOL = 1e-10
 # an order within this band of 1 is treated as 1; the classical and quantum
 # entropies share it because the diagonal oracle compares them at one order
 ORDER_ONE_BAND = 1e-9
+
+# the errors of an order out of its interval, and of one in the band around 1
+_ORDER_ERRORS = {"alpha": (AlphaOutOfRange, AlphaOne), "beta": (BetaOutOfRange, BetaOne)}
+
+
+def check_order(
+    order, name: str, low: float = 0.0, high: float = math.inf,
+    closed: bool = False, one: bool = False,
+) -> np.ndarray:
+    """The order ``name`` (``"alpha"`` or ``"beta"``), or an array of orders,
+    as a float array, once each is known to be admitted.
+
+    The one order check of the package: each order must be finite and lie in
+    ``(low, high)``, or in ``[low, high)`` when ``closed``, else AlphaOutOfRange
+    or BetaOutOfRange; then, unless ``one``, an order within ORDER_ONE_BAND
+    of 1 is AlphaOne or BetaOne.
+    """
+    out_of_range, at_one = _ORDER_ERRORS[name]
+    o = np.asarray(order, dtype=np.float64)
+    inside = np.isfinite(o) & ((o >= low) if closed else (o > low)) & (o < high)
+    if not inside.all():
+        interval = f"{'[' if closed else '('}{low:g}, {high:g})"
+        raise out_of_range(f"{name} must lie in {interval}, got {float(o[~inside].flat[0])!r}")
+    if not one and (np.abs(o - 1.0) < ORDER_ONE_BAND).any():
+        raise at_one(f"{name} = 1 is not admitted here")
+    return o
 
 _JACOBI_REL_TOL = 1e-12
 _SWEEP_LIMIT = 100

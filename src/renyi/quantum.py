@@ -2,7 +2,9 @@
 
 Entropies are always computed from the (clipped) eigenvalue spectrum, never
 from an explicitly powered matrix, and default to natural log; ``units="bits"``
-rescales by 1/ln 2.
+rescales by 1/ln 2.  Orders go through ``linalg.check_order``: alpha > 0, with
+alpha = 1 the von Neumann limit of the entropy and of ``log_dim_cap``;
+``t3_bound`` excludes the band around 1.
 """
 
 from __future__ import annotations
@@ -12,18 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    AlphaOne,
-    AlphaOutOfRange,
-    DimensionMismatch,
-    InvalidDensityMatrix,
-)
+from .exceptions import DimensionMismatch, InvalidDensityMatrix
 from .linalg import (
     EQ_TOL,
     NORM_TOL,
     ORDER_ONE_BAND,
     SpectralDecomposition,
     _single,
+    check_order,
     positive_definite,
     psd_decompose,
     spectral_entropy,
@@ -111,15 +109,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}{tag})"
 
 
-def _check_alpha(alpha: float, require_not_one: bool = True) -> float:
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise AlphaOutOfRange(f"alpha must be a positive real, got {alpha!r}")
-    if require_not_one and abs(alpha - 1.0) < ORDER_ONE_BAND:
-        raise AlphaOne("alpha = 1 is not admitted here")
-    return alpha
-
-
 def von_neumann_entropy(rho: DensityMatrix, units: str = "nats") -> float:
     w = rho.eigenvalues
     nz = w[w > 0.0]
@@ -134,7 +123,7 @@ def quantum_renyi_entropy(
     ``alpha = 1`` returns the von Neumann limit.
     """
     scale = _unit_scale(units)
-    alpha = _check_alpha(alpha, require_not_one=False)
+    alpha = float(check_order(alpha, "alpha", one=True))
     if abs(alpha - 1.0) < ORDER_ONE_BAND:
         return EntropyValue(von_neumann_entropy(rho, units), units, alpha)
     value = spectral_entropy(rho.eigenvalues, alpha)
@@ -156,8 +145,7 @@ def _support_bound(w: np.ndarray, alpha: float) -> tuple[float, int]:
 
 
 def log_dim_cap(rho: DensityMatrix, alpha: float) -> BoundReport:
-    """Dimension cap ``H_alpha(rho) <= ln d``, in nats."""
-    alpha = _check_alpha(alpha, require_not_one=False)
+    """Dimension cap ``H_alpha(rho) <= ln d``, in nats, at the entropy's orders."""
     h = quantum_renyi_entropy(rho, alpha).value
     cap = math.log(rho.dim)
     return chain_report("t3_2", [("cap", h, cap)], extras={"entropy": h, "dim": rho.dim})
@@ -170,9 +158,9 @@ def t3_bound(rho: DensityMatrix, alpha: float) -> BoundReport:
     above it (the sandwich); for alpha > 1 the bound is an upper bound.  The
     report carries both parts, with the cap always included.
     """
-    alpha = _check_alpha(alpha)
+    alpha = float(check_order(alpha, "alpha"))
     bound, d0 = _support_bound(rho.eigenvalues, alpha)
-    h = quantum_renyi_entropy(rho, alpha).value
+    h = spectral_entropy(rho.eigenvalues, alpha)
     cap = math.log(rho.dim)
     if alpha < 1.0:
         parts = [("t3", bound, h), ("cap", h, cap)]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -730,3 +733,37 @@ def test_classical_commands_end_in_value_or_error_object(
     argv = EXTREME_COMMANDS[command].format(order=order, dist=dist).split()
     code, out, err = run(capsys, argv + ["--json"])
     _value_or_error_object(code, out, err, strict_json=True)
+
+
+# argv, and the lines read before the reader closes stdout: the JSON echo of
+# a 64-dim state (about 400 kB) is far more than a pipe holds, so the CLI is
+# still writing after the first line; verify's summary fits in a pipe, so
+# its reader closes before the CLI (still importing) writes anything
+BROKEN_PIPES = {
+    "entropy-64": ("entropy quantum --state {rho64} --alpha 2 --json", 1),
+    "verify": ("verify lemma2 --trials 20 --seed 9 --json", 0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BROKEN_PIPES))
+def test_closed_stdout_is_one_io_error_object(tmp_path, command):
+    rho64 = write_matrix(tmp_path / "rho64.json", np.diag(np.arange(1.0, 65.0) / 2080.0))
+    text, lines = BROKEN_PIPES[command]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "renyi.cli", *text.format(rho64=rho64).split()]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    # one line: no traceback, and no "Exception ignored" at interpreter exit
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "code": "IoError",
+        "message": "stdout was closed before the output was complete",
+        "offending_field": "",
+    }
