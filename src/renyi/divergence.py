@@ -39,6 +39,7 @@ from .exceptions import (
 )
 from .linalg import (
     SpectralDecomposition,
+    _as_stack,
     _partial_trace,
     _single,
     check_order,
@@ -50,7 +51,7 @@ from .linalg import (
     spectral_decompose,
 )
 from .quantum import DensityMatrix
-from .report import BoundReport, chain_report, chain_tight, normalized_slack
+from .report import BoundReport, Chain, chain_report, chain_tight, normalized_slack
 
 @dataclass(frozen=True)
 class DivergenceResult:
@@ -74,24 +75,22 @@ class T5ClosedForm:
     sigma_b: DensityMatrix
 
 
-def _sigma_spectrum(sigma, alpha: float) -> SpectralDecomposition:
-    """Validate a PSD reference matrix, or a stack of them, enforcing PD when
-    alpha > 1, under the support rule: dust ``<= ZERO_THRESHOLD * w_max`` is
-    0 at every scale of sigma."""
+def _sigma_spectrum(sigma, alpha) -> SpectralDecomposition:
+    """Validate a PSD reference matrix, or a stack of them, enforcing PD where
+    alpha (one order, or one per matrix) is above 1, under the support rule:
+    dust ``<= ZERO_THRESHOLD * w_max`` is 0 at every scale of sigma."""
     dec = psd_decompose(sigma, "sigma")
-    if alpha > 1.0 and not positive_definite(dec.eigenvalues).all():
+    if ((np.asarray(alpha) > 1.0) & ~positive_definite(dec.eigenvalues)).any():
         raise SigmaSingular("alpha > 1 requires a positive definite sigma")
     return dec
 
 
-def _petz(
-    rho: SpectralDecomposition, sigma: SpectralDecomposition, alpha: float
-) -> tuple[float, float]:
+def _petz(rho: SpectralDecomposition, sigma: SpectralDecomposition, alpha):
     """``D_alpha(rho || sigma)`` and its t4 bound from the two decompositions,
-    through ``linalg.petz_divergence``."""
+    or per pair of two stacked ones, through ``linalg.petz_divergence``."""
     if sigma.eigenvalues.shape != rho.eigenvalues.shape:
         raise DimensionMismatch("rho and sigma must share dimensions")
-    overlap = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
+    overlap = np.abs(rho.eigenvectors.conj().swapaxes(-1, -2) @ sigma.eigenvectors) ** 2
     return petz_divergence(rho.eigenvalues, sigma.eigenvalues, overlap, alpha)
 
 
@@ -110,6 +109,20 @@ def renyi_relative_entropy(
     return DivergenceResult(value, alpha, equality)
 
 
+def _t4(rho: SpectralDecomposition, sigma, alpha) -> Chain:
+    """t4 on the decomposed state and the matrix sigma, or per pair of a
+    stacked decomposition and a stack, at one order or one order per pair."""
+    alpha = check_order(alpha, "alpha", low=1.0)
+    rho = _as_stack(rho)
+    if not positive_definite(rho.eigenvalues).all():
+        raise NotPd("rho must be positive definite")
+    dec = _as_stack(spectral_decompose(sigma))
+    if not positive_definite(dec.eigenvalues).all():
+        raise NotPd("sigma must be positive definite")
+    value, bound = _petz(rho, dec, alpha)
+    return Chain("t4", [("t4", bound, value)], {"divergence": value, "bound": bound})
+
+
 def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     """Dimension/determinant lower bound on ``D_alpha`` for PD inputs, alpha > 1.
 
@@ -117,16 +130,7 @@ def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     + ((1-alpha)/d) ln det sigma)``, tight exactly when ``sigma`` is
     proportional to ``rho^(alpha/(alpha-1))``.
     """
-    alpha = float(check_order(alpha, "alpha", low=1.0))
-    if not rho.is_positive_definite:
-        raise NotPd("rho must be positive definite")
-    dec = spectral_decompose(_single(sigma))
-    if not positive_definite(dec.eigenvalues):
-        raise NotPd("sigma must be positive definite")
-    value, bound = _petz(rho.spectrum, dec, alpha)
-    return chain_report(
-        "t4", [("t4", bound, value)], extras={"divergence": value, "bound": bound}
-    )
+    return _t4(rho.spectrum, _single(sigma), alpha).report()
 
 
 def _bipartite_dims(rho_ab: DensityMatrix) -> tuple[int, int]:
@@ -288,18 +292,26 @@ def t6_lower_bound(rho_ab: DensityMatrix, alpha: float) -> BoundReport:
     )
 
 
-def triangle_bound_check(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
-    """Check ``D(rho||sigma) <= D(rho||I) + D(I||sigma)`` for alpha > 1."""
-    alpha = float(check_order(alpha, "alpha", low=1.0))
-    dec = _sigma_spectrum(sigma, alpha)
-    lhs, _ = _petz(rho.spectrum, dec, alpha)
+def _triangle(rho: SpectralDecomposition, sigma, alpha) -> Chain:
+    """The triangle check on the decomposed state and the matrix sigma, or per
+    pair of a stacked decomposition and a stack, at one order or one order
+    per pair."""
+    alpha = check_order(alpha, "alpha", low=1.0)
+    rho = _as_stack(rho)
+    dec = _as_stack(_sigma_spectrum(sigma, alpha))
+    lhs, _ = _petz(rho, dec, alpha)
     # I shares each operand's eigenbasis; D(rho || I) = -H_alpha(rho)
-    ones, same = np.ones(rho.dim), np.eye(rho.dim)
+    ones = np.ones(rho.eigenvalues.shape)
+    same = np.broadcast_to(np.eye(ones.shape[-1]), rho.eigenvectors.shape)
     d_rho_i, _ = petz_divergence(rho.eigenvalues, ones, same, alpha)
     d_i_sigma, _ = petz_divergence(ones, dec.eigenvalues, same, alpha)
-    rhs = d_rho_i + d_i_sigma
-    return chain_report(
+    return Chain(
         "triangle",
-        [("triangle", lhs, rhs)],
-        extras={"d_rho_identity": d_rho_i, "d_identity_sigma": d_i_sigma},
+        [("triangle", lhs, d_rho_i + d_i_sigma)],
+        {"d_rho_identity": d_rho_i, "d_identity_sigma": d_i_sigma},
     )
+
+
+def triangle_bound_check(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
+    """Check ``D(rho||sigma) <= D(rho||I) + D(I||sigma)`` for alpha > 1."""
+    return _triangle(rho.spectrum, _single(sigma), alpha).report()

@@ -16,12 +16,15 @@ one equality flag and one failure tolerance per trial, as arrays.
 mask and the equality counts, and builds a trial's
 :class:`~renyi.report.BoundReport` only when the trial fails.  The classical
 checks evaluate each formula once on a block's zero-padded stack and apply
-the :mod:`renyi.report` rules to the stacked values.  ``diag_oracle`` checks
-a block through the stack axis of :mod:`renyi.linalg`, one stack per shape
-group; every other matrix suite calls its library bound on each trial's
-operands, in ``Suite.inputs`` order, and collects its reports.
-``bounds`` and :func:`replay` run the same kernel on a batch of one and take
-its report.  A matrix input is an ``(array, dims)`` pair and a distribution
+the :mod:`renyi.report` rules to the stacked values.  The matrix suites
+check a block once per shape group: lemma2, lemma3, lemma4, t3, t3_2, t4
+and triangle stack each matrix operand of a group, validate and decompose
+it as one stack and run their library bound's kernel on the stacks (the
+public bound is that kernel on a stack of one), and ``diag_oracle`` does
+the same with its library functions.  t6, whose Sibson path takes one
+state at a time, calls its library bound per trial.  ``bounds`` and
+:func:`replay` run the same check on a batch of one and take its report.
+A matrix input is an ``(array, dims)`` pair and a distribution
 a float array; they are serialized to the CLI file format only when a
 failure is recorded, and :func:`replay` parses that form back.  One trial in
 a hundred is a constructed equality-case instance so the equality flags get
@@ -46,13 +49,7 @@ from .classical import (
     info_function_beta,
     probability_vector,
 )
-from .divergence import (
-    _petz,
-    _sigma_spectrum,
-    t4_lower_bound,
-    t6_lower_bound,
-    triangle_bound_check,
-)
+from .divergence import _petz, _sigma_spectrum, _t4, _triangle, t6_lower_bound
 from .exceptions import BadCap, BadDim, BadRank, BadTrials, BadZeros, UnknownSuite
 from .fileformat import (
     distribution_from_payload,
@@ -60,15 +57,20 @@ from .fileformat import (
     matrix_from_payload,
     matrix_payload,
 )
-from .linalg import (
-    check_order, lemma2_check, lemma3_check, lemma4_check, psd_decompose, spectral_entropy
+from .linalg import _lemma2, _lemma3, _lemma4, check_order, psd_decompose, spectral_entropy
+from .quantum import (
+    DensityMatrix,
+    _bipartite_tag,
+    _density_decompose,
+    _log_dim_cap,
+    _t3,
+    _unit_scale,
 )
-from .quantum import DensityMatrix, _unit_scale, log_dim_cap, t3_bound
 from .report import (
     CHAIN_TOL,
     BoundReport,
+    Chain,
     chain_gap,
-    chain_report,
     chain_tight,
     identity_gap,
     identity_report,
@@ -218,21 +220,13 @@ class Verdict:
         return self.report(i)
 
 
-def _chain_verdict(name: str, parts: list, extras: dict) -> Verdict:
-    """The verdict of stacked chains: ``parts`` are ``(label, lhs, rhs)`` with
-    one array entry per trial, and a report is :func:`chain_report` of one
-    trial's entries."""
-    slacks = [normalized_slack(lo, hi) for _, lo, hi in parts]
+def _chain_verdict(chain: Chain) -> Verdict:
+    """The verdict of a :class:`~renyi.report.Chain` with one row per trial:
+    a report is the chain's report of that row."""
+    slacks = [normalized_slack(lo, hi) for _, lo, hi in chain.parts]
     gap = chain_gap(slacks)
-
-    def report(i: int) -> BoundReport:
-        return chain_report(
-            name,
-            [(label, float(lo[i]), float(hi[i])) for label, lo, hi in parts],
-            extras={key: float(value[i]) for key, value in extras.items()},
-        )
-
-    return Verdict(gap, chain_tight(slacks), np.full(len(gap), CHAIN_TOL), report)
+    equality = chain_tight(slacks) if chain.equality is None else chain.equality
+    return Verdict(gap, equality, np.full(len(gap), CHAIN_TOL), chain.report)
 
 
 def _identity_verdict(
@@ -321,15 +315,17 @@ def _gen_distribution(orders: tuple) -> Callable[[np.random.Generator, int], dic
     return gen
 
 
-def _stacked(batch: list[dict], kernel: Callable) -> list[np.ndarray]:
+def _stacked(batch: list[dict], kernel: Callable, high: float = math.inf) -> list[np.ndarray]:
     """Evaluate ``kernel(p, beta)`` once on the batch, validated as one
     ``(trials, longest)`` stack with each distribution zero-padded on the
-    right: a zero lies off the support and every row sum in
-    :mod:`renyi.classical` runs left to right, so padding changes no bit."""
+    right, and its orders as one array in ``(0, high)``: a zero lies off the
+    support and every row sum in :mod:`renyi.classical` runs left to right,
+    so padding changes no bit."""
     sizes = np.array([len(x["p"]) for x in batch])
     p = np.zeros((len(batch), sizes.max()))
     p[np.arange(p.shape[1]) < sizes[:, None]] = np.concatenate([x["p"] for x in batch])
-    return kernel(probability_vector(p), check_order([x["beta"] for x in batch], "beta"))
+    beta = check_order([x["beta"] for x in batch], "beta", high=high)
+    return kernel(probability_vector(p), beta)
 
 
 def _check_t1(batch: list[dict]) -> Verdict:
@@ -339,19 +335,15 @@ def _check_t1(batch: list[dict]) -> Verdict:
     # a lower bound below order one, an upper bound above it
     below = beta < 1.0
     parts = [("t1", np.where(below, bound, h), np.where(below, h, bound))]
-    return _chain_verdict("t1", parts, {"entropy": h, "bound": bound})
+    return _chain_verdict(Chain("t1", parts, {"entropy": h, "bound": bound}))
 
 
 def _check_t2_2(batch: list[dict]) -> Verdict:
     h, bound = _stacked(
-        batch,
-        lambda p, beta: (
-            _entropy_type_beta(p, beta),
-            _product_bound(p, check_order(beta, "beta", high=1.0, one=True)),
-        ),
+        batch, lambda p, beta: (_entropy_type_beta(p, beta), _product_bound(p, beta)), high=1.0
     )
     parts = [("nonneg", np.zeros_like(h), h), ("product", bound, h)]
-    return _chain_verdict("t2_2", parts, {"bound": bound})
+    return _chain_verdict(Chain("t2_2", parts, {"bound": bound}))
 
 
 def _gen_t3(rng, i: int) -> dict:
@@ -477,10 +469,10 @@ def _check_diag_oracle(batch: list[dict]) -> Verdict:
     The block is checked in groups of one shape and one order (in a generated
     block ``n`` and ``alpha`` both follow ``i % 7``).  A group validates its
     p and q once as two stacks, decomposes ``diag(p)`` and ``diag(q)`` as two
-    stacks, and takes the quantum entropies from the stacked spectra; the
-    divergence is ``petz_divergence`` per pair.  Each row gives the bits of
-    ``quantum_renyi_entropy`` and ``renyi_relative_entropy`` on that trial
-    alone, and a trial alone raises their errors in their order.
+    stacks, and takes the quantum entropies from the stacked spectra and the
+    divergences from one stacked ``petz_divergence``.  Each row gives the
+    bits of ``quantum_renyi_entropy`` and ``renyi_relative_entropy`` on that
+    trial alone, and a trial alone raises their errors in their order.
     """
     groups: dict = {}
     for i, x in enumerate(batch):
@@ -493,12 +485,12 @@ def _check_diag_oracle(batch: list[dict]) -> Verdict:
         rho = psd_decompose(_diagonals(p), "density matrix")
         h_quantum[rows] = spectral_entropy(rho.eigenvalues, alpha) * _unit_scale("bits")
         h_classical[rows] = _renyi_entropy(p, np.asarray(alpha))
-        sigma = _sigma_spectrum(_diagonals(q), alpha)
-        for k, i in enumerate(rows):
-            d_quantum[i] = _petz(rho[k], sigma[k], alpha)[0]
-            support = p[k] > 0.0
-            terms = p[k][support] ** alpha * q[k][support] ** (1.0 - alpha)
-            d_classical[i] = math.log(float(terms.sum())) / (alpha - 1.0)
+        d_quantum[rows] = _petz(rho, _sigma_spectrum(_diagonals(q), alpha), alpha)[0]
+        # each row sums its support's terms alone, as the classical value is defined
+        terms = p**alpha * q ** (1.0 - alpha)
+        d_classical[rows] = [
+            math.log(float(np.sum(t[s]))) / (alpha - 1.0) for t, s in zip(terms, p > 0.0)
+        ]
     # the smaller gap by Python's min rule, as chain_gap takes it
     gap = chain_gap([identity_gap(h_quantum, h_classical), identity_gap(d_quantum, d_classical)])
     tolerance = 1e-10
@@ -550,16 +542,60 @@ class Suite:
         }
 
 
+def _kernel_suite(gen, kernel: Callable[..., Chain], inputs: dict[str, str]) -> Suite:
+    """The suite whose batch check runs the library bound's ``kernel`` once per
+    shape group of the batch, on its operands in ``inputs`` order: each
+    matrix is the group's stack of its arrays, ``rho`` validated and
+    decomposed as a stack of density matrices (its dims tag checked per
+    trial), and each number the group's list of it.  The verdict reads the
+    kernel's arrays, back in trial order."""
+    matrices = [key for key, kind in inputs.items() if kind == MATRIX]
+
+    def operand(key: str, values: list):
+        if inputs[key] != MATRIX:
+            return values
+        stack = np.stack([array for array, _ in values])
+        if key != "rho":
+            return stack
+        dec = _density_decompose(stack)
+        for _, dims in values:
+            _bipartite_tag(dims, stack.shape[-1])
+        return dec
+
+    def check(batch: list[dict]) -> Verdict:
+        groups: dict = {}
+        for i, x in enumerate(batch):
+            groups.setdefault(tuple(np.shape(x[key][0]) for key in matrices), []).append(i)
+        chains = [
+            kernel(*(operand(key, [batch[i][key] for i in rows]) for key in inputs))
+            for rows in groups.values()
+        ]
+        # the joined rows run group by group; trial i is joined row at[i]
+        at = np.argsort(np.concatenate(list(groups.values())), kind="stable")
+
+        def join(arrays: list[np.ndarray]) -> np.ndarray:
+            return np.concatenate(arrays)[at]
+
+        first = chains[0]
+        parts = [
+            (label, join([c.parts[j][1] for c in chains]), join([c.parts[j][2] for c in chains]))
+            for j, (label, _, _) in enumerate(first.parts)
+        ]
+        extras = {key: join([c.extras[key] for c in chains]) for key in first.extras}
+        equality = None if first.equality is None else join([c.equality for c in chains])
+        return _chain_verdict(Chain(first.name, parts, extras, equality))
+
+    return Suite(gen, check, inputs)
+
+
 def _matrix_suite(gen, bound: Callable[..., BoundReport], inputs: dict[str, str]) -> Suite:
     """The suite whose batch check calls the library ``bound`` on each trial's
     operands, in ``inputs`` order, and reads the verdict arrays off its
-    reports.  ``rho`` is a :class:`DensityMatrix` of its ``(array, dims)``,
-    any other matrix is its array, and a number is a float."""
+    reports: t6, whose Sibson path takes one state at a time.  ``rho`` is a
+    :class:`DensityMatrix` of its ``(array, dims)``, and a number a float."""
 
     def operand(key: str, value):
-        if inputs[key] == MATRIX:
-            return DensityMatrix(*value) if key == "rho" else value[0]
-        return float(value)
+        return DensityMatrix(*value) if inputs[key] == MATRIX else float(value)
 
     def check(batch: list[dict]) -> Verdict:
         reports = [bound(*(operand(key, x[key]) for key in inputs)) for x in batch]
@@ -579,16 +615,16 @@ _STATE = {"rho": MATRIX, "alpha": NUMBER}
 _STATE_SIGMA = {"rho": MATRIX, "sigma": MATRIX, "alpha": NUMBER}
 
 SUITES: dict[str, Suite] = {
-    "lemma2": _matrix_suite(_gen_lemma2, lemma2_check, _PAIR),
-    "lemma3": _matrix_suite(_gen_lemma3, lemma3_check, _PAIR),
-    "lemma4": _matrix_suite(_gen_lemma4, lemma4_check, {"a": MATRIX}),
+    "lemma2": _kernel_suite(_gen_lemma2, _lemma2, _PAIR),
+    "lemma3": _kernel_suite(_gen_lemma3, _lemma3, _PAIR),
+    "lemma4": _kernel_suite(_gen_lemma4, _lemma4, {"a": MATRIX}),
     "t1": Suite(_gen_distribution(ORDERS_CYCLE), _check_t1, _DIST),
     "t2_2": Suite(_gen_distribution(ORDERS_BELOW_ONE), _check_t2_2, _DIST),
-    "t3": _matrix_suite(_gen_t3, t3_bound, _STATE),
-    "t3_2": _matrix_suite(_gen_t3_2, log_dim_cap, _STATE),
-    "t4": _matrix_suite(_gen_state_sigma(None), t4_lower_bound, _STATE_SIGMA),
+    "t3": _kernel_suite(_gen_t3, _t3, _STATE),
+    "t3_2": _kernel_suite(_gen_t3_2, _log_dim_cap, _STATE),
+    "t4": _kernel_suite(_gen_state_sigma(None), _t4, _STATE_SIGMA),
     "t6": _matrix_suite(_gen_t6, t6_lower_bound, _STATE),
-    "triangle": _matrix_suite(_gen_state_sigma(1), triangle_bound_check, _STATE_SIGMA),
+    "triangle": _kernel_suite(_gen_state_sigma(1), _triangle, _STATE_SIGMA),
     "info_fn_eq": Suite(
         _gen_info_fn_eq, _check_info_fn_eq, {"x": NUMBER, "y": NUMBER, "beta": NUMBER}
     ),

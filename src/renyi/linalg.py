@@ -6,12 +6,14 @@ definiteness tests) is built on it.  Matrices are plain ``complex128``
 ndarrays; validation happens at the operation boundary.
 
 The validation and spectral layer takes a leading stack axis: ``as_hermitian``
-and ``spectral_decompose`` accept an ``(k, n, n)`` stack, and
-``clip_spectrum``, ``psd_decompose``, ``positive_definite`` and
-``spectral_entropy`` work on each spectrum along the last axis.  One matrix
-is the stack-free case of the same code, and each row of a stacked result
-has the bits of that matrix's own call.  Every other function takes one
-matrix and rejects a stack with DimensionMismatch.
+and ``spectral_decompose`` accept an ``(k, n, n)`` stack, ``trace_product``
+a pair of them, and ``clip_spectrum``, ``psd_decompose``,
+``positive_definite``, ``spectral_entropy`` and ``petz_divergence`` work on
+each spectrum along the last axis.  One matrix is the stack-free case of the
+same code, and each row of a stacked result has the bits of that matrix's
+own call.  The lemma checks are kernels over stacks, and each public check
+is its kernel on a stack of one.  Every other function takes one matrix and
+rejects a stack with DimensionMismatch.
 
 Spectral conventions used throughout the package:
 
@@ -51,7 +53,7 @@ from .exceptions import (
 )
 # the chain tolerances live with the pass and equality rules in report, which
 # cannot import this module; they are re-exported here next to the others
-from .report import CHAIN_TOL, EQ_TOL, BoundReport, chain_report
+from .report import CHAIN_TOL, EQ_TOL, BoundReport, Chain
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -71,7 +73,8 @@ def check_order(
     closed: bool = False, one: bool = False,
 ) -> np.ndarray:
     """The order ``name`` (``"alpha"`` or ``"beta"``), or an array of orders,
-    as a float array, once each is known to be admitted.
+    as a float array (a ``numpy.float64`` for one Python number), once each
+    is known to be admitted.
 
     The one order check of the package: each order must be finite and lie in
     ``(low, high)``, or in ``[low, high)`` when ``closed``, else AlphaOutOfRange
@@ -79,22 +82,29 @@ def check_order(
     of 1 is AlphaOne or BetaOne.
     """
     out_of_range, at_one = _ORDER_ERRORS[name]
+    if isinstance(order, (int, float)):
+        # one number: the same rule in Python floats, at a tenth of the array cost
+        o = float(order)
+        if not (math.isfinite(o) and (o >= low if closed else o > low) and o < high):
+            raise out_of_range(_outside(name, low, high, closed, o))
+        if not one and abs(o - 1.0) < ORDER_ONE_BAND:
+            raise at_one(f"{name} = 1 is not admitted here")
+        return np.float64(o)
     o = np.asarray(order, dtype=np.float64)
     inside = np.isfinite(o) & ((o >= low) if closed else (o > low)) & (o < high)
     if not inside.all():
-        interval = f"{'[' if closed else '('}{low:g}, {high:g})"
-        raise out_of_range(f"{name} must lie in {interval}, got {float(o[~inside].flat[0])!r}")
+        raise out_of_range(_outside(name, low, high, closed, float(o[~inside].flat[0])))
     if not one and (np.abs(o - 1.0) < ORDER_ONE_BAND).any():
         raise at_one(f"{name} = 1 is not admitted here")
     return o
 
+
+def _outside(name: str, low: float, high: float, closed: bool, order: float) -> str:
+    return f"{name} must lie in {'[' if closed else '('}{low:g}, {high:g}), got {order!r}"
+
+
 _JACOBI_REL_TOL = 1e-12
 _SWEEP_LIMIT = 100
-
-
-def max_abs(a: np.ndarray) -> float:
-    """Max-norm of a matrix (0 for empty input)."""
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def _single(matrix):
@@ -149,6 +159,15 @@ class SpectralDecomposition:
         """Matrix ``i`` of a stacked decomposition."""
         m = None if self.matrix is None else self.matrix[i]
         return SpectralDecomposition(self.eigenvalues[i], self.eigenvectors[i], m)
+
+
+def _as_stack(dec: SpectralDecomposition) -> SpectralDecomposition:
+    """``dec`` with a leading stack axis: one matrix's decomposition is a
+    stack of one, and a stack is itself."""
+    if dec.eigenvalues.ndim > 1:
+        return dec
+    m = None if dec.matrix is None else dec.matrix[None]
+    return SpectralDecomposition(dec.eigenvalues[None], dec.eigenvectors[None], m)
 
 
 def _rotation(app: float, aqq: float, apq: complex, r: float) -> tuple[float, float, complex]:
@@ -341,56 +360,74 @@ def spectral_power(dec: SpectralDecomposition, r: float) -> np.ndarray:
     return recombine(dec, power_spectrum(dec.eigenvalues, r))
 
 
-def spectral_entropy(w: np.ndarray, r: float):
+def spectral_entropy(w: np.ndarray, r):
     """``ln(sum_i w_i^r) / (1 - r)`` for a nonnegative vector with a positive
     entry, or an array of it for each vector along the last axis of a stack,
-    all at the one order ``r``.
+    at the one order ``r`` or at one order per vector.
 
     Computed as ``r/(1-r) ln w_max + ln sum_i (w_i/w_max)^r / (1-r)``: no
     power overflows, the dominant term never underflows to zero, and the
     first term tends to ``-ln w_max`` as ``r`` grows instead of overflowing.
-    The two logarithms are ``math.log`` per vector, since numpy's vectorized
-    log may round apart from it.
+    The vectors of one order are raised with ``**`` to that order as a float,
+    as one vector alone is, and the two logarithms are ``math.log`` per
+    vector, since numpy's vectorized log may round apart from it.
     """
-    w_max = np.max(w, axis=-1)
-    s = np.sum((w / w_max[..., None]) ** r, axis=-1)
+    x = w.reshape(-1, w.shape[-1])
+    w_max = np.max(x, axis=-1)
+    orders = np.broadcast_to(np.asarray(r, dtype=np.float64).reshape(-1), w_max.shape)
+    s = np.empty(w_max.shape)
+    for order in np.unique(orders).tolist():
+        rows = orders == order
+        s[rows] = np.sum((x[rows] / w_max[rows, None]) ** order, axis=-1)
     h = [
-        r / (1.0 - r) * math.log(top) + math.log(total) / (1.0 - r)
-        for top, total in zip(w_max.flat, s.flat)
+        o / (1.0 - o) * math.log(top) + math.log(total) / (1.0 - o)
+        for o, top, total in zip(orders.tolist(), w_max.tolist(), s.tolist())
     ]
-    return h[0] if w.ndim == 1 else np.array(h)
+    return h[0] if w.ndim == 1 else np.array(h).reshape(w.shape[:-1])
 
 
-def petz_divergence(
-    p: np.ndarray, q: np.ndarray, overlap: np.ndarray, alpha: float
-) -> tuple[float, float]:
+def petz_divergence(p: np.ndarray, q: np.ndarray, overlap: np.ndarray, alpha):
     """``D_alpha = ln tr(rho^alpha sigma^(1-alpha)) / (alpha-1)`` and its
     Lemma 3 bound, from the spectra p, q of rho and sigma under the support
-    rule and the overlap ``W = |U† V|^2`` of their eigenvectors.
+    rule and the overlap ``W = |U† V|^2`` of their eigenvectors; for stacks of
+    spectra and overlaps, two arrays with one entry per pair, at one order or
+    at one order per pair.
 
     With ``y_ij = ln p_i - ln q_j`` over the pairs of both supports that W
     weights, and ``Y`` their max (alpha > 1) or min (alpha < 1), ``D = Y +
     ln(sum W_ij p_i e^((alpha-1)(y_ij-Y))) / (alpha-1)``: no exponent is
-    positive, so D is finite at every order and tends to Y.  ``bound = mean y
-    + (ln n + mean ln p)/(alpha-1)``, ``-inf`` off full rank, is the
-    determinant form of Lemma 3, below D for alpha > 1.  Orthogonal supports
-    raise TraceNonpositive.
+    positive, so D is finite at every order and tends to Y.  Every other pair
+    is masked to a zero term.  ``bound = mean y + (ln n + mean ln p)/(alpha-1)``,
+    ``-inf`` off full rank, is the determinant form of Lemma 3, below D for
+    alpha > 1.  Orthogonal supports raise TraceNonpositive.
     """
-    sp, sq = p > 0.0, q > 0.0
-    ln_p, ln_q = np.log(p[sp]), np.log(q[sq])
-    weight = overlap[sp][:, sq] * p[sp][:, None]
-    pairs = weight > 0.0
-    if not pairs.any():
+    n = p.shape[-1]
+    ps, qs, ws = p.reshape(-1, n), q.reshape(-1, n), overlap.reshape(-1, n, n)
+    orders = np.broadcast_to(np.asarray(alpha, dtype=np.float64).reshape(-1), ps.shape[:1])
+    sp, sq = ps > 0.0, qs > 0.0
+    ln_p, ln_q = np.log(np.where(sp, ps, 1.0)), np.log(np.where(sq, qs, 1.0))
+    weight = ws * ps[:, :, None]
+    pairs = (weight > 0.0) & sq[:, None, :]
+    if not pairs.any(axis=(1, 2)).all():
         raise TraceNonpositive("tr(rho^a sigma^(1-a)) = 0: the supports are orthogonal")
-    y = ln_p[:, None] - ln_q[None, :]
-    top = float(y[pairs].max() if alpha > 1.0 else y[pairs].min())
+    y = ln_p[:, :, None] - ln_q[:, None, :]
+    top = np.where(
+        orders > 1.0,
+        np.where(pairs, y, -np.inf).max(axis=(1, 2)),
+        np.where(pairs, y, np.inf).min(axis=(1, 2)),
+    )
     # an exponent past the float range is -inf, and its term exactly 0
     with np.errstate(over="ignore"):
-        terms = weight[pairs] * np.exp((alpha - 1.0) * (y[pairs] - top))
-    value = top + math.log(float(terms.sum())) / (alpha - 1.0)
-    if not (sp.all() and sq.all()):
-        return value, -math.inf
-    return value, float(np.mean(y)) + (math.log(p.size) + float(np.mean(ln_p))) / (alpha - 1.0)
+        exponent = (orders - 1.0)[:, None, None] * (y - top[:, None, None])
+    terms = weight * np.exp(np.where(pairs, exponent, -np.inf))
+    totals = np.sum(terms.reshape(len(ps), -1), axis=-1)
+    value = top + np.array([math.log(total) for total in totals.tolist()]) / (orders - 1.0)
+    full = sp.all(axis=1) & sq.all(axis=1)
+    mean = y.mean(axis=(1, 2)) + (math.log(n) + ln_p.mean(axis=1)) / (orders - 1.0)
+    bound = np.where(full, mean, -np.inf)
+    if p.ndim == 1:
+        return float(value[0]), float(bound[0])
+    return value.reshape(p.shape[:-1]), bound.reshape(p.shape[:-1])
 
 
 def matrix_power(matrix, r: float) -> np.ndarray:
@@ -441,29 +478,57 @@ def partial_trace_a(matrix, d_a: int, d_b: int) -> np.ndarray:
     return _partial_trace(as_hermitian(_single(matrix)), d_a, d_b, 0)
 
 
-def trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """``tr(AB)`` as the real part of the entrywise sum of A[i,j] B[j,i]."""
-    return float(np.sum(a * b.T).real)
+def trace_product(a: np.ndarray, b: np.ndarray):
+    """``tr(AB)`` as the real part of the entrywise sum of A[i,j] B[j,i]; for
+    two stacks, an array of it for each pair of matrices."""
+    terms = a * b.swapaxes(-1, -2)
+    return np.sum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1).real
 
 
 def _decompose_psd_pair(a, b) -> tuple[SpectralDecomposition, SpectralDecomposition]:
-    """``psd_decompose`` two same-size PSD matrices, the shape checked first."""
-    dec_a = spectral_decompose(_single(a))
-    dec_b = spectral_decompose(_single(b))
+    """``psd_decompose`` two same-size PSD matrices, or two stacks of them,
+    the shape checked first; one matrix comes back as a stack of one."""
+    dec_a = _as_stack(spectral_decompose(a))
+    dec_b = _as_stack(spectral_decompose(b))
     if dec_a.matrix.shape != dec_b.matrix.shape:
         raise DimensionMismatch("A and B must share dimensions")
     return _clipped(dec_a, "A"), _clipped(dec_b, "B")
 
 
-def lemma2_check(a, b) -> BoundReport:
-    """Check ``0 <= tr(AB) <= tr(A) tr(B)`` for PSD A, B."""
+def _lemma2(a, b) -> Chain:
+    """Lemma 2 on PSD A and B, or on each pair of two stacks."""
     dec_a, dec_b = _decompose_psd_pair(a, b)
     am, bm = dec_a.matrix, dec_b.matrix
     tr_ab = trace_product(am, bm)
-    tr_a = float(np.trace(am).real)
-    tr_b = float(np.trace(bm).real)
-    parts = [("lower", 0.0, tr_ab), ("upper", tr_ab, tr_a * tr_b)]
-    return chain_report("lemma2", parts, extras={"trace_product": tr_ab})
+    tr_a = np.trace(am, axis1=-2, axis2=-1).real
+    tr_b = np.trace(bm, axis1=-2, axis2=-1).real
+    parts = [("lower", np.zeros_like(tr_ab), tr_ab), ("upper", tr_ab, tr_a * tr_b)]
+    return Chain("lemma2", parts, {"trace_product": tr_ab})
+
+
+def lemma2_check(a, b) -> BoundReport:
+    """Check ``0 <= tr(AB) <= tr(A) tr(B)`` for PSD A, B."""
+    return _lemma2(_single(a), _single(b)).report()
+
+
+def _lemma3(a, b) -> Chain:
+    """Lemma 3 on same-size PSD A and B, or on each pair of two stacks."""
+    dec_a, dec_b = _decompose_psd_pair(a, b)
+    n = dec_a.matrix.shape[-1]
+    w_a, w_b = dec_a.eigenvalues, dec_b.eigenvalues
+    with np.errstate(over="ignore"):
+        det_a = np.prod(w_a, axis=-1)
+        det_b = np.prod(w_b, axis=-1)
+    regular = (w_a[:, 0] > 0.0) & (w_b[:, 0] > 0.0)
+    # a singular pair's side is 0, whatever the logarithms of its ones give
+    mean_a = np.log(np.where(regular[:, None], w_a, 1.0)).mean(axis=-1)
+    mean_b = np.log(np.where(regular[:, None], w_b, 1.0)).mean(axis=-1)
+    lhs = np.array([
+        n * math.exp(ma) * math.exp(mb) if r else 0.0
+        for ma, mb, r in zip(mean_a.tolist(), mean_b.tolist(), regular.tolist())
+    ])
+    rhs = trace_product(dec_a.matrix, dec_b.matrix)
+    return Chain("lemma3", [("amgm", lhs, rhs)], {"det_a": det_a, "det_b": det_b})
 
 
 def lemma3_check(a, b) -> BoundReport:
@@ -475,20 +540,22 @@ def lemma3_check(a, b) -> BoundReport:
     singular.  Equality is the report's slack rule: the two sides meet
     exactly when ``AB`` is a multiple of the identity.
     """
-    dec_a, dec_b = _decompose_psd_pair(a, b)
-    am = dec_a.matrix
-    n = am.shape[0]
-    w_a, w_b = dec_a.eigenvalues, dec_b.eigenvalues
-    with np.errstate(over="ignore"):
-        det_a = float(np.prod(w_a))
-        det_b = float(np.prod(w_b))
-    lhs = 0.0
-    if w_a[0] > 0.0 and w_b[0] > 0.0:
-        lhs = n * math.exp(np.mean(np.log(w_a))) * math.exp(np.mean(np.log(w_b)))
-    rhs = trace_product(am, dec_b.matrix)
-    return chain_report(
-        "lemma3", [("amgm", lhs, rhs)], extras={"det_a": det_a, "det_b": det_b}
-    )
+    return _lemma3(_single(a), _single(b)).report()
+
+
+def _lemma4(a) -> Chain:
+    """Lemma 4 on a PD matrix, or on each matrix of a stack."""
+    dec = _as_stack(spectral_decompose(a))
+    am, w = dec.matrix, dec.eigenvalues
+    regular = positive_definite(w)
+    if not regular.all():
+        low = np.extract(~regular, w[:, 0])[0]
+        raise NotPd(f"lemma4 needs a positive definite matrix (min eig {low:.3e})")
+    lower = np.sum(1.0 - 1.0 / w, axis=-1)
+    mid = np.sum(np.log(w), axis=-1)
+    upper = np.sum(w - 1.0, axis=-1)
+    eq = np.abs(am - np.eye(am.shape[-1])).max(axis=(-2, -1)) <= EQ_TOL
+    return Chain("lemma4", [("lower", lower, mid), ("upper", mid, upper)], {"log_det": mid}, eq)
 
 
 def lemma4_check(a) -> BoundReport:
@@ -497,17 +564,4 @@ def lemma4_check(a) -> BoundReport:
     Natural log throughout; equality detected when ``A`` is the identity to
     within ``EQ_TOL`` in max-norm.
     """
-    dec = spectral_decompose(_single(a))
-    am, w = dec.matrix, dec.eigenvalues
-    if not positive_definite(w):
-        raise NotPd(f"lemma4 needs a positive definite matrix (min eig {w[0]:.3e})")
-    lower = float(np.sum(1.0 - 1.0 / w))
-    mid = float(np.sum(np.log(w)))
-    upper = float(np.sum(w - 1.0))
-    eq = max_abs(am - np.eye(am.shape[0])) <= EQ_TOL
-    return chain_report(
-        "lemma4",
-        [("lower", lower, mid), ("upper", mid, upper)],
-        extras={"log_det": mid},
-        equality=eq,
-    )
+    return _lemma4(_single(a)).report()

@@ -20,13 +20,14 @@ from .linalg import (
     NORM_TOL,
     ORDER_ONE_BAND,
     SpectralDecomposition,
+    _as_stack,
     _single,
     check_order,
     positive_definite,
     psd_decompose,
     spectral_entropy,
 )
-from .report import BoundReport, chain_report, normalized_slack
+from .report import BoundReport, Chain, normalized_slack
 
 _LN2 = math.log(2.0)
 
@@ -46,6 +47,29 @@ class EntropyValue:
     alpha: float
 
 
+def _density_decompose(matrix) -> SpectralDecomposition:
+    """``psd_decompose`` of a density matrix, or of each matrix of a stack,
+    once each has unit trace within NORM_TOL (else InvalidDensityMatrix)."""
+    dec = psd_decompose(matrix, "density matrix")
+    trace = np.trace(dec.matrix, axis1=-2, axis2=-1).real
+    off = np.abs(trace - 1.0) > NORM_TOL
+    if off.any():
+        raise InvalidDensityMatrix(f"trace is {float(np.extract(off, trace)[0])!r}, not 1")
+    return dec
+
+
+def _bipartite_tag(dims, dim: int) -> tuple[int, int] | None:
+    """The ``(d_a, d_b)`` tag of a state of dimension ``dim``, or None for
+    none; a tag whose parts are not positive or do not multiply to ``dim``
+    is a DimensionMismatch."""
+    if dims is None:
+        return None
+    d_a, d_b = int(dims[0]), int(dims[1])
+    if d_a <= 0 or d_b <= 0 or d_a * d_b != dim:
+        raise DimensionMismatch(f"bipartite tag {dims} incompatible with dimension {dim}")
+    return d_a, d_b
+
+
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with its spectrum precomputed.
 
@@ -59,18 +83,9 @@ class DensityMatrix:
     __slots__ = ("_matrix", "_spectrum", "_dims")
 
     def __init__(self, matrix, dims: tuple[int, int] | None = None):
-        dec = psd_decompose(_single(matrix), "density matrix")
+        dec = _density_decompose(_single(matrix))
         a = dec.matrix
-        trace = float(np.trace(a).real)
-        if abs(trace - 1.0) > NORM_TOL:
-            raise InvalidDensityMatrix(f"trace is {trace!r}, not 1")
-        if dims is not None:
-            d_a, d_b = int(dims[0]), int(dims[1])
-            if d_a <= 0 or d_b <= 0 or d_a * d_b != a.shape[0]:
-                raise DimensionMismatch(
-                    f"bipartite tag {dims} incompatible with dimension {a.shape[0]}"
-                )
-            dims = (d_a, d_b)
+        dims = _bipartite_tag(dims, a.shape[0])
         a.setflags(write=False)
         dec.eigenvalues.setflags(write=False)
         object.__setattr__(self, "_matrix", a)
@@ -109,10 +124,26 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}{tag})"
 
 
+def _von_neumann(w: np.ndarray):
+    """``-sum_i w_i ln w_i`` of a spectrum, or of each spectrum of a stack,
+    with ``0 ln 0 = 0``."""
+    return -np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=-1)
+
+
 def von_neumann_entropy(rho: DensityMatrix, units: str = "nats") -> float:
-    w = rho.eigenvalues
-    nz = w[w > 0.0]
-    return float(-np.sum(nz * np.log(nz))) * _unit_scale(units)
+    return float(_von_neumann(rho.eigenvalues)) * _unit_scale(units)
+
+
+def _entropy(w: np.ndarray, alpha):
+    """The admitted order(s) and ``H_alpha`` in nats of a spectrum, or of
+    each spectrum of a stack at one order or one order per spectrum; an
+    order in the band around 1 takes the von Neumann limit."""
+    alpha = check_order(alpha, "alpha", one=True)
+    near_one = np.abs(alpha - 1.0) < ORDER_ONE_BAND
+    h = spectral_entropy(w, np.where(near_one, 2.0, alpha))
+    if near_one.any():
+        h = np.where(near_one, _von_neumann(w), h)
+    return alpha, h
 
 
 def quantum_renyi_entropy(
@@ -123,32 +154,48 @@ def quantum_renyi_entropy(
     ``alpha = 1`` returns the von Neumann limit.
     """
     scale = _unit_scale(units)
-    alpha = float(check_order(alpha, "alpha", one=True))
-    if abs(alpha - 1.0) < ORDER_ONE_BAND:
-        return EntropyValue(von_neumann_entropy(rho, units), units, alpha)
-    value = spectral_entropy(rho.eigenvalues, alpha)
-    return EntropyValue(value * scale, units, alpha)
+    alpha, h = _entropy(rho.eigenvalues, alpha)
+    return EntropyValue(float(h) * scale, units, float(alpha))
 
 
-def _support_bound(w: np.ndarray, alpha: float) -> tuple[float, int]:
-    """Spectral support bound in nats plus the zero count ``d0``.
-
-    ``ln m/(1-alpha) + alpha/(1-alpha) * mean ln w'_i`` over the support of
-    size m tends to ``-mean ln w'_i`` as alpha grows instead of overflowing.
-    """
-    support = w[w > 0.0]
-    d0 = int(w.size - support.size)
-    m = support.size
-    mean_log = float(np.sum(np.log(support))) / m
-    bound = math.log(m) / (1.0 - alpha) + alpha / (1.0 - alpha) * mean_log
-    return bound, d0
+def _log_dim_cap(rho: SpectralDecomposition, alpha) -> Chain:
+    """The dimension cap on a decomposed state, or on each state of a stacked
+    decomposition, at the entropy's orders."""
+    w = _as_stack(rho).eigenvalues
+    n = w.shape[-1]
+    _, h = _entropy(w, alpha)
+    cap = np.full(len(w), math.log(n))
+    return Chain("t3_2", [("cap", h, cap)], {"entropy": h, "dim": np.full(len(w), n)})
 
 
 def log_dim_cap(rho: DensityMatrix, alpha: float) -> BoundReport:
     """Dimension cap ``H_alpha(rho) <= ln d``, in nats, at the entropy's orders."""
-    h = quantum_renyi_entropy(rho, alpha).value
-    cap = math.log(rho.dim)
-    return chain_report("t3_2", [("cap", h, cap)], extras={"entropy": h, "dim": rho.dim})
+    return _log_dim_cap(rho.spectrum, alpha).report()
+
+
+def _t3(rho: SpectralDecomposition, alpha) -> Chain:
+    """The spectral support bound and the cap on a decomposed state, or on
+    each state of a stacked decomposition, at one order or one per state.
+
+    Over the support of size m, ``ln m/(1-alpha) + alpha/(1-alpha) * mean
+    ln w'_i`` tends to ``-mean ln w'_i`` as alpha grows instead of
+    overflowing; ``d0`` counts the zero eigenvalues.
+    """
+    alpha = check_order(alpha, "alpha")
+    w = _as_stack(rho).eigenvalues
+    n = w.shape[-1]
+    support = w > 0.0
+    m = np.count_nonzero(support, axis=-1)
+    mean_log = np.sum(np.log(np.where(support, w, 1.0)), axis=-1) / m
+    ln_m = np.array([math.log(k) for k in m.tolist()])
+    bound = ln_m / (1.0 - alpha) + alpha / (1.0 - alpha) * mean_log
+    h = spectral_entropy(w, alpha)
+    cap = np.full(len(w), math.log(n))
+    below = alpha < 1.0
+    parts = [("t3", np.where(below, bound, h), np.where(below, h, bound)), ("cap", h, cap)]
+    # only the support bound counts towards equality, not the cap
+    eq = np.abs(normalized_slack(*parts[0][1:])) <= EQ_TOL
+    return Chain("t3", parts, {"bound": bound, "entropy": h, "cap": cap, "d0": n - m}, eq)
 
 
 def t3_bound(rho: DensityMatrix, alpha: float) -> BoundReport:
@@ -158,19 +205,4 @@ def t3_bound(rho: DensityMatrix, alpha: float) -> BoundReport:
     above it (the sandwich); for alpha > 1 the bound is an upper bound.  The
     report carries both parts, with the cap always included.
     """
-    alpha = float(check_order(alpha, "alpha"))
-    bound, d0 = _support_bound(rho.eigenvalues, alpha)
-    h = spectral_entropy(rho.eigenvalues, alpha)
-    cap = math.log(rho.dim)
-    if alpha < 1.0:
-        parts = [("t3", bound, h), ("cap", h, cap)]
-    else:
-        parts = [("t3", h, bound), ("cap", h, cap)]
-    # only the support bound counts towards equality, not the cap
-    eq = abs(normalized_slack(*parts[0][1:])) <= EQ_TOL
-    return chain_report(
-        "t3",
-        parts,
-        extras={"bound": bound, "entropy": h, "cap": cap, "d0": d0},
-        equality=eq,
-    )
+    return _t3(rho.spectrum, alpha).report()

@@ -12,7 +12,9 @@ passes when its gap is at least ``-CHAIN_TOL``, and is tight when some part's
 slack is within ``EQ_TOL`` of zero, unless the check supplies a structural
 equality test of its own.  The rules take floats or equal-shape arrays, so a
 stacked check applies them to a whole block and gets, trial by trial, the
-values :func:`chain_report` and :func:`identity_report` give.
+values :func:`chain_report` and :func:`identity_report` give.  A bound's
+kernel returns a :class:`Chain`, one row per checked instance: a public bound
+is its kernel on a stack of one, reported as row 0.
 """
 
 from __future__ import annotations
@@ -116,6 +118,28 @@ def chain_report(
         tolerance=CHAIN_TOL,
         extras=out,
     )
+
+
+@dataclass(frozen=True)
+class Chain:
+    """Stacked chains of inequalities, one row per instance: ``parts`` are
+    ``(label, lhs, rhs)`` and ``extras`` map names to values, each an array
+    with one entry per row; ``equality`` is the check's own structural test
+    per row, or None for the slack rule."""
+
+    name: str
+    parts: list
+    extras: dict
+    equality: np.ndarray | None = None
+
+    def report(self, i: int = 0) -> BoundReport:
+        """:func:`chain_report` of row ``i``, each entry as its Python scalar."""
+        return chain_report(
+            self.name,
+            [(label, lo[i].item(), hi[i].item()) for label, lo, hi in self.parts],
+            extras={key: value[i].item() for key, value in self.extras.items()},
+            equality=None if self.equality is None else bool(self.equality[i]),
+        )
 
 
 def identity_report(

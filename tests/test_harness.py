@@ -31,7 +31,7 @@ from renyi.harness import (
     replay,
     run_suite,
 )
-from renyi.report import EQ_TOL, chain_report, identity_report
+from renyi.report import EQ_TOL, Chain, chain_report, identity_report
 
 
 def _entry(verdict, i: int) -> str:
@@ -338,7 +338,7 @@ class TestStackedRules:
     def test_chain_verdict_matches_chain_report(self, data, parts, trials):
         rows = _rows(data.draw, 2 * parts, trials)
         labelled = [(f"p{k}", rows[2 * k], rows[2 * k + 1]) for k in range(parts)]
-        verdict = harness._chain_verdict("chain", labelled, {"x": rows[0]})
+        verdict = harness._chain_verdict(Chain("chain", labelled, {"x": rows[0]}))
         for i in range(trials):
             one = [(label, float(lo[i]), float(hi[i])) for label, lo, hi in labelled]
             expected = chain_report("chain", one, extras={"x": float(rows[0][i])})
@@ -410,6 +410,7 @@ class TestWorkPerTrial:
             ("t3", 1, 1),
             ("t3_2", 1, 1),
             ("lemma2", 2, 2),
+            ("lemma3", 2, 2),
             ("lemma4", 1, 1),
             ("t6", 3, 3),
             ("diag_oracle", 2, 2),
@@ -429,17 +430,40 @@ class TestWorkPerTrial:
             }, trial
 
     @pytest.mark.parametrize("trials", [1, 6, 7, 60, 256])
-    def test_diag_oracle_decomposes_each_shape_group_once(self, monkeypatch, trials):
-        # diag(p) and diag(q) are validated and decomposed as one stack each
-        # per shape group, however many trials the group holds
+    @pytest.mark.parametrize(
+        "name,operands",
+        [
+            ("lemma2", 2),
+            ("lemma3", 2),
+            ("lemma4", 1),
+            ("t3", 1),
+            ("t3_2", 1),
+            ("t4", 2),
+            ("triangle", 2),
+            ("diag_oracle", 2),
+        ],
+    )
+    def test_each_shape_group_is_decomposed_once(self, monkeypatch, name, operands, trials):
+        # each matrix operand (diag(p) and diag(q) for diag_oracle) is
+        # validated and decomposed as one stack per shape group, however many
+        # trials the group holds
         from renyi import linalg
 
         counts = _count_calls(monkeypatch, linalg, ("spectral_decompose", "as_hermitian"))
-        suite = SUITES["diag_oracle"]
+        suite = SUITES[name]
         batch = [suite.gen(derive_rng(3, trial), trial) for trial in range(1, 1 + trials)]
-        groups = len({len(inputs["p"]) for inputs in batch})
+        kinds = suite.inputs.items()
+        groups = len({
+            tuple(
+                np.shape(inputs[key][0] if kind == harness.MATRIX else inputs[key])
+                for key, kind in kinds
+                if kind != harness.NUMBER
+            )
+            for inputs in batch
+        })
         suite.check(batch)
-        assert counts == {"spectral_decompose": 2 * groups, "as_hermitian": 2 * groups}
+        expected = operands * groups
+        assert counts == {"spectral_decompose": expected, "as_hermitian": expected}
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_generators_neither_decompose_nor_serialize(self, monkeypatch, name):
