@@ -18,8 +18,10 @@ tests compare the minimum with a Bloch-ball zoom grid.
 All divergences are in nats.  Orders go through ``linalg.check_order``:
 alpha >= 0 with alpha != 1 for ``D_alpha``, alpha > 1 for everything else.
 ``D_alpha``, t4, t5 and the triangle come from ``linalg.petz_divergence``,
-finite at every order.  A Gram factor weight that underflows to 0 raises
-``AlphaOutOfRange``, never a bare arithmetic error.
+finite at every order; t4 and the triangle are kernels over stacked
+decompositions, each public bound its kernel on one state.  A Gram factor
+weight that underflows to 0 raises ``AlphaOutOfRange``, never a bare
+arithmetic error.
 """
 
 from __future__ import annotations

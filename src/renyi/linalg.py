@@ -155,11 +155,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
     matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def __getitem__(self, i: int) -> SpectralDecomposition:
-        """Matrix ``i`` of a stacked decomposition."""
-        m = None if self.matrix is None else self.matrix[i]
-        return SpectralDecomposition(self.eigenvalues[i], self.eigenvectors[i], m)
-
 
 def _as_stack(dec: SpectralDecomposition) -> SpectralDecomposition:
     """``dec`` with a leading stack axis: one matrix's decomposition is a
@@ -376,7 +371,9 @@ def spectral_entropy(w: np.ndarray, r):
     w_max = np.max(x, axis=-1)
     orders = np.broadcast_to(np.asarray(r, dtype=np.float64).reshape(-1), w_max.shape)
     s = np.empty(w_max.shape)
-    for order in np.unique(orders).tolist():
+    # the distinct orders in Python: numpy.unique's first call in a process
+    # costs milliseconds, which every CLI command would pay
+    for order in dict.fromkeys(orders.tolist()):
         rows = orders == order
         s[rows] = np.sum((x[rows] / w_max[rows, None]) ** order, axis=-1)
     h = [

@@ -4,7 +4,10 @@ Entropies are always computed from the (clipped) eigenvalue spectrum, never
 from an explicitly powered matrix, and default to natural log; ``units="bits"``
 rescales by 1/ln 2.  Orders go through ``linalg.check_order``: alpha > 0, with
 alpha = 1 the von Neumann limit of the entropy and of ``log_dim_cap``;
-``t3_bound`` excludes the band around 1.
+``t3_bound`` excludes the band around 1.  Each bound is a kernel over a
+stacked decomposition with one order or one per state, and the public bound
+is its kernel on one state; ``_density_decompose`` is the one density-matrix
+check, of one matrix or of a stack.
 """
 
 from __future__ import annotations

@@ -570,10 +570,26 @@ class TestStackAxis:
             for i, m in enumerate(stack):
                 alone, clipped = spectral_decompose(m), psd_decompose(m, "A")
                 assert _bits(hermitian[i]) == _bits(as_hermitian(m))
-                for row, one in ((dec[i], alone), (psd[i], clipped)):
-                    assert _bits(row.eigenvalues) == _bits(one.eigenvalues)
-                    assert _bits(row.eigenvectors) == _bits(one.eigenvectors)
-                    assert _bits(row.matrix) == _bits(one.matrix)
+                for rows, one in ((dec, alone), (psd, clipped)):
+                    assert _bits(rows.eigenvalues[i]) == _bits(one.eigenvalues)
+                    assert _bits(rows.eigenvectors[i]) == _bits(one.eigenvectors)
+                    assert _bits(rows.matrix[i]) == _bits(one.matrix)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_at_their_own_orders_match_one_vector_calls(self, n):
+        # spectral_entropy and petz_divergence at one order per row, on
+        # supports of every rank: each row has the bits of its own call
+        rng = np.random.default_rng(400 + n)
+        rho = psd_decompose(_random_stack(rng, n, 40), "A")
+        sigma = psd_decompose(_random_stack(rng, n, 40), "B")
+        orders = rng.choice([0.3, 0.5, 0.9, 1.5, 2.0, 3.7, 1e5], size=40)
+        entropies = spectral_entropy(rho.eigenvalues, orders)
+        overlap = np.abs(rho.eigenvectors.conj().swapaxes(-1, -2) @ sigma.eigenvectors) ** 2
+        values, bounds = petz_divergence(rho.eigenvalues, sigma.eigenvalues, overlap, orders)
+        for i, order in enumerate(orders.tolist()):
+            assert _bits(spectral_entropy(rho.eigenvalues[i], order)) == _bits(entropies[i])
+            one = petz_divergence(rho.eigenvalues[i], sigma.eigenvalues[i], overlap[i], order)
+            assert _bits(one) == _bits((values[i], bounds[i]))
 
     @pytest.mark.parametrize("fault", ["non-finite", "non-Hermitian", "indefinite"])
     def test_one_bad_matrix_fails_the_stack_as_it_fails_alone(self, fault):
