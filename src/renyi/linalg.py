@@ -1,13 +1,17 @@
 """Dense complex Hermitian linear algebra.
 
-Self-contained: the eigensolver is a cyclic Jacobi iteration for complex
-Hermitian matrices, and every spectral function (fractional powers, log-det,
-definiteness tests) is built on it.  Matrices are plain ``complex128``
-ndarrays; validation happens at the operation boundary.
+Two eigensolvers, by what the caller reads.  ``spectral_decompose``, for
+every consumer of eigenvectors (fractional powers, density matrices, the
+divergences), is a cyclic Jacobi iteration for complex Hermitian matrices.
+``spectral_values``, for the checks that read a spectrum alone (the lemma
+checks, ``log_det`` and ``classify_definiteness``), is one LAPACK
+``eigvalsh`` call.  Matrices are plain ``complex128`` ndarrays; validation
+happens at the operation boundary.
 
-The validation and spectral layer takes a leading stack axis: ``as_hermitian``
-and ``spectral_decompose`` accept an ``(k, n, n)`` stack, ``trace_product``
-a pair of them, and ``clip_spectrum``, ``psd_decompose``,
+The validation and spectral layer takes a leading stack axis:
+``as_hermitian``, ``spectral_values`` and ``spectral_decompose`` accept an
+``(k, n, n)`` stack, ``trace_product`` a pair of them, and
+``clip_spectrum``, ``psd_decompose``,
 ``positive_definite``, ``spectral_entropy`` and ``petz_divergence`` work on
 each spectrum along the last axis.  One matrix is the stack-free case of the
 same code, and each row of a stacked result has the bits of that matrix's
@@ -258,9 +262,10 @@ def spectral_decompose(matrix) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix: ``A = V diag(w) V†``, ``w`` ascending;
     for a stack, each matrix along the leading axis.
 
-    The only entry to the eigensolver and the one place inputs are validated,
-    once per stack: the result keeps the validated matrix, so callers never
-    re-validate.  The solver runs on each matrix of the stack in turn.
+    The only entry to the Jacobi solver, and with ``spectral_values`` the one
+    place inputs are validated, once per stack: the result keeps the
+    validated matrix, so callers never re-validate.  The solver runs on each
+    matrix of the stack in turn.
     """
     a = as_hermitian(matrix)
     n = a.shape[-1]
@@ -272,6 +277,26 @@ def spectral_decompose(matrix) -> SpectralDecomposition:
         w_m[:] = values[order]
         v_m[:] = vectors[:, order]
     return SpectralDecomposition(w, v, a)
+
+
+def spectral_values(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The validated Hermitian matrix and its ascending spectrum; for a
+    stack, the validated stack and one spectrum per matrix along it.
+
+    For the checks that read eigenvalues alone: one LAPACK ``eigvalsh`` call
+    on the validated matrix or stack, with no eigenvectors formed.  LAPACK
+    scales a matrix whose norm leaves its safe range, so the spectrum is
+    resolved at every scale, and each row of a stacked result has the bits
+    of that matrix's own call.
+    """
+    a = as_hermitian(matrix)
+    return a, np.linalg.eigvalsh(a)
+
+
+def _stacked_values(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """``spectral_values`` with a leading stack axis: one matrix is a stack of one."""
+    a, w = spectral_values(matrix)
+    return (a[None], w[None]) if a.ndim == 2 else (a, w)
 
 
 def recombine(dec: SpectralDecomposition, w: np.ndarray) -> np.ndarray:
@@ -295,7 +320,7 @@ class PsdClass:
 
 def classify_definiteness(matrix) -> PsdClass:
     """Classify a Hermitian matrix under the support rule of ``clip_spectrum``."""
-    w = spectral_decompose(_single(matrix)).eigenvalues
+    _, w = spectral_values(_single(matrix))
     lo = float(w[0])
     if positive_definite(w):
         kind = Definiteness.POSITIVE_DEFINITE
@@ -445,7 +470,7 @@ def matrix_power(matrix, r: float) -> np.ndarray:
 
 def log_det(matrix) -> float:
     """Natural-log determinant of a positive definite matrix."""
-    w = spectral_decompose(_single(matrix)).eigenvalues
+    _, w = spectral_values(_single(matrix))
     if not positive_definite(w):
         raise NotPd(f"log_det needs a positive definite matrix (min eig {w[0]:.3e})")
     return float(np.sum(np.log(w)))
@@ -482,20 +507,20 @@ def trace_product(a: np.ndarray, b: np.ndarray):
     return np.sum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1).real
 
 
-def _decompose_psd_pair(a, b) -> tuple[SpectralDecomposition, SpectralDecomposition]:
-    """``psd_decompose`` two same-size PSD matrices, or two stacks of them,
-    the shape checked first; one matrix comes back as a stack of one."""
-    dec_a = _as_stack(spectral_decompose(a))
-    dec_b = _as_stack(spectral_decompose(b))
-    if dec_a.matrix.shape != dec_b.matrix.shape:
+def _psd_pair(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The validated stacks of two same-size PSD matrices, or of two stacks
+    of them, and their spectra under ``clip_spectrum``, the shape checked
+    first; one matrix comes back as a stack of one."""
+    am, w_a = _stacked_values(a)
+    bm, w_b = _stacked_values(b)
+    if am.shape != bm.shape:
         raise DimensionMismatch("A and B must share dimensions")
-    return _clipped(dec_a, "A"), _clipped(dec_b, "B")
+    return am, clip_spectrum(w_a, "A"), bm, clip_spectrum(w_b, "B")
 
 
 def _lemma2(a, b) -> Chain:
     """Lemma 2 on PSD A and B, or on each pair of two stacks."""
-    dec_a, dec_b = _decompose_psd_pair(a, b)
-    am, bm = dec_a.matrix, dec_b.matrix
+    am, _, bm, _ = _psd_pair(a, b)
     tr_ab = trace_product(am, bm)
     tr_a = np.trace(am, axis1=-2, axis2=-1).real
     tr_b = np.trace(bm, axis1=-2, axis2=-1).real
@@ -510,9 +535,8 @@ def lemma2_check(a, b) -> BoundReport:
 
 def _lemma3(a, b) -> Chain:
     """Lemma 3 on same-size PSD A and B, or on each pair of two stacks."""
-    dec_a, dec_b = _decompose_psd_pair(a, b)
-    n = dec_a.matrix.shape[-1]
-    w_a, w_b = dec_a.eigenvalues, dec_b.eigenvalues
+    am, w_a, bm, w_b = _psd_pair(a, b)
+    n = am.shape[-1]
     with np.errstate(over="ignore"):
         det_a = np.prod(w_a, axis=-1)
         det_b = np.prod(w_b, axis=-1)
@@ -524,7 +548,7 @@ def _lemma3(a, b) -> Chain:
         n * math.exp(ma) * math.exp(mb) if r else 0.0
         for ma, mb, r in zip(mean_a.tolist(), mean_b.tolist(), regular.tolist())
     ])
-    rhs = trace_product(dec_a.matrix, dec_b.matrix)
+    rhs = trace_product(am, bm)
     return Chain("lemma3", [("amgm", lhs, rhs)], {"det_a": det_a, "det_b": det_b})
 
 
@@ -542,8 +566,7 @@ def lemma3_check(a, b) -> BoundReport:
 
 def _lemma4(a) -> Chain:
     """Lemma 4 on a PD matrix, or on each matrix of a stack."""
-    dec = _as_stack(spectral_decompose(a))
-    am, w = dec.matrix, dec.eigenvalues
+    am, w = _stacked_values(a)
     regular = positive_definite(w)
     if not regular.all():
         low = np.extract(~regular, w[:, 0])[0]

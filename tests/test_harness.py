@@ -399,57 +399,65 @@ def _count_calls(monkeypatch, module, names):
     return counts
 
 
+_SPECTRAL = ("spectral_decompose", "spectral_values", "as_hermitian")
+
+
 class TestWorkPerTrial:
-    """Each operand is validated once and decomposed once per trial."""
+    """Each operand is validated once and decomposed once per trial: in full
+    by ``spectral_decompose`` where eigenvectors are read, else to its
+    spectrum alone by ``spectral_values``."""
 
     @pytest.mark.parametrize(
-        "name,decompositions,validations",
+        "name,decompositions,values,validations",
         [
-            ("t4", 2, 2),
-            ("triangle", 2, 2),
-            ("t3", 1, 1),
-            ("t3_2", 1, 1),
-            ("lemma2", 2, 2),
-            ("lemma3", 2, 2),
-            ("lemma4", 1, 1),
-            ("t6", 3, 3),
-            ("diag_oracle", 2, 2),
+            ("t4", 2, 0, 2),
+            ("triangle", 2, 0, 2),
+            ("t3", 1, 0, 1),
+            ("t3_2", 1, 0, 1),
+            ("lemma2", 0, 2, 2),
+            ("lemma3", 0, 2, 2),
+            ("lemma4", 0, 1, 1),
+            ("t6", 3, 0, 3),
+            ("diag_oracle", 2, 0, 2),
         ],
     )
-    def test_counts(self, monkeypatch, name, decompositions, validations):
+    def test_counts(self, monkeypatch, name, decompositions, values, validations):
         from renyi import linalg
 
-        counts = _count_calls(monkeypatch, linalg, ("spectral_decompose", "as_hermitian"))
+        counts = _count_calls(monkeypatch, linalg, _SPECTRAL)
         suite = SUITES[name]
         for trial in range(1, 25):  # no multiple of 100: no equality case
-            counts.update(spectral_decompose=0, as_hermitian=0)
+            counts.update(dict.fromkeys(_SPECTRAL, 0))
             suite.check([suite.gen(derive_rng(3, trial), trial)])
             assert counts == {
                 "spectral_decompose": decompositions,
+                "spectral_values": values,
                 "as_hermitian": validations,
             }, trial
 
     @pytest.mark.parametrize("trials", [1, 6, 7, 60, 256])
     @pytest.mark.parametrize(
-        "name,operands",
+        "name,decompositions,values",
         [
-            ("lemma2", 2),
-            ("lemma3", 2),
-            ("lemma4", 1),
-            ("t3", 1),
-            ("t3_2", 1),
-            ("t4", 2),
-            ("triangle", 2),
-            ("diag_oracle", 2),
+            ("lemma2", 0, 2),
+            ("lemma3", 0, 2),
+            ("lemma4", 0, 1),
+            ("t3", 1, 0),
+            ("t3_2", 1, 0),
+            ("t4", 2, 0),
+            ("triangle", 2, 0),
+            ("diag_oracle", 2, 0),
         ],
     )
-    def test_each_shape_group_is_decomposed_once(self, monkeypatch, name, operands, trials):
+    def test_each_shape_group_is_decomposed_once(
+        self, monkeypatch, name, decompositions, values, trials
+    ):
         # each matrix operand (diag(p) and diag(q) for diag_oracle) is
         # validated and decomposed as one stack per shape group, however many
         # trials the group holds
         from renyi import linalg
 
-        counts = _count_calls(monkeypatch, linalg, ("spectral_decompose", "as_hermitian"))
+        counts = _count_calls(monkeypatch, linalg, _SPECTRAL)
         suite = SUITES[name]
         batch = [suite.gen(derive_rng(3, trial), trial) for trial in range(1, 1 + trials)]
         kinds = suite.inputs.items()
@@ -462,8 +470,38 @@ class TestWorkPerTrial:
             for inputs in batch
         })
         suite.check(batch)
-        expected = operands * groups
-        assert counts == {"spectral_decompose": expected, "as_hermitian": expected}
+        assert counts == {
+            "spectral_decompose": decompositions * groups,
+            "spectral_values": values * groups,
+            "as_hermitian": (decompositions + values) * groups,
+        }
+
+    def test_eigenvalue_checks_form_no_eigenvectors(self, monkeypatch):
+        # the lemma kernels, log_det and classify_definiteness read each
+        # operand's spectrum alone, one spectral_values call per operand
+        from renyi import linalg
+
+        counts = _count_calls(monkeypatch, linalg, _SPECTRAL)
+        pd = np.array([[2.0, 0.5], [0.5, 1.0]])
+        stack = np.array([pd, 3.0 * pd, np.eye(2)])
+        calls = [
+            (lambda: linalg._lemma2(stack, stack), 2),
+            (lambda: linalg._lemma3(stack, stack), 2),
+            (lambda: linalg._lemma4(stack), 1),
+            (lambda: linalg.lemma2_check(pd, pd), 2),
+            (lambda: linalg.lemma3_check(pd, pd), 2),
+            (lambda: linalg.lemma4_check(pd), 1),
+            (lambda: linalg.log_det(pd), 1),
+            (lambda: linalg.classify_definiteness(pd), 1),
+        ]
+        for i, (call, operands) in enumerate(calls):
+            counts.update(dict.fromkeys(_SPECTRAL, 0))
+            call()
+            assert counts == {
+                "spectral_decompose": 0,
+                "spectral_values": operands,
+                "as_hermitian": operands,
+            }, i
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_generators_neither_decompose_nor_serialize(self, monkeypatch, name):
@@ -471,7 +509,7 @@ class TestWorkPerTrial:
 
         from renyi import classical
 
-        counts = _count_calls(monkeypatch, linalg, ("spectral_decompose", "as_hermitian"))
+        counts = _count_calls(monkeypatch, linalg, _SPECTRAL)
         counts.update(_count_calls(monkeypatch, fileformat, ("matrix_payload",)))
         counts.update(_count_calls(monkeypatch, classical, ("probability_vector",)))
         trials = (0, 100) + tuple(range(1, 17))  # equality cases included
@@ -479,6 +517,7 @@ class TestWorkPerTrial:
             SUITES[name].gen(derive_rng(3, trial), trial)
         assert counts == {
             "spectral_decompose": 0,
+            "spectral_values": 0,
             "as_hermitian": 0,
             "matrix_payload": 0,
             "probability_vector": 0,

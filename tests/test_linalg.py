@@ -21,6 +21,7 @@ from renyi.linalg import (
     Definiteness,
     as_hermitian,
     classify_definiteness,
+    clip_spectrum,
     kron,
     lemma2_check,
     lemma3_check,
@@ -36,10 +37,14 @@ from renyi.linalg import (
     spectral_decompose,
     spectral_entropy,
     spectral_power,
+    spectral_values,
     trace_product,
 )
 from renyi.quantum import DensityMatrix, quantum_renyi_entropy
 from renyi.report import BoundReport, identity_gap
+
+
+EPS = np.finfo(np.float64).eps
 
 
 def random_hermitian(rng, n):
@@ -113,6 +118,58 @@ class TestSpectralDecompose:
             spectral_decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(DimensionMismatch):
             spectral_decompose(np.zeros((2, 3)))
+
+
+def test_spectral_values_agree_with_the_jacobi_solver():
+    # the LAPACK spectrum of the eigenvalue-only checks against the Jacobi
+    # spectrum, on Hermitian and rank-deficient Ginibre matrices: the same
+    # values to 1e-12 * max(1, w_max), and the same support under the rule
+    rng = np.random.default_rng(2027)
+    for trial in range(2_000):
+        n = 1 + trial % 8
+        psd = trial % 16 >= 8
+        if psd:
+            a = random_psd(rng, n, int(rng.integers(1, max(n, 2))))
+        else:
+            a = random_hermitian(rng, n)
+        matrix, w = spectral_values(a)
+        dec = spectral_decompose(a)
+        assert np.array_equal(matrix, dec.matrix)
+        tol = 1e-12 * max(1.0, float(dec.eigenvalues[-1]))
+        assert np.abs(w - dec.eigenvalues).max() <= tol, trial
+        if psd:
+            support = np.count_nonzero(clip_spectrum(w))
+            assert support == np.count_nonzero(clip_spectrum(dec.eigenvalues)), trial
+
+
+@pytest.mark.parametrize("exponent", [-1000, -600, 600, 1000])
+def test_eigenvalue_checks_at_extreme_scales(exponent):
+    # LAPACK scales these matrices itself, as Jacobi scales them by a power
+    # of two: log det(cA) - n ln c is log det A up to the rounding of the
+    # n logarithms, lemma 4 holds, and each matrix keeps its PSD class
+    rng = np.random.default_rng(7000 + exponent)
+    c = math.ldexp(1.0, exponent)
+    shift = exponent * math.log(2.0)
+    for n in range(1, 9):
+        # a real diagonal: the Hermiticity check of the diagonal is absolute
+        pd = as_hermitian(random_psd(rng, n) + 0.1 * np.eye(n))
+        singular = as_hermitian(random_psd(rng, n, max(n - 1, 1))) if n > 1 else None
+        indefinite = as_hermitian(random_hermitian(rng, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = log_det(c * pd)
+            assert abs(scaled - n * shift - log_det(pd)) <= 2 * n * EPS * n * abs(shift)
+            rep = lemma4_check(c * pd)
+            assert rep.passed and not rep.equality
+            assert rep.extras["log_det"] == scaled
+            assert classify_definiteness(c * pd).kind is Definiteness.POSITIVE_DEFINITE
+            if singular is not None:
+                kind = classify_definiteness(c * singular).kind
+                assert kind is Definiteness.POSITIVE_SEMIDEFINITE
+            w = np.linalg.eigvalsh(indefinite)
+            if exponent > 0 and w[0] < 0.0:
+                # the NotPsd floor -PSD_TOL * max(1, w_max) is relative above 1
+                assert classify_definiteness(c * indefinite).kind is Definiteness.INDEFINITE
 
 
 class TestMatrixPower:
@@ -558,6 +615,7 @@ class TestStackAxis:
         for k in (int(rng.integers(1, 41)), 40):
             stack = _random_stack(rng, n, k)
             hermitian = as_hermitian(stack)
+            values = spectral_values(stack)
             dec = spectral_decompose(stack)
             psd = psd_decompose(stack, "A")
             assert positive_definite(psd.eigenvalues).tolist() == [
@@ -570,6 +628,8 @@ class TestStackAxis:
             for i, m in enumerate(stack):
                 alone, clipped = spectral_decompose(m), psd_decompose(m, "A")
                 assert _bits(hermitian[i]) == _bits(as_hermitian(m))
+                for rows, one in zip(values, spectral_values(m)):
+                    assert _bits(rows[i]) == _bits(one)
                 for rows, one in ((dec, alone), (psd, clipped)):
                     assert _bits(rows.eigenvalues[i]) == _bits(one.eigenvalues)
                     assert _bits(rows.eigenvectors[i]) == _bits(one.eigenvectors)
@@ -594,7 +654,9 @@ class TestStackAxis:
     @pytest.mark.parametrize("fault", ["non-finite", "non-Hermitian", "indefinite"])
     def test_one_bad_matrix_fails_the_stack_as_it_fails_alone(self, fault):
         rng = np.random.default_rng(17)
-        layer = (as_hermitian, spectral_decompose, lambda a: psd_decompose(a, "A"))
+        layer = (
+            as_hermitian, spectral_values, spectral_decompose, lambda a: psd_decompose(a, "A")
+        )
         for n in range(1, 9):
             stack = _random_stack(rng, n, 12)
             bad = stack[5]
