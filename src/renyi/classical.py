@@ -3,7 +3,9 @@
 Implements the information function of type beta, the entropy of type beta
 (closed form and the defining chain form), the Renyi entropy of order beta
 in bits, the order/type transform, and the support-based bounds.  Base-2
-logarithms throughout, matching the classical definitions.
+logarithms throughout, matching the classical definitions.  The Renyi and
+Shannon entropies are ``linalg.spectral_entropy``, the package's one Renyi
+entropy kernel, over ln 2.
 
 The closed forms are array-aware: a distribution may be a stack of vectors
 along the last axis, with one order per vector (or one order for all), and
@@ -13,20 +15,24 @@ hands them to a private kernel; the suite checks validate a stack once and
 call the kernels directly.  ``linalg.check_order`` admits beta > 0 off the
 band around 1; :func:`renyi_entropy` takes beta = 1 as the Shannon limit, and
 the product bound takes 0 < beta < 1 only.  Every sum along a vector runs
-left to right (:func:`_row_sum`), so a vector zero-padded into a wider stack
-gives the bits it gives alone.
+left to right (``linalg._row_sum``, which the kernel uses too), so a vector
+zero-padded into a wider stack gives the bits it gives alone.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .exceptions import DomainError, EmptySupport, InvalidDistribution
-from .linalg import NORM_TOL, ORDER_ONE_BAND, ZERO_THRESHOLD, check_order
-
-_LN2 = math.log(2.0)
+from .linalg import (
+    _LN2,
+    NORM_TOL,
+    ZERO_THRESHOLD,
+    _power,
+    _row_sum,
+    check_order,
+    spectral_entropy,
+)
 
 
 def _first(values: np.ndarray, bad: np.ndarray) -> float:
@@ -37,24 +43,6 @@ def _first(values: np.ndarray, bad: np.ndarray) -> float:
 def _value(x):
     """A 0-d result as a Python float; a stacked result as is."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _power(base, exponent) -> np.ndarray:
-    """``base ** exponent`` with both operands laid out at their broadcast shape.
-
-    numpy picks its pow routine by operand layout and size (a broadcast
-    operand, or a size-1 exponent under ``**``, can take a special case), so
-    without this a row of a stack could round differently from the same row
-    evaluated alone.
-    """
-    base, exponent = np.broadcast_arrays(base, exponent)
-    return np.power(base.copy(), exponent.copy())
-
-
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum along the last axis, left to right: numpy's ``sum`` groups terms by
-    row width, so a zero-padded row could round apart from the row alone."""
-    return np.cumsum(x, axis=-1)[..., -1]
 
 
 def probability_vector(values) -> np.ndarray:
@@ -142,30 +130,14 @@ def entropy_type_beta_chain(p, beta: float) -> float:
     return total
 
 
-def _shannon_entropy(p: np.ndarray) -> np.ndarray:
-    return -_row_sum(p * np.log2(np.where(p > 0.0, p, 1.0)))
-
-
 def shannon_entropy(p):
     """Shannon entropy in bits with the 0 log 0 = 0 convention."""
-    return _value(_shannon_entropy(probability_vector(p)))
+    return _value(spectral_entropy(probability_vector(p), 1.0) / _LN2)
 
 
 def _renyi_entropy(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """``(1-beta)^(-1) log2 sum p_i^beta`` with the largest entry factored out.
-
-    ``beta/(1-beta) ln p_max + ln sum (p_i/p_max)^beta / (1-beta)``, in bits:
-    no power overflows, and the first term tends to the min-entropy as beta
-    grows instead of overflowing.  Orders in the band around 1 take the
-    Shannon limit.
-    """
-    near_one = np.abs(beta - 1.0) < ORDER_ONE_BAND
-    if near_one.any():
-        off = _renyi_entropy(p, np.where(near_one, 2.0, beta))
-        return np.where(near_one, _shannon_entropy(p), off)
-    p_max = p.max(axis=-1)
-    s = _row_sum(_power(p / p_max[..., None], beta[..., None]))
-    return (beta / (1.0 - beta) * np.log(p_max) + np.log(s) / (1.0 - beta)) / _LN2
+    """``(1-beta)^(-1) log2 sum p_i^beta``: ``linalg.spectral_entropy`` in bits."""
+    return spectral_entropy(p, beta) / _LN2
 
 
 def renyi_entropy(p, beta):

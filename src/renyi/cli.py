@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -34,10 +33,8 @@ from .fileformat import (
     matrix_from_payload,
     matrix_payload,
 )
-from .linalg import CHAIN_TOL, EQ_TOL, HERM_TOL, PSD_TOL, ZERO_THRESHOLD
+from .linalg import _LN2, CHAIN_TOL, EQ_TOL, HERM_TOL, PSD_TOL, ZERO_THRESHOLD
 from .quantum import DensityMatrix, quantum_renyi_entropy
-
-_LN2 = math.log(2.0)
 
 # the flag that names each suite input, where the two differ
 _FLAGS = {"rho": "state", "p": "dist"}

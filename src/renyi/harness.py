@@ -472,7 +472,10 @@ def _check_diag_oracle(batch: list[dict]) -> Verdict:
     stacks, and takes the quantum entropies from the stacked spectra and the
     divergences from one stacked ``petz_divergence``.  Each row gives the
     bits of ``quantum_renyi_entropy`` and ``renyi_relative_entropy`` on that
-    trial alone, and a trial alone raises their errors in their order.
+    trial alone, and a trial alone raises their errors in their order.  The
+    classical sides are the direct sums ``log2(sum_i p_i^alpha)/(1-alpha)``
+    and ``ln(sum_i p_i^alpha q_i^(1-alpha))/(alpha-1)`` over p's support,
+    one logarithm per row, so the oracle shares no kernel with the library.
     """
     groups: dict = {}
     for i, x in enumerate(batch):
@@ -484,7 +487,7 @@ def _check_diag_oracle(batch: list[dict]) -> Verdict:
         alpha = float(check_order(alpha, "alpha"))
         rho = psd_decompose(_diagonals(p), "density matrix")
         h_quantum[rows] = spectral_entropy(rho.eigenvalues, alpha) * _unit_scale("bits")
-        h_classical[rows] = _renyi_entropy(p, np.asarray(alpha))
+        h_classical[rows] = [math.log2(float(np.sum(t))) / (1.0 - alpha) for t in p**alpha]
         d_quantum[rows] = _petz(rho, _sigma_spectrum(_diagonals(q), alpha), alpha)[0]
         # each row sums its support's terms alone, as the classical value is defined
         terms = p**alpha * q ** (1.0 - alpha)

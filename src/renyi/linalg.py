@@ -30,6 +30,10 @@ Spectral conventions used throughout the package:
   takes ``w_i**r`` on the support and 0 off it, for every ``r``, so ``A^0``
   is the support projector (the ``r -> 0+`` limit).  ``matrix_power`` alone
   keeps ``A^0 = I``,
+* ``spectral_entropy`` is the one Renyi entropy, in nats, of a spectrum and
+  of a probability vector alike, with the one order-1 limit ``-sum w ln w``;
+  the classical entropies are it over ``ln 2``, the quantum ones it on the
+  spectrum under the support rule,
 * ``petz_divergence`` is the one evaluation of ``tr(rho^alpha sigma^(1-alpha))``,
   in the log domain from two spectra and their eigenbases' overlap.
 """
@@ -64,8 +68,8 @@ PSD_TOL = 1e-10
 ZERO_THRESHOLD = 1e-12
 # |trace - 1| for a density matrix, |sum - 1| for a distribution
 NORM_TOL = 1e-10
-# an order within this band of 1 is treated as 1; the classical and quantum
-# entropies share it because the diagonal oracle compares them at one order
+# an order within this band of 1 is treated as 1: check_order rejects it where
+# 1 is not admitted, and spectral_entropy takes its order-1 limit there
 ORDER_ONE_BAND = 1e-9
 
 # the errors of an order out of its interval, and of one in the band around 1
@@ -123,11 +127,11 @@ def as_hermitian(matrix) -> np.ndarray:
     """Validate and return a Hermitian ``complex128`` matrix, or a stack of
     them along a leading axis.
 
-    Checks squareness, finiteness, the scaled Hermiticity bound
-    ``max|A - A†| <= HERM_TOL * (1 + max|A|)`` of each matrix and that
-    diagonal imaginary parts are below ``HERM_TOL``.  Returns the Hermitian
-    average ``(A + A†)/2`` so later arithmetic never sees the (tolerated)
-    asymmetry dust.
+    Checks squareness, finiteness and the scaled Hermiticity bound
+    ``max|A - A†| <= HERM_TOL * (1 + max|A|)`` of each matrix; the diagonal
+    of ``A - A†`` is ``2i Im a_ii``, so this bounds the imaginary part of the
+    diagonal at the same scale.  Returns the Hermitian average ``(A + A†)/2``
+    so later arithmetic never sees the (tolerated) asymmetry dust.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
@@ -144,8 +148,6 @@ def as_hermitian(matrix) -> np.ndarray:
         raise NonHermitianInput(
             f"matrix is not Hermitian: max|A - A^dagger| = {np.extract(bad, asym)[0]:.3e}"
         )
-    if np.abs(a.diagonal(0, -2, -1).imag).max() > HERM_TOL:
-        raise NonHermitianInput("diagonal entries have non-negligible imaginary part")
     return (a + adjoint) / 2.0
 
 
@@ -380,32 +382,50 @@ def spectral_power(dec: SpectralDecomposition, r: float) -> np.ndarray:
     return recombine(dec, power_spectrum(dec.eigenvalues, r))
 
 
+# ln 2: the kernel's nats over it are bits
+_LN2 = math.log(2.0)
+
+
+def _power(base, exponent) -> np.ndarray:
+    """``base ** exponent`` with both operands laid out at their broadcast shape.
+
+    numpy picks its pow routine by operand layout and size (a broadcast
+    operand, or a size-1 exponent under ``**``, can take a special case), so
+    without this a row of a stack could round differently from the same row
+    evaluated alone.
+    """
+    base, exponent = np.broadcast_arrays(base, exponent)
+    return np.power(base.copy(), exponent.copy())
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum along the last axis, left to right: numpy's ``sum`` groups terms by
+    row width, so a zero-padded row could round apart from the row alone."""
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
 def spectral_entropy(w: np.ndarray, r):
     """``ln(sum_i w_i^r) / (1 - r)`` for a nonnegative vector with a positive
-    entry, or an array of it for each vector along the last axis of a stack,
-    at the one order ``r`` or at one order per vector.
+    entry, or for each vector along the last axis of a stack, at the one
+    order ``r`` or at one order per vector; an order within ORDER_ONE_BAND
+    of 1 gives the limit ``-sum_i w_i ln w_i``, with ``0 ln 0 = 0``.
 
-    Computed as ``r/(1-r) ln w_max + ln sum_i (w_i/w_max)^r / (1-r)``: no
-    power overflows, the dominant term never underflows to zero, and the
-    first term tends to ``-ln w_max`` as ``r`` grows instead of overflowing.
-    The vectors of one order are raised with ``**`` to that order as a float,
-    as one vector alone is, and the two logarithms are ``math.log`` per
-    vector, since numpy's vectorized log may round apart from it.
+    The one Renyi entropy of the package, in nats: of a distribution and of
+    a spectrum alike.  Computed as ``r/(1-r) ln w_max + ln sum_i
+    (w_i/w_max)^r / (1-r)``: no power overflows, the dominant term never
+    underflows to zero, and the first term tends to ``-ln w_max`` as ``r``
+    grows instead of overflowing.  Every sum runs left to right over
+    operands laid out at their broadcast shape, so a row of a stack, and a
+    vector zero-padded on the right, has the bits of its own call.
     """
-    x = w.reshape(-1, w.shape[-1])
-    w_max = np.max(x, axis=-1)
-    orders = np.broadcast_to(np.asarray(r, dtype=np.float64).reshape(-1), w_max.shape)
-    s = np.empty(w_max.shape)
-    # the distinct orders in Python: numpy.unique's first call in a process
-    # costs milliseconds, which every CLI command would pay
-    for order in dict.fromkeys(orders.tolist()):
-        rows = orders == order
-        s[rows] = np.sum((x[rows] / w_max[rows, None]) ** order, axis=-1)
-    h = [
-        o / (1.0 - o) * math.log(top) + math.log(total) / (1.0 - o)
-        for o, top, total in zip(orders.tolist(), w_max.tolist(), s.tolist())
-    ]
-    return h[0] if w.ndim == 1 else np.array(h).reshape(w.shape[:-1])
+    r = np.asarray(r, dtype=np.float64)
+    near_one = np.abs(r - 1.0) < ORDER_ONE_BAND
+    if near_one.any():
+        off = spectral_entropy(w, np.where(near_one, 2.0, r))
+        return np.where(near_one, -_row_sum(w * np.log(np.where(w > 0.0, w, 1.0))), off)
+    w_max = w.max(axis=-1)
+    s = _row_sum(_power(w / w_max[..., None], r[..., None]))
+    return r / (1.0 - r) * np.log(w_max) + np.log(s) / (1.0 - r)
 
 
 def petz_divergence(p: np.ndarray, q: np.ndarray, overlap: np.ndarray, alpha):

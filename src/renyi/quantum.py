@@ -1,13 +1,15 @@
 """Quantum Renyi entropy of density operators and its spectral bounds.
 
 Entropies are always computed from the (clipped) eigenvalue spectrum, never
-from an explicitly powered matrix, and default to natural log; ``units="bits"``
-rescales by 1/ln 2.  Orders go through ``linalg.check_order``: alpha > 0, with
-alpha = 1 the von Neumann limit of the entropy and of ``log_dim_cap``;
-``t3_bound`` excludes the band around 1.  Each bound is a kernel over a
-stacked decomposition with one order or one per state, and the public bound
-is its kernel on one state; ``_density_decompose`` is the one density-matrix
-check, of one matrix or of a stack.
+from an explicitly powered matrix, by ``linalg.spectral_entropy``, the
+package's one Renyi entropy kernel, and default to natural log;
+``units="bits"`` rescales by 1/ln 2.  Orders go through
+``linalg.check_order``: alpha > 0, with alpha = 1 the kernel's von Neumann
+limit for the entropy and ``log_dim_cap``; ``t3_bound`` excludes the band
+around 1.  Each bound is a kernel over a stacked decomposition with one
+order or one per state, and the public bound is its kernel on one state;
+``_density_decompose`` is the one density-matrix check, of one matrix or of
+a stack.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, InvalidDensityMatrix
 from .linalg import (
+    _LN2,
     EQ_TOL,
     NORM_TOL,
-    ORDER_ONE_BAND,
     SpectralDecomposition,
     _as_stack,
     _single,
@@ -31,8 +33,6 @@ from .linalg import (
     spectral_entropy,
 )
 from .report import BoundReport, Chain, normalized_slack
-
-_LN2 = math.log(2.0)
 
 
 def _unit_scale(units: str) -> float:
@@ -127,26 +127,9 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}{tag})"
 
 
-def _von_neumann(w: np.ndarray):
-    """``-sum_i w_i ln w_i`` of a spectrum, or of each spectrum of a stack,
-    with ``0 ln 0 = 0``."""
-    return -np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=-1)
-
-
 def von_neumann_entropy(rho: DensityMatrix, units: str = "nats") -> float:
-    return float(_von_neumann(rho.eigenvalues)) * _unit_scale(units)
-
-
-def _entropy(w: np.ndarray, alpha):
-    """The admitted order(s) and ``H_alpha`` in nats of a spectrum, or of
-    each spectrum of a stack at one order or one order per spectrum; an
-    order in the band around 1 takes the von Neumann limit."""
-    alpha = check_order(alpha, "alpha", one=True)
-    near_one = np.abs(alpha - 1.0) < ORDER_ONE_BAND
-    h = spectral_entropy(w, np.where(near_one, 2.0, alpha))
-    if near_one.any():
-        h = np.where(near_one, _von_neumann(w), h)
-    return alpha, h
+    """``-tr rho ln rho``: the entropy of the spectrum at order 1."""
+    return float(spectral_entropy(rho.eigenvalues, 1.0)) * _unit_scale(units)
 
 
 def quantum_renyi_entropy(
@@ -157,8 +140,8 @@ def quantum_renyi_entropy(
     ``alpha = 1`` returns the von Neumann limit.
     """
     scale = _unit_scale(units)
-    alpha, h = _entropy(rho.eigenvalues, alpha)
-    return EntropyValue(float(h) * scale, units, float(alpha))
+    alpha = float(check_order(alpha, "alpha", one=True))
+    return EntropyValue(float(spectral_entropy(rho.eigenvalues, alpha)) * scale, units, alpha)
 
 
 def _log_dim_cap(rho: SpectralDecomposition, alpha) -> Chain:
@@ -166,7 +149,7 @@ def _log_dim_cap(rho: SpectralDecomposition, alpha) -> Chain:
     decomposition, at the entropy's orders."""
     w = _as_stack(rho).eigenvalues
     n = w.shape[-1]
-    _, h = _entropy(w, alpha)
+    h = spectral_entropy(w, check_order(alpha, "alpha", one=True))
     cap = np.full(len(w), math.log(n))
     return Chain("t3_2", [("cap", h, cap)], {"entropy": h, "dim": np.full(len(w), n)})
 

@@ -93,6 +93,9 @@ def cli_commands(directory: str) -> dict[str, list[str]]:
         "entropy-classical": ["entropy", "classical", *simplex, "--beta", "2", "--json"],
         "entropy-quantum": ["entropy", "quantum", "--state", path("density"), "--alpha", "2",
                             "--json"],
+        "entropy-classical-1": ["entropy", "classical", *simplex, "--beta", "1", "--json"],
+        "entropy-quantum-1": ["entropy", "quantum", "--state", path("density"), "--alpha", "1",
+                              "--json"],
         "type-beta": ["type-beta", *simplex, "--beta", "0.5", "--json"],
         "beta-0": ["entropy", "classical", *simplex, "--beta", "0"],
         "alpha-1": ["divergence", *pair, "--alpha", "1"],

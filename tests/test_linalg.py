@@ -13,7 +13,6 @@ from renyi.exceptions import (
     SingularPower,
     TraceNonpositive,
 )
-from renyi.classical import renyi_entropy
 from renyi.divergence import renyi_relative_entropy, t4_lower_bound, triangle_bound_check
 from renyi.harness import SUITES
 from renyi.linalg import (
@@ -151,10 +150,9 @@ def test_eigenvalue_checks_at_extreme_scales(exponent):
     c = math.ldexp(1.0, exponent)
     shift = exponent * math.log(2.0)
     for n in range(1, 9):
-        # a real diagonal: the Hermiticity check of the diagonal is absolute
-        pd = as_hermitian(random_psd(rng, n) + 0.1 * np.eye(n))
-        singular = as_hermitian(random_psd(rng, n, max(n - 1, 1))) if n > 1 else None
-        indefinite = as_hermitian(random_hermitian(rng, n))
+        pd = random_psd(rng, n) + 0.1 * np.eye(n)
+        singular = random_psd(rng, n, max(n - 1, 1)) if n > 1 else None
+        indefinite = random_hermitian(rng, n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scaled = log_det(c * pd)
@@ -245,6 +243,18 @@ class TestLogDet:
     def test_rejects_singular(self):
         with pytest.raises(NotPd):
             log_det(np.diag([1.0, 0.0]))
+
+    def test_diagonal_dust_is_checked_at_the_matrix_scale(self):
+        # numpy's 2x2 product g g† leaves imaginary dust of a few ulps of
+        # max|A| on the diagonal; it is bounded like the asymmetry, by
+        # HERM_TOL * (1 + max|A|), and a larger imaginary part is rejected
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            a = 1e7 * g @ g.conj().T
+            assert log_det(a) == pytest.approx(np.linalg.slogdet(a)[1], abs=1e-8)
+        with pytest.raises(NonHermitianInput):
+            log_det(np.diag([1.0 + 1e-9j, 1.0]))
 
     def test_small_scaled_identity_is_positive_definite(self):
         # definiteness is full support under the support rule, at every scale
@@ -621,8 +631,11 @@ class TestStackAxis:
             assert positive_definite(psd.eigenvalues).tolist() == [
                 positive_definite(w) for w in psd.eigenvalues
             ]
-            for r in (0.3, 0.5, 2.0, 3.7):
+            # each spectrum also zero-padded on the right to 8 + 1 entries
+            padded = np.pad(psd.eigenvalues, ((0, 0), (0, 9 - n)))
+            for r in (0.3, 0.5, 1.0, 2.0, 3.7):
                 entropies = spectral_entropy(psd.eigenvalues, r)
+                assert _bits(spectral_entropy(padded, r)) == _bits(entropies)
                 for i, w in enumerate(psd.eigenvalues):
                     assert _bits(spectral_entropy(w, r)) == _bits(entropies[i])
             for i, m in enumerate(stack):
@@ -704,10 +717,10 @@ def test_one_matrix_functions_reject_a_stack(name):
 def _public_diag_oracle(p, q, alpha):
     """The diag_oracle report of one trial from the public functions: the
     quantum entropy and divergence of diag(p) against diag(q) next to their
-    classical values."""
+    classical values, the direct sums."""
     rho = DensityMatrix(np.diag(p))
     h_quantum = quantum_renyi_entropy(rho, alpha, units="bits").value
-    h_classical = renyi_entropy(p, alpha)
+    h_classical = math.log2(float(np.sum(p**alpha))) / (1.0 - alpha)
     d_quantum = renyi_relative_entropy(rho, np.diag(q), alpha).value
     support = p > 0.0
     terms = p[support] ** alpha * q[support] ** (1.0 - alpha)
