@@ -24,7 +24,7 @@ import numpy as np
 from . import divergence as dv
 from . import harness
 from .classical import entropy_type_beta, renyi_entropy
-from .exceptions import BadKind, FileFormatError, IoError, RenyiError, SuiteFailures
+from .exceptions import FileFormatError, IoError, RenyiError, SuiteFailures
 from .fileformat import (
     distribution_from_payload,
     distribution_payload,
@@ -252,12 +252,10 @@ def _cmd_gen(args) -> int:
         payload = matrix_payload(rho, dims=dims)
     elif args.kind == "pd":
         payload = matrix_payload(harness.random_pd(dim, args.seed, args.cap))
-    elif args.kind == "simplex":
+    else:
         payload = distribution_payload(
             harness.random_simplex(dim, args.seed, zeros=args.zeros)
         )
-    else:  # pragma: no cover - argparse choices guard this
-        raise BadKind(f"unknown kind {args.kind!r}")
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dump_payload(payload))

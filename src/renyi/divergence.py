@@ -18,8 +18,8 @@ tests compare the minimum with a Bloch-ball zoom grid.
 All divergences are in nats.  Orders go through ``linalg.check_order``:
 alpha >= 0 with alpha != 1 for ``D_alpha``, alpha > 1 for everything else.
 ``D_alpha``, t4, t5 and the triangle come from ``linalg.petz_divergence``,
-finite at every order; t4 and the triangle are kernels over stacked
-decompositions, each public bound its kernel on one state.  A Gram factor
+finite at every order; t4, t6 and the triangle are kernels over stacks of
+states, each public bound its kernel on one state.  A Gram factor
 weight that underflows to 0 raises ``AlphaOutOfRange``, never a bare
 arithmetic error.
 """
@@ -52,8 +52,8 @@ from .linalg import (
     recombine,
     spectral_decompose,
 )
-from .quantum import DensityMatrix
-from .report import BoundReport, Chain, chain_report, chain_tight, normalized_slack
+from .quantum import DensityMatrix, _density_decompose
+from .report import BoundReport, Chain, chain_tight, normalized_slack
 
 @dataclass(frozen=True)
 class DivergenceResult:
@@ -111,11 +111,11 @@ def renyi_relative_entropy(
     return DivergenceResult(value, alpha, equality)
 
 
-def _t4(rho: SpectralDecomposition, sigma, alpha) -> Chain:
-    """t4 on the decomposed state and the matrix sigma, or per pair of a
-    stacked decomposition and a stack, at one order or one order per pair."""
+def _t4(rho: DensityMatrix, sigma, alpha) -> Chain:
+    """t4 on the state and the matrix sigma, or per pair of a stack of states
+    and a stack of matrices, at one order or one order per pair."""
     alpha = check_order(alpha, "alpha", low=1.0)
-    rho = _as_stack(rho)
+    rho = _as_stack(rho.spectrum)
     if not positive_definite(rho.eigenvalues).all():
         raise NotPd("rho must be positive definite")
     dec = _as_stack(spectral_decompose(sigma))
@@ -132,7 +132,7 @@ def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     + ((1-alpha)/d) ln det sigma)``, tight exactly when ``sigma`` is
     proportional to ``rho^(alpha/(alpha-1))``.
     """
-    return _t4(rho.spectrum, _single(sigma), alpha).report()
+    return _t4(rho, _single(sigma), alpha).report()
 
 
 def _bipartite_dims(rho_ab: DensityMatrix) -> tuple[int, int]:
@@ -143,30 +143,30 @@ def _bipartite_dims(rho_ab: DensityMatrix) -> tuple[int, int]:
 
 def _reference(rho_ab: DensityMatrix, mode: str) -> SpectralDecomposition:
     """ref_A's spectrum: ``mu_A`` for ``mode="conditional"``, the marginal
-    ``rho_A`` for ``mode="mutual"``, which must be positive definite."""
+    ``rho_A`` (one per state of a stack) for ``mode="mutual"``, which must be positive definite."""
     d_a, d_b = _bipartite_dims(rho_ab)
     if mode == "conditional":
         return SpectralDecomposition(np.full(d_a, 1.0 / d_a), np.eye(d_a))
-    rho_a = DensityMatrix(_partial_trace(rho_ab.matrix, d_a, d_b, 1))
-    if not rho_a.is_positive_definite:
+    rho_a = _density_decompose(_partial_trace(rho_ab.matrix, d_a, d_b, 1))
+    if not positive_definite(rho_a.eigenvalues).all():
         raise MarginalSingular("marginal rho_A must be positive definite")
-    return rho_a.spectrum
+    return rho_a
 
 
 def _gram_factor(
-    rho_ab: DensityMatrix, basis: np.ndarray, t: np.ndarray, alpha: float
+    rho: SpectralDecomposition, basis: np.ndarray, t: np.ndarray, alpha: float
 ) -> tuple[float, SpectralDecomposition]:
     """SVD of the graded factor G of ``sum_ik e^(alpha t_ik) b_ik b_ik^H``.
 
     G has a row ``e^((alpha/2) (t_ik - top)) conj(b_ik)``, ``b_ik = (<v_k| (x)
-    1) u_i``, per support eigenvector u_i of rho and column v_k of ``basis``;
-    ``top`` is the largest ``t_ik`` with ``b_ik != 0``, and a weight that
-    underflows to 0 raises AlphaOutOfRange.  Returns ``top`` and G's singular
-    values (ascending) with its right singular vectors.
+    1) u_i``, per support eigenvector u_i of the decomposed state rho and
+    column v_k of ``basis``, a basis of A, whose order is d_A; ``top`` is the
+    largest ``t_ik`` with ``b_ik != 0``, and a weight that underflows to 0
+    raises AlphaOutOfRange.  Returns ``top`` and G's singular values
+    (ascending) with its right singular vectors.
     """
-    d_a, d_b = rho_ab.dims
-    w = rho_ab.eigenvalues
-    u = rho_ab.spectrum.eigenvectors[:, w > 0.0].reshape(d_a, d_b, -1)
+    w = rho.eigenvalues
+    u = rho.eigenvectors[:, w > 0.0].reshape(len(basis), len(w) // len(basis), -1)
     rows = np.einsum("ak,abi->kib", basis, u.conj())
     nonzero = np.any(rows != 0.0, axis=2)
     top = float(np.where(nonzero, t, -np.inf).max())
@@ -175,16 +175,18 @@ def _gram_factor(
         weight = np.where(nonzero, np.exp(alpha / 2.0 * (t - top)), 0.0)
     if np.any(nonzero & (weight == 0.0)):
         raise AlphaOutOfRange(f"a Gram factor weight underflows at alpha = {alpha!r}")
-    g = (weight[:, :, None] * rows).reshape(-1, d_b)
+    g = (weight[:, :, None] * rows).reshape(-1, u.shape[1])
     g = g[np.argsort(-np.linalg.norm(g, axis=1), kind="stable")]
     _, s, vh = np.linalg.svd(g, full_matrices=False)
     return top, SpectralDecomposition(s[::-1], vh[::-1].conj().T)
 
 
-def _minimize_over_sigma(
-    rho_ab: DensityMatrix, alpha: float, ref: SpectralDecomposition
-) -> OptimizationOutcome:
-    """Minimize ``D_alpha(rho_AB || ref_A (x) sigma_B)`` over density sigma_B.
+def _sibson(
+    rho: SpectralDecomposition, alpha: float, ref: SpectralDecomposition
+) -> tuple[float, SpectralDecomposition, np.ndarray]:
+    """``min_sigma D_alpha(rho_AB || ref_A (x) sigma_B)`` over density sigma_B
+    for one decomposed state, with the minimizer's eigenbasis and spectrum;
+    the minimizer itself is not formed.
 
     Exact by Sibson's identity, from ``C_B = G^H G`` without forming C_B: G is
     the ``_gram_factor`` over ref's eigenvectors v_k with ``t_ik = ln p_i - ln
@@ -192,16 +194,20 @@ def _minimize_over_sigma(
     G's singular values s_j give ``tr C_B^(1/alpha) = e^top sum_j
     s_j^(2/alpha)``, and its right singular vectors the minimizer.
     """
-    w, a = rho_ab.eigenvalues, ref.eigenvalues
+    w, a = rho.eigenvalues, ref.eigenvalues
     # 2 s_ik / alpha, which no order overflows
     t = np.log(w[w > 0.0]) - np.log(a)[:, None] + np.log(a)[:, None] / alpha
-    top, dec = _gram_factor(rho_ab, ref.eigenvectors, t, alpha)
+    top, dec = _gram_factor(rho, ref.eigenvectors, t, alpha)
     root = power_spectrum(dec.eigenvalues, 2.0 / alpha)
     total = float(np.sum(root))
-    return OptimizationOutcome(
-        optimum_value=alpha / (alpha - 1.0) * (top + math.log(total)),
-        optimizer_sigma=DensityMatrix(recombine(dec, root / total)),
-    )
+    return alpha / (alpha - 1.0) * (top + math.log(total)), dec, root / total
+
+
+def _optimize(rho_ab: DensityMatrix, alpha: float, mode: str) -> OptimizationOutcome:
+    """The ``_sibson`` minimum against ``_reference(rho_ab, mode)``, with sigma_B* as a state."""
+    alpha = float(check_order(alpha, "alpha", low=1.0))
+    value, dec, sigma = _sibson(rho_ab.spectrum, alpha, _reference(rho_ab, mode))
+    return OptimizationOutcome(value, DensityMatrix(recombine(dec, sigma)))
 
 
 def conditional_entropy(
@@ -212,8 +218,7 @@ def conditional_entropy(
     ``mu_A`` is the maximally mixed state on A.  Returns the value in nats
     together with the minimizer record.
     """
-    alpha = float(check_order(alpha, "alpha", low=1.0))
-    outcome = _minimize_over_sigma(rho_ab, alpha, _reference(rho_ab, "conditional"))
+    outcome = _optimize(rho_ab, alpha, "conditional")
     return math.log(rho_ab.dims[0]) - outcome.optimum_value, outcome
 
 
@@ -221,8 +226,7 @@ def mutual_information(
     rho_ab: DensityMatrix, alpha: float
 ) -> tuple[float, OptimizationOutcome]:
     """``I_alpha(A;B) = min_sigma D_alpha(rho_AB || rho_A (x) sigma_B)``."""
-    alpha = float(check_order(alpha, "alpha", low=1.0))
-    outcome = _minimize_over_sigma(rho_ab, alpha, _reference(rho_ab, "mutual"))
+    outcome = _optimize(rho_ab, alpha, "mutual")
     return outcome.optimum_value, outcome
 
 
@@ -250,7 +254,7 @@ def t5_closed_form(
     if not rho_ab.is_positive_definite:
         return None
     try:
-        _, g = _gram_factor(rho_ab, np.eye(d_a), -np.log(rho_ab.eigenvalues)[None, :], alpha)
+        _, g = _gram_factor(rho_ab.spectrum, np.eye(d_a), -np.log(rho_ab.eigenvalues)[None], alpha)
     except AlphaOutOfRange:
         return None
     if not positive_definite(g.eigenvalues):
@@ -272,6 +276,28 @@ def t5_closed_form(
     return T5ClosedForm(math.log(d_a) - value if mode == "conditional" else value, sigma_b)
 
 
+def _t6(rho_ab: DensityMatrix, alpha) -> Chain:
+    """t6 on a PD bipartite state, or on each state of a stack of one tag, at
+    one order or one per state: the bound from the stacked spectra, and the
+    mutual information from one ``_sibson`` minimum per state."""
+    alpha = check_order(alpha, "alpha", low=1.0)
+    dims = _bipartite_dims(rho_ab)
+    rho = _as_stack(rho_ab.spectrum)
+    if not positive_definite(rho.eigenvalues).all():
+        raise NotPd("t6 bound requires a positive definite state")
+    d = dims[0] * dims[1]
+    logdet = np.sum(np.log(rho.eigenvalues), axis=-1)
+    bound = alpha / (alpha - 1.0) * (math.log(d) + logdet / d)
+    ref = _as_stack(_reference(rho_ab, "mutual"))
+    rows = zip(rho.eigenvalues, rho.eigenvectors, ref.eigenvalues, ref.eigenvectors,
+               np.broadcast_to(alpha, bound.shape).tolist())
+    value = np.array([
+        _sibson(SpectralDecomposition(w, u), order, SpectralDecomposition(a, v))[0]
+        for w, u, a, v, order in rows
+    ])
+    return Chain("t6", [("t6", bound, value)], {"mutual_information": value, "bound": bound})
+
+
 def t6_lower_bound(rho_ab: DensityMatrix, alpha: float) -> BoundReport:
     """Determinant lower bound on the mutual information for PD states.
 
@@ -279,27 +305,15 @@ def t6_lower_bound(rho_ab: DensityMatrix, alpha: float) -> BoundReport:
     nats; the report compares it against the exact mutual information at
     ``CHAIN_TOL`` and flags equality when the two agree to ``EQ_TOL``.
     """
-    alpha = float(check_order(alpha, "alpha", low=1.0))
-    d_a, d_b = _bipartite_dims(rho_ab)
-    if not rho_ab.is_positive_definite:
-        raise NotPd("t6 bound requires a positive definite state")
-    d = d_a * d_b
-    logdet = float(np.sum(np.log(rho_ab.eigenvalues)))
-    bound = alpha / (alpha - 1.0) * (math.log(d) + logdet / d)
-    value = _minimize_over_sigma(rho_ab, alpha, _reference(rho_ab, "mutual")).optimum_value
-    return chain_report(
-        "t6",
-        [("t6", bound, value)],
-        extras={"mutual_information": value, "bound": bound},
-    )
+    return _t6(rho_ab, alpha).report()
 
 
-def _triangle(rho: SpectralDecomposition, sigma, alpha) -> Chain:
-    """The triangle check on the decomposed state and the matrix sigma, or per
-    pair of a stacked decomposition and a stack, at one order or one order
-    per pair."""
+def _triangle(rho: DensityMatrix, sigma, alpha) -> Chain:
+    """The triangle check on the state and the matrix sigma, or per pair of a
+    stack of states and a stack of matrices, at one order or one order per
+    pair."""
     alpha = check_order(alpha, "alpha", low=1.0)
-    rho = _as_stack(rho)
+    rho = _as_stack(rho.spectrum)
     dec = _as_stack(_sigma_spectrum(sigma, alpha))
     lhs, _ = _petz(rho, dec, alpha)
     # I shares each operand's eigenbasis; D(rho || I) = -H_alpha(rho)
@@ -316,4 +330,4 @@ def _triangle(rho: SpectralDecomposition, sigma, alpha) -> Chain:
 
 def triangle_bound_check(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     """Check ``D(rho||sigma) <= D(rho||I) + D(I||sigma)`` for alpha > 1."""
-    return _triangle(rho.spectrum, _single(sigma), alpha).report()
+    return _triangle(rho, _single(sigma), alpha).report()

@@ -124,7 +124,3 @@ class FileFormatError(RenyiError):
 
 class IoError(RenyiError):
     pass
-
-
-class BadKind(RenyiError):
-    pass

@@ -17,18 +17,18 @@ mask and the equality counts, and builds a trial's
 :class:`~renyi.report.BoundReport` only when the trial fails.  The classical
 checks evaluate each formula once on a block's zero-padded stack and apply
 the :mod:`renyi.report` rules to the stacked values.  The matrix suites
-check a block once per shape group: lemma2, lemma3, lemma4, t3, t3_2, t4
-and triangle stack each matrix operand of a group, validate and decompose
-it as one stack and run their library bound's kernel on the stacks (the
-public bound is that kernel on a stack of one), and ``diag_oracle`` does
-the same with its library functions.  t6, whose Sibson path takes one
-state at a time, calls its library bound per trial.  ``bounds`` and
-:func:`replay` run the same check on a batch of one and take its report.
-A matrix input is an ``(array, dims)`` pair and a distribution
-a float array; they are serialized to the CLI file format only when a
-failure is recorded, and :func:`replay` parses that form back.  One trial in
-a hundred is a constructed equality-case instance so the equality flags get
-exercised.
+check a block once per shape group: lemma2, lemma3, lemma4, t3, t3_2, t4,
+t6 and triangle stack each matrix operand of a group (for a state, of one
+shape and one dims tag), validate and decompose it as one stack and run
+their library bound's kernel on the stacks (the public bound is that
+kernel on a stack of one), and ``diag_oracle`` does the same with its
+library functions.  t6 takes its Sibson minimum state by state from the
+stacked decompositions.  ``bounds`` and :func:`replay` run the same check
+on a batch of one and take its report.  A matrix input is an ``(array,
+dims)`` pair and a distribution a float array; they are serialized to the
+CLI file format only when a failure is recorded, and :func:`replay` parses
+that form back.  One trial in a hundred is a constructed equality-case
+instance so the equality flags get exercised.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .classical import (
     info_function_beta,
     probability_vector,
 )
-from .divergence import _petz, _sigma_spectrum, _t4, _triangle, t6_lower_bound
+from .divergence import _petz, _sigma_spectrum, _t4, _t6, _triangle
 from .exceptions import BadCap, BadDim, BadRank, BadTrials, BadZeros, UnknownSuite
 from .fileformat import (
     distribution_from_payload,
@@ -547,11 +547,12 @@ class Suite:
 
 def _kernel_suite(gen, kernel: Callable[..., Chain], inputs: dict[str, str]) -> Suite:
     """The suite whose batch check runs the library bound's ``kernel`` once per
-    shape group of the batch, on its operands in ``inputs`` order: each
-    matrix is the group's stack of its arrays, ``rho`` validated and
-    decomposed as a stack of density matrices (its dims tag checked per
-    trial), and each number the group's list of it.  The verdict reads the
-    kernel's arrays, back in trial order."""
+    group of the batch (the trials whose matrices share their shapes and
+    whose ``rho`` shares its dims tag), on its operands in ``inputs`` order:
+    each matrix is the group's stack of its arrays, ``rho`` a stack of
+    states validated and decomposed as one, its one tag checked once, and
+    each number the group's list of it.  The verdict reads the kernel's
+    arrays, back in trial order."""
     matrices = [key for key, kind in inputs.items() if kind == MATRIX]
 
     def operand(key: str, values: list):
@@ -561,14 +562,15 @@ def _kernel_suite(gen, kernel: Callable[..., Chain], inputs: dict[str, str]) -> 
         if key != "rho":
             return stack
         dec = _density_decompose(stack)
-        for _, dims in values:
-            _bipartite_tag(dims, stack.shape[-1])
-        return dec
+        return DensityMatrix._trusted(dec, _bipartite_tag(values[0][1], stack.shape[-1]))
 
     def check(batch: list[dict]) -> Verdict:
         groups: dict = {}
         for i, x in enumerate(batch):
-            groups.setdefault(tuple(np.shape(x[key][0]) for key in matrices), []).append(i)
+            # a state's dims tag splits its shape group; a list tag is its tuple
+            tag = x["rho"][1] if "rho" in inputs else None
+            key = tuple(np.shape(x[k][0]) for k in matrices), tag if tag is None else tuple(tag)
+            groups.setdefault(key, []).append(i)
         chains = [
             kernel(*(operand(key, [batch[i][key] for i in rows]) for key in inputs))
             for rows in groups.values()
@@ -591,27 +593,6 @@ def _kernel_suite(gen, kernel: Callable[..., Chain], inputs: dict[str, str]) -> 
     return Suite(gen, check, inputs)
 
 
-def _matrix_suite(gen, bound: Callable[..., BoundReport], inputs: dict[str, str]) -> Suite:
-    """The suite whose batch check calls the library ``bound`` on each trial's
-    operands, in ``inputs`` order, and reads the verdict arrays off its
-    reports: t6, whose Sibson path takes one state at a time.  ``rho`` is a
-    :class:`DensityMatrix` of its ``(array, dims)``, and a number a float."""
-
-    def operand(key: str, value):
-        return DensityMatrix(*value) if inputs[key] == MATRIX else float(value)
-
-    def check(batch: list[dict]) -> Verdict:
-        reports = [bound(*(operand(key, x[key]) for key in inputs)) for x in batch]
-        return Verdict(
-            np.array([r.gap for r in reports], dtype=np.float64),
-            np.array([r.equality for r in reports], dtype=bool),
-            np.array([r.tolerance for r in reports], dtype=np.float64),
-            reports.__getitem__,
-        )
-
-    return Suite(gen, check, inputs)
-
-
 _PAIR = {"a": MATRIX, "b": MATRIX}
 _DIST = {"p": DISTRIBUTION, "beta": NUMBER}
 _STATE = {"rho": MATRIX, "alpha": NUMBER}
@@ -626,7 +607,7 @@ SUITES: dict[str, Suite] = {
     "t3": _kernel_suite(_gen_t3, _t3, _STATE),
     "t3_2": _kernel_suite(_gen_t3_2, _log_dim_cap, _STATE),
     "t4": _kernel_suite(_gen_state_sigma(None), _t4, _STATE_SIGMA),
-    "t6": _matrix_suite(_gen_t6, t6_lower_bound, _STATE),
+    "t6": _kernel_suite(_gen_t6, _t6, _STATE),
     "triangle": _kernel_suite(_gen_state_sigma(1), _triangle, _STATE_SIGMA),
     "info_fn_eq": Suite(
         _gen_info_fn_eq, _check_info_fn_eq, {"x": NUMBER, "y": NUMBER, "beta": NUMBER}

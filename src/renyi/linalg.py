@@ -502,12 +502,11 @@ def kron(a, b) -> np.ndarray:
 
 
 def _partial_trace(m: np.ndarray, d_a: int, d_b: int, factor: int) -> np.ndarray:
-    """Trace factor 0 (A) or 1 (B) out of an already validated matrix."""
-    if d_a <= 0 or d_b <= 0 or m.shape[0] != d_a * d_b:
-        raise DimensionMismatch(
-            f"matrix dimension {m.shape[0]} != d_a*d_b = {d_a}*{d_b}"
-        )
-    return np.trace(m.reshape(d_a, d_b, d_a, d_b), axis1=factor, axis2=factor + 2)
+    """Trace factor 0 (A) or 1 (B) out of a validated matrix, or out of each of a stack."""
+    if d_a <= 0 or d_b <= 0 or m.shape[-1] != d_a * d_b:
+        raise DimensionMismatch(f"matrix dimension {m.shape[-1]} != d_a*d_b = {d_a}*{d_b}")
+    split = m.reshape(m.shape[:-2] + (d_a, d_b, d_a, d_b))
+    return np.trace(split, axis1=factor - 4, axis2=factor - 2)
 
 
 def partial_trace_b(matrix, d_a: int, d_b: int) -> np.ndarray:

@@ -6,8 +6,8 @@ package's one Renyi entropy kernel, and default to natural log;
 ``units="bits"`` rescales by 1/ln 2.  Orders go through
 ``linalg.check_order``: alpha > 0, with alpha = 1 the kernel's von Neumann
 limit for the entropy and ``log_dim_cap``; ``t3_bound`` excludes the band
-around 1.  Each bound is a kernel over a stacked decomposition with one
-order or one per state, and the public bound is its kernel on one state;
+around 1.  Each bound is a kernel over a stack of states with one order or
+one per state, and the public bound is its kernel on one state;
 ``_density_decompose`` is the one density-matrix check, of one matrix or of
 a stack.
 """
@@ -81,19 +81,30 @@ class DensityMatrix:
     anything below ``-PSD_TOL``), so support counts, bounds, entropies and
     ``is_positive_definite`` (full support) share one notion of rank.
     ``dims=(d_a, d_b)`` tags a bipartite state.  Instances are immutable.
+    The constructor takes one matrix; a bound's kernel also takes a stack of
+    states of one shape and one tag, which ``_trusted`` builds from the
+    stack's ``_density_decompose`` and its tag, each checked once.
     """
 
     __slots__ = ("_matrix", "_spectrum", "_dims")
 
     def __init__(self, matrix, dims: tuple[int, int] | None = None):
         dec = _density_decompose(_single(matrix))
-        a = dec.matrix
-        dims = _bipartite_tag(dims, a.shape[0])
-        a.setflags(write=False)
+        self._hold(dec, _bipartite_tag(dims, dec.matrix.shape[0]))
+
+    @classmethod
+    def _trusted(cls, spectrum: SpectralDecomposition, dims) -> DensityMatrix:
+        """The state, or stack of states, of a ``_density_decompose`` result
+        and a tag ``_bipartite_tag`` admitted: nothing is checked again."""
+        rho = cls.__new__(cls)
+        rho._hold(spectrum, dims)
+        return rho
+
+    def _hold(self, dec: SpectralDecomposition, dims) -> None:
+        dec.matrix.setflags(write=False)
         dec.eigenvalues.setflags(write=False)
-        object.__setattr__(self, "_matrix", a)
-        object.__setattr__(self, "_spectrum", dec)
-        object.__setattr__(self, "_dims", dims)
+        for name, value in zip(self.__slots__, (dec.matrix, dec, dims)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -112,7 +123,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[0]
+        return self._matrix.shape[-1]
 
     @property
     def dims(self) -> tuple[int, int] | None:
@@ -144,10 +155,10 @@ def quantum_renyi_entropy(
     return EntropyValue(float(spectral_entropy(rho.eigenvalues, alpha)) * scale, units, alpha)
 
 
-def _log_dim_cap(rho: SpectralDecomposition, alpha) -> Chain:
-    """The dimension cap on a decomposed state, or on each state of a stacked
-    decomposition, at the entropy's orders."""
-    w = _as_stack(rho).eigenvalues
+def _log_dim_cap(rho: DensityMatrix, alpha) -> Chain:
+    """The dimension cap on a state, or on each state of a stack, at the
+    entropy's orders."""
+    w = _as_stack(rho.spectrum).eigenvalues
     n = w.shape[-1]
     h = spectral_entropy(w, check_order(alpha, "alpha", one=True))
     cap = np.full(len(w), math.log(n))
@@ -156,19 +167,19 @@ def _log_dim_cap(rho: SpectralDecomposition, alpha) -> Chain:
 
 def log_dim_cap(rho: DensityMatrix, alpha: float) -> BoundReport:
     """Dimension cap ``H_alpha(rho) <= ln d``, in nats, at the entropy's orders."""
-    return _log_dim_cap(rho.spectrum, alpha).report()
+    return _log_dim_cap(rho, alpha).report()
 
 
-def _t3(rho: SpectralDecomposition, alpha) -> Chain:
-    """The spectral support bound and the cap on a decomposed state, or on
-    each state of a stacked decomposition, at one order or one per state.
+def _t3(rho: DensityMatrix, alpha) -> Chain:
+    """The spectral support bound and the cap on a state, or on each state
+    of a stack, at one order or one per state.
 
     Over the support of size m, ``ln m/(1-alpha) + alpha/(1-alpha) * mean
     ln w'_i`` tends to ``-mean ln w'_i`` as alpha grows instead of
     overflowing; ``d0`` counts the zero eigenvalues.
     """
     alpha = check_order(alpha, "alpha")
-    w = _as_stack(rho).eigenvalues
+    w = _as_stack(rho.spectrum).eigenvalues
     n = w.shape[-1]
     support = w > 0.0
     m = np.count_nonzero(support, axis=-1)
@@ -191,4 +202,4 @@ def t3_bound(rho: DensityMatrix, alpha: float) -> BoundReport:
     above it (the sandwich); for alpha > 1 the bound is an upper bound.  The
     report carries both parts, with the cap always included.
     """
-    return _t3(rho.spectrum, alpha).report()
+    return _t3(rho, alpha).report()

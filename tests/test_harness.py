@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renyi import harness
+from renyi.divergence import t6_lower_bound
 from renyi.exceptions import (
     AlphaOne,
     AlphaOutOfRange,
@@ -17,7 +18,11 @@ from renyi.exceptions import (
     BadRank,
     BadTrials,
     BadZeros,
+    DimensionMismatch,
     InvalidDistribution,
+    NonHermitianInput,
+    NotBipartite,
+    NotPd,
     SigmaSingular,
     UnknownSuite,
 )
@@ -31,6 +36,7 @@ from renyi.harness import (
     replay,
     run_suite,
 )
+from renyi.quantum import DensityMatrix
 from renyi.report import EQ_TOL, Chain, chain_report, identity_report
 
 
@@ -363,6 +369,89 @@ class TestStackedRules:
             assert json.dumps(verdict[i].to_dict()) == json.dumps(expected.to_dict())
 
 
+def _state(dim: int) -> np.ndarray:
+    return harness._density_from_rng(derive_rng(5, dim), dim, dim)
+
+
+_SINGULAR = np.diag([0.5, 0.5, 0.0, 0.0])
+
+
+class TestStateTags:
+    """What ``SUITES["t3"|"t6"].check`` makes of a state's dims tag, and the
+    order of its errors: the state, then its tag, then the order, then the
+    bound's own demands (a tag and a positive definite state for t6)."""
+
+    @pytest.mark.parametrize("name", ["t3", "t6"])
+    def test_list_tag_is_its_tuple(self, name):
+        check = SUITES[name].check
+        listed = check([{"rho": (_state(4), [2, 2]), "alpha": 2.0}])[0]
+        tupled = check([{"rho": (_state(4), (2, 2)), "alpha": 2.0}])[0]
+        assert json.dumps(listed.to_dict()) == json.dumps(tupled.to_dict())
+
+    def test_untagged_state(self):
+        batch = [{"rho": (_state(4), None), "alpha": 2.0}]
+        assert SUITES["t3"].check(batch)[0].passed
+        with pytest.raises(NotBipartite):
+            SUITES["t6"].check(batch)
+
+    @pytest.mark.parametrize("name", ["t3", "t6"])
+    def test_tag_wrong_for_the_shape(self, name):
+        with pytest.raises(DimensionMismatch):
+            SUITES[name].check([{"rho": (_state(4), (2, 3)), "alpha": 2.0}])
+
+    @pytest.mark.parametrize("name", ["t3", "t6"])
+    def test_state_is_checked_before_its_tag(self, name):
+        rho = _state(4)
+        rho[0, 1] += 0.1
+        with pytest.raises(NonHermitianInput):
+            SUITES[name].check([{"rho": (rho, (2, 3)), "alpha": 2.0}])
+
+    def test_singular_state(self):
+        batch = [{"rho": (_SINGULAR, (2, 2)), "alpha": 2.0}]
+        assert SUITES["t3"].check(batch)[0].equality
+        with pytest.raises(NotPd):
+            SUITES["t6"].check(batch)
+
+    @pytest.mark.parametrize(
+        "alpha,t3_error", [(1.0, AlphaOne), (0.5, None), (-1.0, AlphaOutOfRange)]
+    )
+    def test_order_comes_before_tag_and_support(self, alpha, t3_error):
+        # t6 admits alpha > 1 only, and rejects any other order before it
+        # finds the untagged, singular state
+        batch = [{"rho": (_SINGULAR, None), "alpha": alpha}]
+        with pytest.raises(AlphaOutOfRange):
+            SUITES["t6"].check(batch)
+        if t3_error is None:
+            assert SUITES["t3"].check(batch)[0].passed
+        else:
+            with pytest.raises(t3_error):
+                SUITES["t3"].check(batch)
+
+    @pytest.mark.parametrize("name", ["t3", "t6"])
+    def test_batch_with_both_tags_of_one_shape(self, name):
+        # a 6x6 state split 2x3 and 3x2 in one batch: each trial gives the
+        # report of its own check, and for t6 that of its public bound
+        rho = _state(6)
+        batch = [
+            {"rho": (rho, (2, 3)), "alpha": 2.0},
+            {"rho": (rho, (3, 2)), "alpha": 3.0},
+            {"rho": (rho, [2, 3]), "alpha": 1.5},
+        ]
+        verdict = SUITES[name].check(batch)
+        for i, inputs in enumerate(batch):
+            alone = SUITES[name].check([inputs])[0].to_dict()
+            assert json.dumps(verdict[i].to_dict()) == json.dumps(alone), i
+            if name == "t6":
+                state = DensityMatrix(rho, dims=tuple(inputs["rho"][1]))
+                public = t6_lower_bound(state, inputs["alpha"]).to_dict()
+                assert json.dumps(alone) == json.dumps(public), i
+        if name == "t6":
+            # the mutual information depends on the split
+            assert verdict[0].extras["mutual_information"] != verdict[1].extras[
+                "mutual_information"
+            ]
+
+
 class TestArgumentChecks:
     @pytest.mark.parametrize("dim", [0, -2])
     def test_dimension_below_one(self, dim):
@@ -417,7 +506,7 @@ class TestWorkPerTrial:
             ("lemma2", 0, 2, 2),
             ("lemma3", 0, 2, 2),
             ("lemma4", 0, 1, 1),
-            ("t6", 3, 0, 3),
+            ("t6", 2, 0, 2),
             ("diag_oracle", 2, 0, 2),
         ],
     )
@@ -446,15 +535,18 @@ class TestWorkPerTrial:
             ("t3_2", 1, 0),
             ("t4", 2, 0),
             ("triangle", 2, 0),
+            ("t6", 2, 0),
             ("diag_oracle", 2, 0),
         ],
     )
     def test_each_shape_group_is_decomposed_once(
         self, monkeypatch, name, decompositions, values, trials
     ):
-        # each matrix operand (diag(p) and diag(q) for diag_oracle) is
-        # validated and decomposed as one stack per shape group, however many
-        # trials the group holds
+        # each matrix operand (diag(p) and diag(q) for diag_oracle; rho_AB
+        # and its marginals rho_A for t6) is validated and decomposed as one
+        # stack per group, however many trials the group holds; a group is
+        # one shape, and for a state also one dims tag (t6's 6x6 states come
+        # as 2x3 and 3x2)
         from renyi import linalg
 
         counts = _count_calls(monkeypatch, linalg, _SPECTRAL)
@@ -466,9 +558,11 @@ class TestWorkPerTrial:
                 np.shape(inputs[key][0] if kind == harness.MATRIX else inputs[key])
                 for key, kind in kinds
                 if kind != harness.NUMBER
-            )
+            ) + (inputs.get("rho", (None, None))[1],)
             for inputs in batch
         })
+        if name == "t6":
+            assert groups == min(trials, 4)
         suite.check(batch)
         assert counts == {
             "spectral_decompose": decompositions * groups,
