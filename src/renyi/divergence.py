@@ -53,7 +53,7 @@ from .linalg import (
     spectral_decompose,
 )
 from .quantum import DensityMatrix, _density_decompose
-from .report import BoundReport, Chain, chain_tight, normalized_slack
+from .report import BoundReport, Verdict, chain, chain_tight, normalized_slack
 
 @dataclass(frozen=True)
 class DivergenceResult:
@@ -111,7 +111,7 @@ def renyi_relative_entropy(
     return DivergenceResult(value, alpha, equality)
 
 
-def _t4(rho: DensityMatrix, sigma, alpha) -> Chain:
+def _t4(rho: DensityMatrix, sigma, alpha) -> Verdict:
     """t4 on the state and the matrix sigma, or per pair of a stack of states
     and a stack of matrices, at one order or one order per pair."""
     alpha = check_order(alpha, "alpha", low=1.0)
@@ -122,7 +122,7 @@ def _t4(rho: DensityMatrix, sigma, alpha) -> Chain:
     if not positive_definite(dec.eigenvalues).all():
         raise NotPd("sigma must be positive definite")
     value, bound = _petz(rho, dec, alpha)
-    return Chain("t4", [("t4", bound, value)], {"divergence": value, "bound": bound})
+    return chain("t4", [("t4", bound, value)], {"divergence": value, "bound": bound})
 
 
 def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
@@ -132,7 +132,7 @@ def t4_lower_bound(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     + ((1-alpha)/d) ln det sigma)``, tight exactly when ``sigma`` is
     proportional to ``rho^(alpha/(alpha-1))``.
     """
-    return _t4(rho, _single(sigma), alpha).report()
+    return _t4(rho, _single(sigma), alpha)[0]
 
 
 def _bipartite_dims(rho_ab: DensityMatrix) -> tuple[int, int]:
@@ -276,7 +276,7 @@ def t5_closed_form(
     return T5ClosedForm(math.log(d_a) - value if mode == "conditional" else value, sigma_b)
 
 
-def _t6(rho_ab: DensityMatrix, alpha) -> Chain:
+def _t6(rho_ab: DensityMatrix, alpha) -> Verdict:
     """t6 on a PD bipartite state, or on each state of a stack of one tag, at
     one order or one per state: the bound from the stacked spectra, and the
     mutual information from one ``_sibson`` minimum per state."""
@@ -295,7 +295,7 @@ def _t6(rho_ab: DensityMatrix, alpha) -> Chain:
         _sibson(SpectralDecomposition(w, u), order, SpectralDecomposition(a, v))[0]
         for w, u, a, v, order in rows
     ])
-    return Chain("t6", [("t6", bound, value)], {"mutual_information": value, "bound": bound})
+    return chain("t6", [("t6", bound, value)], {"mutual_information": value, "bound": bound})
 
 
 def t6_lower_bound(rho_ab: DensityMatrix, alpha: float) -> BoundReport:
@@ -305,10 +305,10 @@ def t6_lower_bound(rho_ab: DensityMatrix, alpha: float) -> BoundReport:
     nats; the report compares it against the exact mutual information at
     ``CHAIN_TOL`` and flags equality when the two agree to ``EQ_TOL``.
     """
-    return _t6(rho_ab, alpha).report()
+    return _t6(rho_ab, alpha)[0]
 
 
-def _triangle(rho: DensityMatrix, sigma, alpha) -> Chain:
+def _triangle(rho: DensityMatrix, sigma, alpha) -> Verdict:
     """The triangle check on the state and the matrix sigma, or per pair of a
     stack of states and a stack of matrices, at one order or one order per
     pair."""
@@ -321,7 +321,7 @@ def _triangle(rho: DensityMatrix, sigma, alpha) -> Chain:
     same = np.broadcast_to(np.eye(ones.shape[-1]), rho.eigenvectors.shape)
     d_rho_i, _ = petz_divergence(rho.eigenvalues, ones, same, alpha)
     d_i_sigma, _ = petz_divergence(ones, dec.eigenvalues, same, alpha)
-    return Chain(
+    return chain(
         "triangle",
         [("triangle", lhs, d_rho_i + d_i_sigma)],
         {"d_rho_identity": d_rho_i, "d_identity_sigma": d_i_sigma},
@@ -330,4 +330,4 @@ def _triangle(rho: DensityMatrix, sigma, alpha) -> Chain:
 
 def triangle_bound_check(rho: DensityMatrix, sigma, alpha: float) -> BoundReport:
     """Check ``D(rho||sigma) <= D(rho||I) + D(I||sigma)`` for alpha > 1."""
-    return _triangle(rho, _single(sigma), alpha).report()
+    return _triangle(rho, _single(sigma), alpha)[0]

@@ -37,6 +37,10 @@ class DimensionMismatch(RenyiError):
     pass
 
 
+class SideOverflow(RenyiError):
+    """A side of a check on finite operands overflows the float range."""
+
+
 # classical entropies
 class DomainError(RenyiError):
     pass

@@ -10,25 +10,26 @@ one draw call gives the same bits as several, a generator draws a trial's
 scalars in one call (``uniform(0, h)`` is ``h * random()``).
 
 Each suite knows how to generate one trial's inputs as arrays, and its check
-is a kernel over a block of trials that returns a :class:`Verdict`: one gap,
-one equality flag and one failure tolerance per trial, as arrays.
-:func:`run_suite` reduces those arrays to the maximum violation, the failure
-mask and the equality counts, and builds a trial's
-:class:`~renyi.report.BoundReport` only when the trial fails.  The classical
-checks evaluate each formula once on a block's zero-padded stack and apply
-the :mod:`renyi.report` rules to the stacked values.  The matrix suites
-check a block once per shape group: lemma2, lemma3, lemma4, t3, t3_2, t4,
-t6 and triangle stack each matrix operand of a group (for a state, of one
-shape and one dims tag), validate and decompose it as one stack and run
-their library bound's kernel on the stacks (the public bound is that
-kernel on a stack of one), and ``diag_oracle`` does the same with its
-library functions.  t6 takes its Sibson minimum state by state from the
-stacked decompositions.  ``bounds`` and :func:`replay` run the same check
-on a batch of one and take its report.  A matrix input is an ``(array,
-dims)`` pair and a distribution a float array; they are serialized to the
-CLI file format only when a failure is recorded, and :func:`replay` parses
-that form back.  One trial in a hundred is a constructed equality-case
-instance so the equality flags get exercised.
+is a kernel over a block of trials that returns a
+:class:`~renyi.report.Verdict`: one gap, one equality flag and one failure
+tolerance per trial, as arrays.  :func:`run_suite` reduces those arrays to
+the maximum violation, the failure mask and the equality counts, and builds
+a trial's :class:`~renyi.report.BoundReport` only when the trial fails.
+The classical checks evaluate each formula once on a block's zero-padded
+stack and take their verdict from :func:`renyi.report.chain` or
+:func:`renyi.report.identities`.  Every other suite is a kernel suite: it
+groups a block by the shapes of its matrices and distributions (and by the
+dims tag of a state), runs its kernel once per group and joins the groups'
+verdicts back in trial order.  lemma2, lemma3, lemma4, t3, t3_2, t4, t6 and
+triangle run their library bound's kernel, whose verdict the public bound
+reads as row 0, on each matrix operand as one stack (a state validated and
+decomposed as one); ``diag_oracle`` runs its own kernel on two stacks of
+distributions, with one order per row.  ``bounds`` and :func:`replay` run
+the same check on a batch of one and take its report.  A matrix input is
+an ``(array, dims)`` pair and a distribution a float array; they are
+serialized to the CLI file format only when a failure is recorded, and
+:func:`replay` parses that form back.  One trial in a hundred is a
+constructed equality-case instance so the equality flags get exercised.
 """
 
 from __future__ import annotations
@@ -66,16 +67,7 @@ from .quantum import (
     _t3,
     _unit_scale,
 )
-from .report import (
-    CHAIN_TOL,
-    BoundReport,
-    Chain,
-    chain_gap,
-    chain_tight,
-    identity_gap,
-    identity_report,
-    normalized_slack,
-)
+from .report import BoundReport, Verdict, chain, chain_gap, identities, identity_gap
 
 _MASK64 = (1 << 64) - 1
 
@@ -196,51 +188,6 @@ def random_simplex(n: int, seed: int, zeros: int = 0) -> np.ndarray:
 
 # --- suite generators / checks -------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
-    """A checked block: per-trial ``gap``, ``equality`` and ``tolerance``
-    arrays, and ``report(i)``, which builds trial ``i``'s report.  Indexing
-    builds that report, so ``check([inputs])[0]`` is the trial's report."""
-
-    gap: np.ndarray
-    equality: np.ndarray
-    tolerance: np.ndarray
-    report: Callable[[int], BoundReport]
-
-    @property
-    def violation(self) -> np.ndarray:
-        """``max(0, -gap)`` per trial with Python's ``max`` rule, as in
-        BoundReport.violation: a NaN gap or a zero of either sign gives +0."""
-        return np.where(-self.gap > 0.0, -self.gap, 0.0)
-
-    def __len__(self) -> int:
-        return len(self.gap)
-
-    def __getitem__(self, i: int) -> BoundReport:
-        return self.report(i)
-
-
-def _chain_verdict(chain: Chain) -> Verdict:
-    """The verdict of a :class:`~renyi.report.Chain` with one row per trial:
-    a report is the chain's report of that row."""
-    slacks = [normalized_slack(lo, hi) for _, lo, hi in chain.parts]
-    gap = chain_gap(slacks)
-    equality = chain_tight(slacks) if chain.equality is None else chain.equality
-    return Verdict(gap, equality, np.full(len(gap), CHAIN_TOL), chain.report)
-
-
-def _identity_verdict(
-    name: str, value: np.ndarray, expected: np.ndarray, tolerance: float
-) -> Verdict:
-    """The verdict of stacked identities, each reported by :func:`identity_report`."""
-    gap = identity_gap(value, expected)
-
-    def report(i: int) -> BoundReport:
-        return identity_report(name, float(value[i]), float(expected[i]), tolerance)
-
-    return Verdict(gap, gap >= -tolerance, np.full(len(gap), tolerance), report)
-
-
 def _psd_pair(rng, i: int, equal_case: bool) -> tuple[np.ndarray, np.ndarray]:
     dim = DIMS_CYCLE[i % 8]
     if equal_case:
@@ -335,7 +282,7 @@ def _check_t1(batch: list[dict]) -> Verdict:
     # a lower bound below order one, an upper bound above it
     below = beta < 1.0
     parts = [("t1", np.where(below, bound, h), np.where(below, h, bound))]
-    return _chain_verdict(Chain("t1", parts, {"entropy": h, "bound": bound}))
+    return chain("t1", parts, {"entropy": h, "bound": bound})
 
 
 def _check_t2_2(batch: list[dict]) -> Verdict:
@@ -343,7 +290,7 @@ def _check_t2_2(batch: list[dict]) -> Verdict:
         batch, lambda p, beta: (_entropy_type_beta(p, beta), _product_bound(p, beta)), high=1.0
     )
     parts = [("nonneg", np.zeros_like(h), h), ("product", bound, h)]
-    return _chain_verdict(Chain("t2_2", parts, {"bound": bound}))
+    return chain("t2_2", parts, {"bound": bound})
 
 
 def _gen_t3(rng, i: int) -> dict:
@@ -426,7 +373,7 @@ def _check_info_fn_eq(batch: list[dict]) -> Verdict:
     f = info_function_beta
     lhs = f(x, beta) + np.power(1.0 - x, beta) * f(y / (1.0 - x), beta)
     rhs = f(y, beta) + np.power(1.0 - y, beta) * f(x / (1.0 - y), beta)
-    return _identity_verdict("info_fn_eq", lhs, rhs, 1e-9)
+    return identities("info_fn_eq", lhs, rhs, 1e-9)
 
 
 def _check_eq4(batch: list[dict]) -> Verdict:
@@ -437,7 +384,7 @@ def _check_eq4(batch: list[dict]) -> Verdict:
             _renyi_entropy(p, beta),
         ),
     )
-    return _identity_verdict("eq4_roundtrip", roundtrip, h, 1e-10)
+    return identities("eq4_roundtrip", roundtrip, h, 1e-10)
 
 
 def _gen_diag_oracle(rng, i: int) -> dict:
@@ -455,64 +402,52 @@ def _gen_diag_oracle(rng, i: int) -> dict:
 
 
 def _diagonals(v: np.ndarray) -> np.ndarray:
-    """The stack of ``diag(v_k)`` for the rows ``v_k`` of ``v``."""
-    m = np.zeros(v.shape + v.shape[-1:])
-    i = np.arange(v.shape[-1])
-    m[:, i, i] = v
-    return m
+    """The stack of ``diag(v_k)`` for the rows ``v_k`` of ``v``: each row times the identity."""
+    return v[:, :, None] * np.eye(v.shape[-1])
 
 
-def _check_diag_oracle(batch: list[dict]) -> Verdict:
+def _diag_oracle(p, q, alpha) -> Verdict:
     """The quantum entropy and divergence of ``diag(p)`` against ``diag(q)``,
-    each an identity with its classical value; a trial's gap is the smaller one.
+    each an identity with its classical value, for each row of two stacks
+    of distributions at one order per row; a row's gap is the smaller one.
 
-    The block is checked in groups of one shape and one order (in a generated
-    block ``n`` and ``alpha`` both follow ``i % 7``).  A group validates its
-    p and q once as two stacks, decomposes ``diag(p)`` and ``diag(q)`` as two
-    stacks, and takes the quantum entropies from the stacked spectra and the
-    divergences from one stacked ``petz_divergence``.  Each row gives the
-    bits of ``quantum_renyi_entropy`` and ``renyi_relative_entropy`` on that
-    trial alone, and a trial alone raises their errors in their order.  The
+    p and q are validated, ``diag(p)`` and ``diag(q)`` decomposed, once each
+    as a stack; the quantum entropies come from the stacked spectra and the
+    divergences from one stacked ``petz_divergence``.  Each row gives the bits of
+    ``quantum_renyi_entropy`` and ``renyi_relative_entropy`` on that trial
+    alone, and a trial alone raises their errors in their order.  The
     classical sides are the direct sums ``log2(sum_i p_i^alpha)/(1-alpha)``
     and ``ln(sum_i p_i^alpha q_i^(1-alpha))/(alpha-1)`` over p's support,
-    one logarithm per row, so the oracle shares no kernel with the library.
+    row by row, so the oracle shares no kernel with the library.
     """
-    groups: dict = {}
-    for i, x in enumerate(batch):
-        groups.setdefault((len(x["p"]), len(x["q"]), x["alpha"]), []).append(i)
-    h_quantum, h_classical, d_quantum, d_classical = np.empty((4, len(batch)))
-    for (_, _, alpha), rows in groups.items():
-        p = probability_vector([batch[i]["p"] for i in rows])
-        q = probability_vector([batch[i]["q"] for i in rows])
-        alpha = float(check_order(alpha, "alpha"))
-        rho = psd_decompose(_diagonals(p), "density matrix")
-        h_quantum[rows] = spectral_entropy(rho.eigenvalues, alpha) * _unit_scale("bits")
-        h_classical[rows] = [math.log2(float(np.sum(t))) / (1.0 - alpha) for t in p**alpha]
-        d_quantum[rows] = _petz(rho, _sigma_spectrum(_diagonals(q), alpha), alpha)[0]
+    p = probability_vector(p)
+    q = probability_vector(q)
+    alpha = check_order(alpha, "alpha")
+    rho = psd_decompose(_diagonals(p), "density matrix")
+    h_quantum = spectral_entropy(rho.eigenvalues, alpha) * _unit_scale("bits")
+    d_quantum = _petz(rho, _sigma_spectrum(_diagonals(q), alpha), alpha)[0]
+    h_classical, d_classical = np.empty((2, len(p)))
+    for k, (x, y, a) in enumerate(zip(p, q, alpha.tolist())):
+        terms = x**a
+        h_classical[k] = math.log2(terms.sum()) / (1.0 - a)
         # each row sums its support's terms alone, as the classical value is defined
-        terms = p**alpha * q ** (1.0 - alpha)
-        d_classical[rows] = [
-            math.log(float(np.sum(t[s]))) / (alpha - 1.0) for t, s in zip(terms, p > 0.0)
-        ]
+        d_classical[k] = math.log((terms * y ** (1.0 - a))[x > 0.0].sum()) / (a - 1.0)
     # the smaller gap by Python's min rule, as chain_gap takes it
     gap = chain_gap([identity_gap(h_quantum, h_classical), identity_gap(d_quantum, d_classical)])
     tolerance = 1e-10
+    equality = gap >= -tolerance
 
     def report(i: int) -> BoundReport:
+        diffs = {
+            "entropy_diff": float(abs(h_quantum[i] - h_classical[i])),
+            "divergence_diff": float(abs(d_quantum[i] - d_classical[i])),
+        }
         return BoundReport(
-            "diag_oracle",
-            float(h_quantum[i]),
-            float(h_classical[i]),
-            float(gap[i]),
-            bool(gap[i] >= -tolerance),
-            tolerance,
-            {
-                "entropy_diff": float(abs(h_quantum[i] - h_classical[i])),
-                "divergence_diff": float(abs(d_quantum[i] - d_classical[i])),
-            },
+            "diag_oracle", float(h_quantum[i]), float(h_classical[i]), float(gap[i]),
+            bool(equality[i]), tolerance, diffs,
         )
 
-    return Verdict(gap, gap >= -tolerance, np.full(len(gap), tolerance), report)
+    return Verdict(gap, equality, np.full(len(gap), tolerance), report)
 
 
 @dataclass(frozen=True)
@@ -545,15 +480,34 @@ class Suite:
         }
 
 
-def _kernel_suite(gen, kernel: Callable[..., Chain], inputs: dict[str, str]) -> Suite:
-    """The suite whose batch check runs the library bound's ``kernel`` once per
-    group of the batch (the trials whose matrices share their shapes and
-    whose ``rho`` shares its dims tag), on its operands in ``inputs`` order:
-    each matrix is the group's stack of its arrays, ``rho`` a stack of
-    states validated and decomposed as one, its one tag checked once, and
-    each number the group's list of it.  The verdict reads the kernel's
-    arrays, back in trial order."""
-    matrices = [key for key, kind in inputs.items() if kind == MATRIX]
+def _joined(verdicts: list[Verdict], groups: list[list[int]]) -> Verdict:
+    """The verdict of a batch from its groups' verdicts, row ``j`` of group
+    ``g`` being trial ``groups[g][j]``: the arrays back in trial order, and
+    a trial's report its group's report of its row."""
+    rows = {i: (v, j) for v, group in zip(verdicts, groups) for j, i in enumerate(group)}
+    at = np.argsort(np.concatenate(groups), kind="stable")
+
+    def join(field: str) -> np.ndarray:
+        return np.concatenate([getattr(v, field) for v in verdicts])[at]
+
+    def report(i: int) -> BoundReport:
+        verdict, j = rows[i]
+        return verdict.report(j)
+
+    return Verdict(join("gap"), join("equality"), join("tolerance"), report)
+
+
+def _kernel_suite(gen, kernel: Callable[..., Verdict], inputs: dict[str, str]) -> Suite:
+    """The suite whose batch check runs ``kernel`` once per group of the
+    batch (the trials whose matrices and distributions share their shapes
+    and whose ``rho`` shares its dims tag), on its operands in ``inputs``
+    order: each matrix is the group's stack of its arrays, ``rho`` a stack
+    of states validated and decomposed as one, its one tag checked once,
+    and each distribution and number the group's list of it.  The groups'
+    verdicts are joined back in trial order."""
+
+    # each array input, and whether it is a matrix's (array, dims) pair
+    arrays = {key: kind == MATRIX for key, kind in inputs.items() if kind != NUMBER}
 
     def operand(key: str, values: list):
         if inputs[key] != MATRIX:
@@ -569,26 +523,13 @@ def _kernel_suite(gen, kernel: Callable[..., Chain], inputs: dict[str, str]) -> 
         for i, x in enumerate(batch):
             # a state's dims tag splits its shape group; a list tag is its tuple
             tag = x["rho"][1] if "rho" in inputs else None
-            key = tuple(np.shape(x[k][0]) for k in matrices), tag if tag is None else tuple(tag)
-            groups.setdefault(key, []).append(i)
-        chains = [
+            shapes = tuple(np.shape(x[k][0] if pair else x[k]) for k, pair in arrays.items())
+            groups.setdefault((shapes, tag if tag is None else tuple(tag)), []).append(i)
+        verdicts = [
             kernel(*(operand(key, [batch[i][key] for i in rows]) for key in inputs))
             for rows in groups.values()
         ]
-        # the joined rows run group by group; trial i is joined row at[i]
-        at = np.argsort(np.concatenate(list(groups.values())), kind="stable")
-
-        def join(arrays: list[np.ndarray]) -> np.ndarray:
-            return np.concatenate(arrays)[at]
-
-        first = chains[0]
-        parts = [
-            (label, join([c.parts[j][1] for c in chains]), join([c.parts[j][2] for c in chains]))
-            for j, (label, _, _) in enumerate(first.parts)
-        ]
-        extras = {key: join([c.extras[key] for c in chains]) for key in first.extras}
-        equality = None if first.equality is None else join([c.equality for c in chains])
-        return _chain_verdict(Chain(first.name, parts, extras, equality))
+        return _joined(verdicts, list(groups.values()))
 
     return Suite(gen, check, inputs)
 
@@ -613,10 +554,8 @@ SUITES: dict[str, Suite] = {
         _gen_info_fn_eq, _check_info_fn_eq, {"x": NUMBER, "y": NUMBER, "beta": NUMBER}
     ),
     "eq4_roundtrip": Suite(_gen_distribution(ORDERS_CYCLE), _check_eq4, _DIST),
-    "diag_oracle": Suite(
-        _gen_diag_oracle,
-        _check_diag_oracle,
-        {"p": DISTRIBUTION, "q": DISTRIBUTION, "alpha": NUMBER},
+    "diag_oracle": _kernel_suite(
+        _gen_diag_oracle, _diag_oracle, {"p": DISTRIBUTION, "q": DISTRIBUTION, "alpha": NUMBER}
     ),
 }
 

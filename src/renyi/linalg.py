@@ -56,12 +56,13 @@ from .exceptions import (
     NonHermitianInput,
     NotPd,
     NotPsd,
+    SideOverflow,
     SingularPower,
     TraceNonpositive,
 )
 # the chain tolerances live with the pass and equality rules in report, which
 # cannot import this module; they are re-exported here next to the others
-from .report import CHAIN_TOL, EQ_TOL, BoundReport, Chain
+from .report import CHAIN_TOL, EQ_TOL, BoundReport, Verdict, chain
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -355,14 +356,11 @@ def positive_definite(w: np.ndarray):
     return w.T[0] > ZERO_THRESHOLD * w.T[-1]
 
 
-def _clipped(dec: SpectralDecomposition, name: str) -> SpectralDecomposition:
-    w = clip_spectrum(dec.eigenvalues, name)
-    return SpectralDecomposition(w, dec.eigenvectors, dec.matrix)
-
-
 def psd_decompose(matrix, name: str) -> SpectralDecomposition:
     """``spectral_decompose`` of the PSD ``name``, its spectrum under ``clip_spectrum``."""
-    return _clipped(spectral_decompose(matrix), name)
+    dec = spectral_decompose(matrix)
+    w = clip_spectrum(dec.eigenvalues, name)
+    return SpectralDecomposition(w, dec.eigenvectors, dec.matrix)
 
 
 def power_spectrum(w: np.ndarray, r: float) -> np.ndarray:
@@ -537,22 +535,32 @@ def _psd_pair(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return am, clip_spectrum(w_a, "A"), bm, clip_spectrum(w_b, "B")
 
 
-def _lemma2(a, b) -> Chain:
+def _finite_sides(name: str, *sides: np.ndarray) -> None:
+    """SideOverflow unless every side of the check ``name`` is finite."""
+    if not all(np.isfinite(side).all() for side in sides):
+        raise SideOverflow(f"a side of {name} overflows the float range")
+
+
+def _lemma2(a, b) -> Verdict:
     """Lemma 2 on PSD A and B, or on each pair of two stacks."""
     am, _, bm, _ = _psd_pair(a, b)
-    tr_ab = trace_product(am, bm)
-    tr_a = np.trace(am, axis1=-2, axis2=-1).real
-    tr_b = np.trace(bm, axis1=-2, axis2=-1).real
-    parts = [("lower", np.zeros_like(tr_ab), tr_ab), ("upper", tr_ab, tr_a * tr_b)]
-    return Chain("lemma2", parts, {"trace_product": tr_ab})
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr_ab = trace_product(am, bm)
+        tr_a = np.trace(am, axis1=-2, axis2=-1).real
+        tr_b = np.trace(bm, axis1=-2, axis2=-1).real
+        product = tr_a * tr_b
+    _finite_sides("lemma2", tr_ab, product)
+    parts = [("lower", np.zeros_like(tr_ab), tr_ab), ("upper", tr_ab, product)]
+    return chain("lemma2", parts, {"trace_product": tr_ab})
 
 
 def lemma2_check(a, b) -> BoundReport:
-    """Check ``0 <= tr(AB) <= tr(A) tr(B)`` for PSD A, B."""
-    return _lemma2(_single(a), _single(b)).report()
+    """Check ``0 <= tr(AB) <= tr(A) tr(B)`` for PSD A, B; SideOverflow where
+    a side overflows."""
+    return _lemma2(_single(a), _single(b))[0]
 
 
-def _lemma3(a, b) -> Chain:
+def _lemma3(a, b) -> Verdict:
     """Lemma 3 on same-size PSD A and B, or on each pair of two stacks."""
     am, w_a, bm, w_b = _psd_pair(a, b)
     n = am.shape[-1]
@@ -567,8 +575,10 @@ def _lemma3(a, b) -> Chain:
         n * math.exp(ma) * math.exp(mb) if r else 0.0
         for ma, mb, r in zip(mean_a.tolist(), mean_b.tolist(), regular.tolist())
     ])
-    rhs = trace_product(am, bm)
-    return Chain("lemma3", [("amgm", lhs, rhs)], {"det_a": det_a, "det_b": det_b})
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = trace_product(am, bm)
+    _finite_sides("lemma3", lhs, rhs)
+    return chain("lemma3", [("amgm", lhs, rhs)], {"det_a": det_a, "det_b": det_b})
 
 
 def lemma3_check(a, b) -> BoundReport:
@@ -578,29 +588,33 @@ def lemma3_check(a, b) -> BoundReport:
     formed from the log-determinants so it stays finite and nonzero where
     the reported determinants over- or underflow; it is 0 when A or B is
     singular.  Equality is the report's slack rule: the two sides meet
-    exactly when ``AB`` is a multiple of the identity.
+    exactly when ``AB`` is a multiple of the identity.  A side past the
+    float range is SideOverflow.
     """
-    return _lemma3(_single(a), _single(b)).report()
+    return _lemma3(_single(a), _single(b))[0]
 
 
-def _lemma4(a) -> Chain:
+def _lemma4(a) -> Verdict:
     """Lemma 4 on a PD matrix, or on each matrix of a stack."""
     am, w = _stacked_values(a)
     regular = positive_definite(w)
     if not regular.all():
         low = np.extract(~regular, w[:, 0])[0]
         raise NotPd(f"lemma4 needs a positive definite matrix (min eig {low:.3e})")
-    lower = np.sum(1.0 - 1.0 / w, axis=-1)
-    mid = np.sum(np.log(w), axis=-1)
-    upper = np.sum(w - 1.0, axis=-1)
+    with np.errstate(over="ignore"):
+        lower = np.sum(1.0 - 1.0 / w, axis=-1)
+        mid = np.sum(np.log(w), axis=-1)
+        upper = np.sum(w - 1.0, axis=-1)
+    _finite_sides("lemma4", lower, upper)
     eq = np.abs(am - np.eye(am.shape[-1])).max(axis=(-2, -1)) <= EQ_TOL
-    return Chain("lemma4", [("lower", lower, mid), ("upper", mid, upper)], {"log_det": mid}, eq)
+    return chain("lemma4", [("lower", lower, mid), ("upper", mid, upper)], {"log_det": mid}, eq)
 
 
 def lemma4_check(a) -> BoundReport:
     """Check ``tr(I - A^{-1}) <= log det(A) <= tr(A - I)`` for PD A.
 
     Natural log throughout; equality detected when ``A`` is the identity to
-    within ``EQ_TOL`` in max-norm.
+    within ``EQ_TOL`` in max-norm.  A side past the float range is
+    SideOverflow.
     """
-    return _lemma4(_single(a)).report()
+    return _lemma4(_single(a))[0]

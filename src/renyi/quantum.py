@@ -32,7 +32,7 @@ from .linalg import (
     psd_decompose,
     spectral_entropy,
 )
-from .report import BoundReport, Chain, normalized_slack
+from .report import BoundReport, Verdict, chain, normalized_slack
 
 
 def _unit_scale(units: str) -> float:
@@ -155,22 +155,22 @@ def quantum_renyi_entropy(
     return EntropyValue(float(spectral_entropy(rho.eigenvalues, alpha)) * scale, units, alpha)
 
 
-def _log_dim_cap(rho: DensityMatrix, alpha) -> Chain:
+def _log_dim_cap(rho: DensityMatrix, alpha) -> Verdict:
     """The dimension cap on a state, or on each state of a stack, at the
     entropy's orders."""
     w = _as_stack(rho.spectrum).eigenvalues
     n = w.shape[-1]
     h = spectral_entropy(w, check_order(alpha, "alpha", one=True))
     cap = np.full(len(w), math.log(n))
-    return Chain("t3_2", [("cap", h, cap)], {"entropy": h, "dim": np.full(len(w), n)})
+    return chain("t3_2", [("cap", h, cap)], {"entropy": h, "dim": np.full(len(w), n)})
 
 
 def log_dim_cap(rho: DensityMatrix, alpha: float) -> BoundReport:
     """Dimension cap ``H_alpha(rho) <= ln d``, in nats, at the entropy's orders."""
-    return _log_dim_cap(rho, alpha).report()
+    return _log_dim_cap(rho, alpha)[0]
 
 
-def _t3(rho: DensityMatrix, alpha) -> Chain:
+def _t3(rho: DensityMatrix, alpha) -> Verdict:
     """The spectral support bound and the cap on a state, or on each state
     of a stack, at one order or one per state.
 
@@ -192,7 +192,7 @@ def _t3(rho: DensityMatrix, alpha) -> Chain:
     parts = [("t3", np.where(below, bound, h), np.where(below, h, bound)), ("cap", h, cap)]
     # only the support bound counts towards equality, not the cap
     eq = np.abs(normalized_slack(*parts[0][1:])) <= EQ_TOL
-    return Chain("t3", parts, {"bound": bound, "entropy": h, "cap": cap, "d0": n - m}, eq)
+    return chain("t3", parts, {"bound": bound, "entropy": h, "cap": cap, "d0": n - m}, eq)
 
 
 def t3_bound(rho: DensityMatrix, alpha: float) -> BoundReport:
@@ -202,4 +202,4 @@ def t3_bound(rho: DensityMatrix, alpha: float) -> BoundReport:
     above it (the sandwich); for alpha > 1 the bound is an upper bound.  The
     report carries both parts, with the cap always included.
     """
-    return _t3(rho, alpha).report()
+    return _t3(rho, alpha)[0]

@@ -1,4 +1,4 @@
-"""Shared record type for inequality and identity checks.
+"""Shared record types for inequality and identity checks.
 
 A :class:`BoundReport` describes one check.  For an inequality ``lhs <= rhs``
 the slack is normalized by ``1 + |rhs|`` so tolerances are scale free; a check
@@ -10,16 +10,18 @@ the same thing everywhere: ``max(0, -gap)``.
 This module owns the chain tolerances and the rules built on them: a chain
 passes when its gap is at least ``-CHAIN_TOL``, and is tight when some part's
 slack is within ``EQ_TOL`` of zero, unless the check supplies a structural
-equality test of its own.  The rules take floats or equal-shape arrays, so a
-stacked check applies them to a whole block and gets, trial by trial, the
-values :func:`chain_report` and :func:`identity_report` give.  A bound's
-kernel returns a :class:`Chain`, one row per checked instance: a public bound
-is its kernel on a stack of one, reported as row 0.
+equality test of its own.  Every check is stacked, one row per checked
+instance: :func:`chain` and :func:`identities` apply the rules to arrays and
+return a :class:`Verdict`, whose gap, equality and tolerance arrays a suite
+reads for a whole block, and which builds a row's report only when asked.
+A bound's kernel returns that verdict, and a public bound is its kernel on
+a stack of one, reported as row 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -87,71 +89,70 @@ class BoundReport:
         }
 
 
-def chain_report(
-    name: str,
-    parts: list[tuple[str, float, float]],
-    extras: dict | None = None,
-    equality: bool | None = None,
-) -> BoundReport:
-    """Combine inequalities ``lhs <= rhs`` into one report at ``CHAIN_TOL``.
-
-    ``parts`` is a list of ``(label, lhs, rhs)``; the headline ``lhs``/``rhs``
-    span the chain (first part's lhs to last part's rhs).  ``equality`` is the
-    check's own structural test; without one the chain is tight when some
-    part's slack is within ``EQ_TOL`` of zero.
-    """
-    if not parts:
-        raise ValueError("chain_report needs at least one inequality")
-    slacks = {label: normalized_slack(lo, hi) for label, lo, hi in parts}
-    values = list(slacks.values())
-    if equality is None:
-        equality = chain_tight(values)
-    out = dict(extras or {})
-    for label, slack in slacks.items():
-        out[f"slack_{label}"] = slack
-    return BoundReport(
-        name=name,
-        lhs=parts[0][1],
-        rhs=parts[-1][2],
-        gap=float(chain_gap(values)),
-        equality=bool(equality),
-        tolerance=CHAIN_TOL,
-        extras=out,
-    )
-
-
 @dataclass(frozen=True)
-class Chain:
-    """Stacked chains of inequalities, one row per instance: ``parts`` are
-    ``(label, lhs, rhs)`` and ``extras`` map names to values, each an array
-    with one entry per row; ``equality`` is the check's own structural test
-    per row, or None for the slack rule."""
+class Verdict:
+    """Stacked checks, one row per instance: ``gap``, ``equality`` and
+    ``tolerance`` arrays, and ``report(i)``, which builds row ``i``'s
+    :class:`BoundReport`.  Indexing builds that report, so ``verdict[0]``
+    is the report of a check on a stack of one."""
 
-    name: str
-    parts: list
-    extras: dict
-    equality: np.ndarray | None = None
+    gap: np.ndarray
+    equality: np.ndarray
+    tolerance: np.ndarray
+    report: Callable[[int], BoundReport]
 
-    def report(self, i: int = 0) -> BoundReport:
-        """:func:`chain_report` of row ``i``, each entry as its Python scalar."""
-        return chain_report(
-            self.name,
-            [(label, lo[i].item(), hi[i].item()) for label, lo, hi in self.parts],
-            extras={key: value[i].item() for key, value in self.extras.items()},
-            equality=None if self.equality is None else bool(self.equality[i]),
+    @property
+    def violation(self) -> np.ndarray:
+        """``max(0, -gap)`` per row with Python's ``max`` rule, as in
+        BoundReport.violation: a NaN gap or a zero of either sign gives +0."""
+        return np.where(-self.gap > 0.0, -self.gap, 0.0)
+
+    def __len__(self) -> int:
+        return len(self.gap)
+
+    def __getitem__(self, i: int) -> BoundReport:
+        return self.report(i)
+
+
+def chain(name: str, parts: list, extras: dict, equality=None) -> Verdict:
+    """Stacked chains of inequalities ``lhs <= rhs`` at ``CHAIN_TOL``.
+
+    ``parts`` are ``(label, lhs, rhs)`` and ``extras`` map names to values,
+    each an array with one entry per row; ``equality`` is the check's own
+    structural test per row, or None for the slack rule.  A row's report
+    spans the chain (first part's lhs to last part's rhs) and carries its
+    extras and then each part's slack as ``slack_<label>``, every entry as
+    its Python scalar (an integer extra stays an int).
+    """
+    slacks = [normalized_slack(lo, hi) for _, lo, hi in parts]
+    gap = chain_gap(slacks)
+    if equality is None:
+        equality = chain_tight(slacks)
+
+    def report(i: int) -> BoundReport:
+        out = {key: value[i].item() for key, value in extras.items()}
+        for (label, _, _), slack in zip(parts, slacks):
+            out[f"slack_{label}"] = slack[i].item()
+        return BoundReport(
+            name, parts[0][1][i].item(), parts[-1][2][i].item(), gap[i].item(),
+            bool(equality[i]), CHAIN_TOL, out,
         )
 
+    return Verdict(gap, equality, np.full(len(gap), CHAIN_TOL), report)
 
-def identity_report(
-    name: str, value: float, expected: float, tolerance: float
-) -> BoundReport:
-    """Report for a two-sided identity ``value == expected``."""
+
+def identities(
+    name: str, value: np.ndarray, expected: np.ndarray, tolerance: float
+) -> Verdict:
+    """Stacked identities ``value == expected``, each equal when its gap is
+    at least ``-tolerance``."""
     gap = identity_gap(value, expected)
-    return BoundReport(
-        name=name,
-        lhs=value,
-        rhs=expected,
-        gap=gap,
-        equality=bool(gap >= -tolerance),
-        tolerance=tolerance,
-    )
+    equality = gap >= -tolerance
+
+    def report(i: int) -> BoundReport:
+        return BoundReport(
+            name, value[i].item(), expected[i].item(), gap[i].item(),
+            bool(equality[i]), tolerance,
+        )
+
+    return Verdict(gap, equality, np.full(len(gap), tolerance), report)

@@ -615,6 +615,18 @@ def test_extreme_orders_end_in_value_or_error_object(
         _value_or_error_object(code, out, err, strict_json=True)
 
 
+@pytest.mark.parametrize("theorem", ["lemma2", "lemma3"])
+def test_overflowing_lemma_sides_are_one_error_object(capsys, tmp_path, theorem):
+    # 1e200 I is a finite PSD pair whose trace product overflows
+    big = write_matrix(tmp_path / "big.json", 1e200 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["bounds", theorem, "--a", big, "--b", big, "--json"])
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == "SideOverflow"
+
+
 # the Sibson commands on I/4, and where each --json report carries the value,
 # which is ln 2 for H_alpha(A|B) and 0 for I_alpha(A;B) at every order
 MIXED_SIBSON_VALUES = {

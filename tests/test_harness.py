@@ -37,7 +37,7 @@ from renyi.harness import (
     run_suite,
 )
 from renyi.quantum import DensityMatrix
-from renyi.report import EQ_TOL, Chain, chain_report, identity_report
+from renyi.report import CHAIN_TOL, EQ_TOL, chain, identities
 
 
 def _entry(verdict, i: int) -> str:
@@ -335,38 +335,60 @@ def _rows(draw, columns: int, trials: int) -> list[np.ndarray]:
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestStackedRules:
-    """The stacked chain and identity rules give what the one-trial reports
-    give, as JSON, including ±0, ±inf, NaN and subnormal slacks, and both
-    follow Python's ``min``/``max`` on the written-out formulas."""
+    """Each row of ``report.chain`` and ``report.identities`` is the
+    written-out formulas, as JSON, its report and its verdict-array entries
+    alike, including ±0, ±inf, NaN and subnormal slacks, with Python's
+    ``min``/``max`` rules."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), parts=st.integers(1, 3), trials=st.integers(1, 5))
-    def test_chain_verdict_matches_chain_report(self, data, parts, trials):
+    def test_chain_rows_are_the_written_out_rules(self, data, parts, trials):
         rows = _rows(data.draw, 2 * parts, trials)
         labelled = [(f"p{k}", rows[2 * k], rows[2 * k + 1]) for k in range(parts)]
-        verdict = harness._chain_verdict(Chain("chain", labelled, {"x": rows[0]}))
+        verdict = chain("chain", labelled, {"x": rows[0]})
         for i in range(trials):
             one = [(label, float(lo[i]), float(hi[i])) for label, lo, hi in labelled]
-            expected = chain_report("chain", one, extras={"x": float(rows[0][i])})
             slacks = [(hi - lo) / (1.0 + abs(hi)) for _, lo, hi in one]
-            reference = (min(slacks), min(abs(x) for x in slacks) <= EQ_TOL)
-            assert json.dumps((expected.gap, expected.equality)) == json.dumps(reference)
-            assert _entry(verdict, i) == _fields(expected)
-            assert json.dumps(verdict[i].to_dict()) == json.dumps(expected.to_dict())
+            gap, equality = min(slacks), min(abs(x) for x in slacks) <= EQ_TOL
+            extras = {"x": float(rows[0][i])}
+            extras.update({f"slack_{label}": x for (label, _, _), x in zip(one, slacks)})
+            expected = {
+                "name": "chain",
+                "lhs": one[0][1],
+                "rhs": one[-1][2],
+                "gap": gap,
+                "passed": gap >= -CHAIN_TOL,
+                "equality": equality,
+                "tolerance": CHAIN_TOL,
+                "extras": extras,
+            }
+            assert json.dumps(verdict[i].to_dict()) == json.dumps(expected)
+            assert _entry(verdict, i) == json.dumps((gap, equality, CHAIN_TOL, max(0.0, -gap)))
+            assert _entry(verdict, i) == _fields(verdict[i])
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), trials=st.integers(1, 5), tolerance=_SPECIAL)
-    def test_identity_verdict_matches_identity_report(self, data, trials, tolerance):
+    def test_identity_rows_are_the_written_out_rule(self, data, trials, tolerance):
         value, expected_value = _rows(data.draw, 2, trials)
-        verdict = harness._identity_verdict("id", value, expected_value, tolerance)
+        verdict = identities("id", value, expected_value, tolerance)
         for i in range(trials):
             v, e = float(value[i]), float(expected_value[i])
-            expected = identity_report("id", v, e, tolerance)
             gap = -abs(v - e) / (1.0 + abs(e))
-            assert json.dumps(expected.gap) == json.dumps(gap)
-            assert expected.violation == max(0.0, -gap)
-            assert _entry(verdict, i) == _fields(expected)
-            assert json.dumps(verdict[i].to_dict()) == json.dumps(expected.to_dict())
+            expected = {
+                "name": "id",
+                "lhs": v,
+                "rhs": e,
+                "gap": gap,
+                "passed": gap >= -tolerance,
+                "equality": gap >= -tolerance,
+                "tolerance": tolerance,
+                "extras": {},
+            }
+            assert json.dumps(verdict[i].to_dict()) == json.dumps(expected)
+            assert _entry(verdict, i) == json.dumps(
+                (gap, gap >= -tolerance, tolerance, max(0.0, -gap))
+            )
+            assert _entry(verdict, i) == _fields(verdict[i])
 
 
 def _state(dim: int) -> np.ndarray:
@@ -570,6 +592,24 @@ class TestWorkPerTrial:
             "as_hermitian": (decompositions + values) * groups,
         }
 
+    def test_diag_oracle_decomposes_one_shape_once_at_every_order(self, monkeypatch):
+        # the orders of a group are one array: diag(p) and diag(q) are one
+        # stack each, and each row is what the trial gives alone
+        from renyi import linalg
+
+        suite = SUITES["diag_oracle"]
+        batch = [
+            dict(suite.gen(derive_rng(3, trial), trial), alpha=alpha)
+            for trial, alpha in ((1, 2.0), (8, 3.0), (15, 0.5))
+        ]
+        assert len({len(inputs["p"]) for inputs in batch}) == 1
+        counts = _count_calls(monkeypatch, linalg, _SPECTRAL)
+        verdict = suite.check(batch)
+        assert counts == {"spectral_decompose": 2, "spectral_values": 0, "as_hermitian": 2}
+        for i, inputs in enumerate(batch):
+            alone = suite.check([inputs])[0]
+            assert json.dumps(verdict[i].to_dict()) == json.dumps(alone.to_dict()), i
+
     def test_eigenvalue_checks_form_no_eigenvectors(self, monkeypatch):
         # the lemma kernels, log_det and classify_definiteness read each
         # operand's spectrum alone, one spectral_values call per operand
@@ -619,13 +659,20 @@ class TestWorkPerTrial:
 
     @pytest.mark.parametrize("name", ["t1", "t2_2", "info_fn_eq", "eq4_roundtrip"])
     def test_passing_classical_trials_build_no_report(self, monkeypatch, name):
-        from renyi import report
+        from renyi.report import BoundReport
 
-        counts = _count_calls(monkeypatch, report, ("chain_report", "identity_report"))
+        builds = []
+        build = BoundReport.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args[0])
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(BoundReport, "__init__", counted)
         assert run_suite(name, 300, 9).failures == []
-        assert sum(counts.values()) == 0
+        assert builds == []
         assert len(run_suite(name, 300, 9, tolerance=-1.0).failures) == 300
-        assert sum(counts.values()) == 300
+        assert builds == [name] * 300
 
     @pytest.mark.parametrize(
         "name,per_trial",

@@ -10,6 +10,7 @@ from renyi.exceptions import (
     NonHermitianInput,
     NotPd,
     NotPsd,
+    SideOverflow,
     SingularPower,
     TraceNonpositive,
 )
@@ -506,6 +507,36 @@ class TestPetzDivergence:
             ]
         assert all(math.isfinite(v) for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+class TestSidesPastTheFloatRange:
+    """A lemma check on finite PSD operands whose sides overflow ends in
+    SideOverflow, with no warning, where it once reported a NaN gap."""
+
+    @pytest.mark.parametrize(
+        "name,check",
+        [
+            ("lemma2", lambda a: lemma2_check(a, a)),
+            ("lemma3", lambda a: lemma3_check(a, a)),
+            ("lemma4", lemma4_check),
+        ],
+    )
+    def test_overflowing_side_raises(self, name, check):
+        a = (5e-320 if name == "lemma4" else 1e200) * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SideOverflow, match=name):
+                check(a)
+
+    def test_sides_within_the_range_are_reported(self):
+        a = 1e150 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [lemma2_check(a, a), lemma3_check(a, a), lemma4_check(a)]
+        assert reports[0].gap == 0.5 and reports[0].passed
+        assert reports[1].passed and reports[1].equality
+        assert reports[2].passed
+        assert all(math.isfinite(r.lhs) and math.isfinite(r.rhs) for r in reports)
 
 
 class TestLemma4:
