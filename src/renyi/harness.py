@@ -22,14 +22,17 @@ groups a block by the shapes of its matrices and distributions (and by the
 dims tag of a state), runs its kernel once per group and joins the groups'
 verdicts back in trial order.  lemma2, lemma3, lemma4, t3, t3_2, t4, t6 and
 triangle run their library bound's kernel, whose verdict the public bound
-reads as row 0, on each matrix operand as one stack (a state validated and
-decomposed as one); ``diag_oracle`` runs its own kernel on two stacks of
-distributions, with one order per row.  ``bounds`` and :func:`replay` run
-the same check on a batch of one and take its report.  A matrix input is
-an ``(array, dims)`` pair and a distribution a float array; they are
-serialized to the CLI file format only when a failure is recorded, and
-:func:`replay` parses that form back.  One trial in a hundred is a
-constructed equality-case instance so the equality flags get exercised.
+reads as row 0, on each matrix operand as one stack.  A state is built by
+what its kernel reads, validated as one stack: a ``DensityMatrix``
+decomposed as one (``_states``), or for t3 and t3_2 its clipped
+``eigvalsh`` spectra alone (``_spectra``).  ``diag_oracle`` runs its own
+kernel on two stacks of distributions, with one order per row.
+``bounds`` and :func:`replay` run the same check on a batch of one and
+take its report.  A matrix input is an ``(array, dims)`` pair and a
+distribution a float array; they are serialized to the CLI file format
+only when a failure is recorded, and :func:`replay` parses that form back.
+One trial in a hundred is a constructed equality-case instance so the
+equality flags get exercised.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .quantum import (
     DensityMatrix,
     _bipartite_tag,
     _density_decompose,
+    _density_values,
     _log_dim_cap,
     _t3,
     _unit_scale,
@@ -497,14 +501,32 @@ def _joined(verdicts: list[Verdict], groups: list[list[int]]) -> Verdict:
     return Verdict(join("gap"), join("equality"), join("tolerance"), report)
 
 
-def _kernel_suite(gen, kernel: Callable[..., Verdict], inputs: dict[str, str]) -> Suite:
+def _states(stack: np.ndarray, dims):
+    """A group's states as one ``DensityMatrix``, validated and decomposed
+    as one stack, then its one dims tag checked."""
+    dec = _density_decompose(stack)
+    return DensityMatrix._trusted(dec, _bipartite_tag(dims, stack.shape[-1]))
+
+
+def _spectra(stack: np.ndarray, dims) -> np.ndarray:
+    """A group's states as their clipped spectra alone, validated as one
+    stack, then its one dims tag checked, which no spectrum reads."""
+    w = _density_values(stack)
+    _bipartite_tag(dims, stack.shape[-1])
+    return w
+
+
+def _kernel_suite(
+    gen, kernel: Callable[..., Verdict], inputs: dict[str, str], rho: Callable = _states
+) -> Suite:
     """The suite whose batch check runs ``kernel`` once per group of the
     batch (the trials whose matrices and distributions share their shapes
     and whose ``rho`` shares its dims tag), on its operands in ``inputs``
-    order: each matrix is the group's stack of its arrays, ``rho`` a stack
-    of states validated and decomposed as one, its one tag checked once,
-    and each distribution and number the group's list of it.  The groups'
-    verdicts are joined back in trial order."""
+    order: each matrix is the group's stack of its arrays, ``rho`` what the
+    function ``rho`` makes of the stack and the group's tag (``_states``, or
+    ``_spectra`` for a kernel that reads the spectrum alone), and each
+    distribution and number the group's list of it.  The groups' verdicts
+    are joined back in trial order."""
 
     # each array input, and whether it is a matrix's (array, dims) pair
     arrays = {key: kind == MATRIX for key, kind in inputs.items() if kind != NUMBER}
@@ -513,10 +535,7 @@ def _kernel_suite(gen, kernel: Callable[..., Verdict], inputs: dict[str, str]) -
         if inputs[key] != MATRIX:
             return values
         stack = np.stack([array for array, _ in values])
-        if key != "rho":
-            return stack
-        dec = _density_decompose(stack)
-        return DensityMatrix._trusted(dec, _bipartite_tag(values[0][1], stack.shape[-1]))
+        return rho(stack, values[0][1]) if key == "rho" else stack
 
     def check(batch: list[dict]) -> Verdict:
         groups: dict = {}
@@ -545,8 +564,8 @@ SUITES: dict[str, Suite] = {
     "lemma4": _kernel_suite(_gen_lemma4, _lemma4, {"a": MATRIX}),
     "t1": Suite(_gen_distribution(ORDERS_CYCLE), _check_t1, _DIST),
     "t2_2": Suite(_gen_distribution(ORDERS_BELOW_ONE), _check_t2_2, _DIST),
-    "t3": _kernel_suite(_gen_t3, _t3, _STATE),
-    "t3_2": _kernel_suite(_gen_t3_2, _log_dim_cap, _STATE),
+    "t3": _kernel_suite(_gen_t3, _t3, _STATE, _spectra),
+    "t3_2": _kernel_suite(_gen_t3_2, _log_dim_cap, _STATE, _spectra),
     "t4": _kernel_suite(_gen_state_sigma(None), _t4, _STATE_SIGMA),
     "t6": _kernel_suite(_gen_t6, _t6, _STATE),
     "triangle": _kernel_suite(_gen_state_sigma(1), _triangle, _STATE_SIGMA),

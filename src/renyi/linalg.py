@@ -4,9 +4,10 @@ Two eigensolvers, by what the caller reads.  ``spectral_decompose``, for
 every consumer of eigenvectors (fractional powers, density matrices, the
 divergences), is a cyclic Jacobi iteration for complex Hermitian matrices.
 ``spectral_values``, for the checks that read a spectrum alone (the lemma
-checks, ``log_det`` and ``classify_definiteness``), is one LAPACK
-``eigvalsh`` call.  Matrices are plain ``complex128`` ndarrays; validation
-happens at the operation boundary.
+checks, ``log_det``, ``classify_definiteness``, and the t3 and t3_2 suites,
+so ``bounds t3|t3_2``), is one LAPACK ``eigvalsh`` call.  Matrices are
+plain ``complex128`` ndarrays; validation happens at the operation
+boundary.
 
 The validation and spectral layer takes a leading stack axis:
 ``as_hermitian``, ``spectral_values`` and ``spectral_decompose`` accept an
@@ -131,8 +132,10 @@ def as_hermitian(matrix) -> np.ndarray:
     Checks squareness, finiteness and the scaled Hermiticity bound
     ``max|A - A†| <= HERM_TOL * (1 + max|A|)`` of each matrix; the diagonal
     of ``A - A†`` is ``2i Im a_ii``, so this bounds the imaginary part of the
-    diagonal at the same scale.  Returns the Hermitian average ``(A + A†)/2``
-    so later arithmetic never sees the (tolerated) asymmetry dust.
+    diagonal at the same scale.  Returns the Hermitian average ``A/2 + A†/2``
+    so later arithmetic never sees the (tolerated) asymmetry dust.  The
+    bound is tested halved, on ``A/2``, and the average is formed from the
+    halves, so neither leaves the float range for entries near its top.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
@@ -141,15 +144,18 @@ def as_hermitian(matrix) -> np.ndarray:
         )
     if not np.isfinite(a).all():
         raise NonHermitianInput("matrix contains non-finite entries")
-    adjoint = a.conj().swapaxes(-1, -2)
-    scale = 1.0 + np.abs(a).max(axis=(-2, -1))
-    asym = np.abs(a - adjoint).max(axis=(-2, -1))
+    half = a / 2.0
+    adjoint = half.conj().swapaxes(-1, -2)
+    scale = 0.5 + np.abs(half).max(axis=(-2, -1))
+    # a modulus past the float range is inf, which fails the bound
+    asym = np.abs(half - adjoint).max(axis=(-2, -1))
     bad = asym > HERM_TOL * scale
     if bad.any():
         raise NonHermitianInput(
-            f"matrix is not Hermitian: max|A - A^dagger| = {np.extract(bad, asym)[0]:.3e}"
+            "matrix is not Hermitian: max|A - A^dagger| = "
+            f"{2.0 * float(np.extract(bad, asym)[0]):.3e}"
         )
-    return (a + adjoint) / 2.0
+    return half + adjoint
 
 
 @dataclass(frozen=True)

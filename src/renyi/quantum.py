@@ -6,10 +6,13 @@ package's one Renyi entropy kernel, and default to natural log;
 ``units="bits"`` rescales by 1/ln 2.  Orders go through
 ``linalg.check_order``: alpha > 0, with alpha = 1 the kernel's von Neumann
 limit for the entropy and ``log_dim_cap``; ``t3_bound`` excludes the band
-around 1.  Each bound is a kernel over a stack of states with one order or
-one per state, and the public bound is its kernel on one state;
-``_density_decompose`` is the one density-matrix check, of one matrix or of
-a stack.
+around 1.  Each bound reads a state's spectrum alone, so its kernel takes a
+stack of clipped spectra with one order or one per state, and the public
+bound is its kernel on ``rho.eigenvalues``.  A density matrix, or a stack
+of them, is checked by ``_density_decompose`` where eigenvectors are read
+and by ``_density_values`` (``eigvalsh``) where the spectrum alone is:
+the same checks in the same order, with ``_unit_trace`` the one trace
+check of both.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ from .linalg import (
     EQ_TOL,
     NORM_TOL,
     SpectralDecomposition,
-    _as_stack,
     _single,
     check_order,
+    clip_spectrum,
     positive_definite,
     psd_decompose,
     spectral_entropy,
+    spectral_values,
 )
 from .report import BoundReport, Verdict, chain, normalized_slack
 
@@ -50,15 +54,33 @@ class EntropyValue:
     alpha: float
 
 
-def _density_decompose(matrix) -> SpectralDecomposition:
-    """``psd_decompose`` of a density matrix, or of each matrix of a stack,
-    once each has unit trace within NORM_TOL (else InvalidDensityMatrix)."""
-    dec = psd_decompose(matrix, "density matrix")
-    trace = np.trace(dec.matrix, axis1=-2, axis2=-1).real
+def _unit_trace(matrix: np.ndarray) -> None:
+    """InvalidDensityMatrix unless the validated matrix, or each matrix of a
+    stack, has unit trace within NORM_TOL; a trace past the float range is
+    not 1, and is rejected without a warning."""
+    with np.errstate(over="ignore"):
+        trace = np.trace(matrix, axis1=-2, axis2=-1).real
     off = np.abs(trace - 1.0) > NORM_TOL
     if off.any():
         raise InvalidDensityMatrix(f"trace is {float(np.extract(off, trace)[0])!r}, not 1")
+
+
+def _density_decompose(matrix) -> SpectralDecomposition:
+    """``psd_decompose`` of a density matrix, or of each matrix of a stack,
+    once each has unit trace (``_unit_trace``)."""
+    dec = psd_decompose(matrix, "density matrix")
+    _unit_trace(dec.matrix)
     return dec
+
+
+def _density_values(matrix) -> np.ndarray:
+    """The clipped spectrum of a density matrix, or one per matrix of a
+    stack, by ``spectral_values``: the checks and errors of
+    ``_density_decompose``, in its order, with no eigenvectors formed."""
+    a, w = spectral_values(matrix)
+    w = clip_spectrum(w, "density matrix")
+    _unit_trace(a)
+    return w
 
 
 def _bipartite_tag(dims, dim: int) -> tuple[int, int] | None:
@@ -155,10 +177,10 @@ def quantum_renyi_entropy(
     return EntropyValue(float(spectral_entropy(rho.eigenvalues, alpha)) * scale, units, alpha)
 
 
-def _log_dim_cap(rho: DensityMatrix, alpha) -> Verdict:
-    """The dimension cap on a state, or on each state of a stack, at the
-    entropy's orders."""
-    w = _as_stack(rho.spectrum).eigenvalues
+def _log_dim_cap(w: np.ndarray, alpha) -> Verdict:
+    """The dimension cap on the clipped spectrum of a state, or on each of a
+    stack, at the entropy's orders."""
+    w = np.atleast_2d(w)
     n = w.shape[-1]
     h = spectral_entropy(w, check_order(alpha, "alpha", one=True))
     cap = np.full(len(w), math.log(n))
@@ -167,19 +189,19 @@ def _log_dim_cap(rho: DensityMatrix, alpha) -> Verdict:
 
 def log_dim_cap(rho: DensityMatrix, alpha: float) -> BoundReport:
     """Dimension cap ``H_alpha(rho) <= ln d``, in nats, at the entropy's orders."""
-    return _log_dim_cap(rho, alpha)[0]
+    return _log_dim_cap(rho.eigenvalues, alpha)[0]
 
 
-def _t3(rho: DensityMatrix, alpha) -> Verdict:
-    """The spectral support bound and the cap on a state, or on each state
-    of a stack, at one order or one per state.
+def _t3(w: np.ndarray, alpha) -> Verdict:
+    """The spectral support bound and the cap on the clipped spectrum of a
+    state, or on each of a stack, at one order or one per state.
 
     Over the support of size m, ``ln m/(1-alpha) + alpha/(1-alpha) * mean
     ln w'_i`` tends to ``-mean ln w'_i`` as alpha grows instead of
     overflowing; ``d0`` counts the zero eigenvalues.
     """
     alpha = check_order(alpha, "alpha")
-    w = _as_stack(rho.spectrum).eigenvalues
+    w = np.atleast_2d(w)
     n = w.shape[-1]
     support = w > 0.0
     m = np.count_nonzero(support, axis=-1)
@@ -202,4 +224,4 @@ def t3_bound(rho: DensityMatrix, alpha: float) -> BoundReport:
     above it (the sandwich); for alpha > 1 the bound is an upper bound.  The
     report carries both parts, with the cap always included.
     """
-    return _t3(rho, alpha)[0]
+    return _t3(rho.eigenvalues, alpha)[0]

@@ -101,7 +101,13 @@ def cli_commands(directory: str) -> dict[str, list[str]]:
         "alpha-1": ["divergence", *pair, "--alpha", "1"],
         "bounds-lemma3": ["bounds", "lemma3", "--a", path("density"), "--b", path("pd"), "--json"],
         "bounds-t6-dims": ["bounds", "t6", *bipartite, "--dims", "2,2", "--alpha", "2", "--json"],
+        "bounds-t3-dims": ["bounds", "t3", *bipartite, "--dims", "2,2", "--alpha", "2", "--json"],
     }
+    for alpha in ("0.5", "2"):
+        for theorem in ("t3", "t3_2"):
+            commands[f"bounds-{theorem}-{alpha}"] = [
+                "bounds", theorem, "--state", path("density"), "--alpha", alpha, "--json"
+            ]
     for alpha in ("2", "1e5", "1e308"):
         commands[f"divergence-{alpha}"] = ["divergence", *pair, "--alpha", alpha, "--json"]
         for theorem in ("t4", "triangle"):

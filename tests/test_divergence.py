@@ -574,6 +574,25 @@ class TestDivergenceProperties:
             reduced = _d(trace(rho, d_a, d_b), trace(sigma, d_a, d_b), alpha)
             assert _at_most(reduced, value)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=_SEEDS, n=st.integers(2, 4), k=st.integers(1, 3), alpha=_orders(2.0))
+    def test_a_random_unitary_mixture_does_not_raise_it_up_to_order_two(
+        self, seed, n, k, alpha
+    ):
+        # the channel X -> sum_k p_k U_k X U_k^dagger on a rank-deficient rho,
+        # and on a rank-deficient sigma below order 1
+        rng = np.random.default_rng(seed)
+        rho = _state(rng, n, int(rng.integers(1, n)))
+        sigma = _state(rng, n, n if alpha > 1.0 else int(rng.integers(1, n)))
+        weights = rng.uniform(0.1, 1.0, k)
+        unitaries = [haar_unitary(rng, n) for _ in range(k)]
+
+        def mixed(x):
+            m = sum(p * (u @ x @ u.conj().T) for p, u in zip(weights / weights.sum(), unitaries))
+            return (m + m.conj().T) / 2.0
+
+        assert _at_most(_d(mixed(rho), mixed(sigma), alpha), _d(rho, sigma, alpha))
+
 
 class TestT5ClosedForm:
     def test_maximally_mixed(self):

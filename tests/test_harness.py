@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renyi import harness
+import golden_records as golden
+from renyi import harness, quantum
 from renyi.divergence import t6_lower_bound
 from renyi.exceptions import (
     AlphaOne,
@@ -523,8 +524,8 @@ class TestWorkPerTrial:
         [
             ("t4", 2, 0, 2),
             ("triangle", 2, 0, 2),
-            ("t3", 1, 0, 1),
-            ("t3_2", 1, 0, 1),
+            ("t3", 0, 1, 1),
+            ("t3_2", 0, 1, 1),
             ("lemma2", 0, 2, 2),
             ("lemma3", 0, 2, 2),
             ("lemma4", 0, 1, 1),
@@ -553,8 +554,8 @@ class TestWorkPerTrial:
             ("lemma2", 0, 2),
             ("lemma3", 0, 2),
             ("lemma4", 0, 1),
-            ("t3", 1, 0),
-            ("t3_2", 1, 0),
+            ("t3", 0, 1),
+            ("t3_2", 0, 1),
             ("t4", 2, 0),
             ("triangle", 2, 0),
             ("t6", 2, 0),
@@ -695,3 +696,30 @@ class TestWorkPerTrial:
             assert counts == {"probability_vector": 2 * groups}
         else:  # one zero-padded stack per block, whatever the lengths
             assert counts == {"probability_vector": 1}
+
+
+class TestSpectrumSources:
+    """t3 and t3_2 read a state's spectrum alone, from ``eigvalsh``; the
+    public bounds read it from ``DensityMatrix``'s decomposition.  The two
+    agree on every size and order of the suites' cycles: every float within
+    the golden records' tolerance, every count and flag exactly."""
+
+    @pytest.mark.parametrize(
+        "name,bound", [("t3", quantum.t3_bound), ("t3_2", quantum.log_dim_cap)]
+    )
+    def test_suite_rows_match_the_public_bound(self, name, bound):
+        suite = SUITES[name]
+        # 56 trials take every (size, order) pair of the two cycles; 0 and
+        # 100 are equality cases
+        pairs = set()
+        for trial in list(range(56)) + [100]:
+            inputs = suite.serialize(suite.gen(derive_rng(9, trial), trial))
+            row = replay(name, inputs).to_dict()
+            rho = DensityMatrix(suite.parse(inputs)["rho"][0])
+            alone = bound(rho, inputs["alpha"]).to_dict()
+            _, largest, errors = golden.moves(alone, row)
+            assert errors == [] and largest <= golden.REL_TOL, (trial, largest, errors)
+            assert (row["passed"], row["equality"]) == (alone["passed"], alone["equality"])
+            assert row["extras"].get("d0") == alone["extras"].get("d0"), trial
+            pairs.add((rho.dim, inputs["alpha"]))
+        assert pairs == {(d, a) for d in harness.DIMS_CYCLE for a in harness.ORDERS_CYCLE}

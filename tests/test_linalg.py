@@ -7,6 +7,7 @@ import pytest
 
 from renyi.exceptions import (
     DimensionMismatch,
+    InvalidDensityMatrix,
     NonHermitianInput,
     NotPd,
     NotPsd,
@@ -537,6 +538,54 @@ class TestSidesPastTheFloatRange:
         assert reports[1].passed and reports[1].equality
         assert reports[2].passed
         assert all(math.isfinite(r.lhs) and math.isfinite(r.rhs) for r in reports)
+
+
+# a PSD matrix whose trace overflows, and an indefinite one whose entries
+# sit near the float maximum off the diagonal
+NEAR_FLOAT_MAX = {
+    "diagonal": 1e308 * np.eye(2),
+    "off-diagonal": np.array([[0.5, 1e308j], [-1e308j, 0.5]]),
+}
+
+
+class TestEntriesNearTheFloatMaximum:
+    """Validation forms no sum past the float range: a Hermitian matrix with
+    entries near the float maximum is itself, with no warning, and a state
+    built from one is a typed rejection."""
+
+    @pytest.mark.parametrize("name", sorted(NEAR_FLOAT_MAX))
+    def test_hermitian_matrix_is_itself(self, name):
+        a = NEAR_FLOAT_MAX[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(as_hermitian(a), a)
+            assert np.array_equal(as_hermitian(np.array([a, a])), np.array([a, a]))
+
+    def test_asymmetry_past_the_float_range_is_not_hermitian(self):
+        # unhalved, |A - A^dagger| overflows in the first two and max|A| in
+        # the last two; halved, only the modulus of the second's asymmetry
+        big = 1.5e308 + 1.5e308j
+        for a in (
+            np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]),
+            np.array([[0.0, big], [-big.conjugate(), 0.0]]),
+            np.array([[0.0, big], [big.conjugate() + 1e300, 0.0]]),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonHermitianInput, match="not Hermitian"):
+                    as_hermitian(a)
+
+    @pytest.mark.parametrize(
+        "name,error", [("diagonal", InvalidDensityMatrix), ("off-diagonal", NotPsd)]
+    )
+    def test_state_is_a_typed_rejection(self, name, error):
+        from renyi.quantum import _density_values
+
+        for build in (DensityMatrix, _density_values):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error):
+                    build(NEAR_FLOAT_MAX[name])
 
 
 class TestLemma4:
