@@ -18,8 +18,9 @@ tests compare the minimum with a Bloch-ball zoom grid.
 All divergences are in nats.  Orders go through ``linalg.check_order``:
 alpha >= 0 with alpha != 1 for ``D_alpha``, alpha > 1 for everything else.
 ``D_alpha``, t4, t5 and the triangle come from ``linalg.petz_divergence``,
-finite at every order; t4, t6 and the triangle are kernels over stacks of
-states, each public bound its kernel on one state.  A Gram factor
+finite at every order.  t4, t6, the triangle and the Sibson minimum (with
+its Gram factor) are kernels over stacks of states, each public bound,
+optimized quantity and t5 its kernel on a stack of one.  A Gram factor
 weight that underflows to 0 raises ``AlphaOutOfRange``, never a bare
 arithmetic error.
 """
@@ -142,72 +143,81 @@ def _bipartite_dims(rho_ab: DensityMatrix) -> tuple[int, int]:
 
 
 def _reference(rho_ab: DensityMatrix, mode: str) -> SpectralDecomposition:
-    """ref_A's spectrum: ``mu_A`` for ``mode="conditional"``, the marginal
-    ``rho_A`` (one per state of a stack) for ``mode="mutual"``, which must be positive definite."""
+    """ref_A's spectrum as a stack: of one ``mu_A`` for ``mode="conditional"``, of
+    the marginals ``rho_A`` for ``mode="mutual"``, which must be positive definite."""
     d_a, d_b = _bipartite_dims(rho_ab)
     if mode == "conditional":
-        return SpectralDecomposition(np.full(d_a, 1.0 / d_a), np.eye(d_a))
-    rho_a = _density_decompose(_partial_trace(rho_ab.matrix, d_a, d_b, 1))
+        return SpectralDecomposition(np.full((1, d_a), 1.0 / d_a), np.eye(d_a)[None])
+    rho_a = _as_stack(_density_decompose(_partial_trace(rho_ab.matrix, d_a, d_b, 1)))
     if not positive_definite(rho_a.eigenvalues).all():
         raise MarginalSingular("marginal rho_A must be positive definite")
     return rho_a
 
 
 def _gram_factor(
-    rho: SpectralDecomposition, basis: np.ndarray, t: np.ndarray, alpha: float
-) -> tuple[float, SpectralDecomposition]:
-    """SVD of the graded factor G of ``sum_ik e^(alpha t_ik) b_ik b_ik^H``.
+    rho: SpectralDecomposition, basis: np.ndarray, t: np.ndarray, alpha: np.ndarray
+) -> tuple[np.ndarray, SpectralDecomposition]:
+    """SVD of the graded factor G of ``sum_ik e^(alpha t_ik) b_ik b_ik^H``,
+    per state of a stack with its basis, ``t`` and order along the stack.
 
     G has a row ``e^((alpha/2) (t_ik - top)) conj(b_ik)``, ``b_ik = (<v_k| (x)
-    1) u_i``, per support eigenvector u_i of the decomposed state rho and
-    column v_k of ``basis``, a basis of A, whose order is d_A; ``top`` is the
-    largest ``t_ik`` with ``b_ik != 0``, and a weight that underflows to 0
-    raises AlphaOutOfRange.  Returns ``top`` and G's singular values
-    (ascending) with its right singular vectors.
+    1) u_i``, per support eigenvector u_i of the decomposed state (its last m,
+    m the last axis of ``t``) and column v_k of ``basis``, a basis of A, whose
+    order is d_A; ``top`` is the largest ``t_ik`` with ``b_ik != 0``, and a
+    weight that underflows to 0 raises AlphaOutOfRange.  Returns ``top`` and
+    G's singular values (ascending) with its right singular vectors.
     """
-    w = rho.eigenvalues
-    u = rho.eigenvectors[:, w > 0.0].reshape(len(basis), len(w) // len(basis), -1)
-    rows = np.einsum("ak,abi->kib", basis, u.conj())
-    nonzero = np.any(rows != 0.0, axis=2)
-    top = float(np.where(nonzero, t, -np.inf).max())
+    k, d_a, m = len(t), basis.shape[-1], t.shape[-1]
+    u = rho.eigenvectors[..., -m:].reshape(k, d_a, -1, m)
+    rows = np.einsum("zak,zabi->zkib", basis, u.conj())
+    nonzero = (rows != 0.0).any(axis=-1)
+    top = np.where(nonzero, t, -np.inf).max(axis=(1, 2), keepdims=True)
     # a difference past the float range is -inf, and its weight exactly 0
     with np.errstate(over="ignore"):
-        weight = np.where(nonzero, np.exp(alpha / 2.0 * (t - top)), 0.0)
-    if np.any(nonzero & (weight == 0.0)):
-        raise AlphaOutOfRange(f"a Gram factor weight underflows at alpha = {alpha!r}")
-    g = (weight[:, :, None] * rows).reshape(-1, u.shape[1])
-    g = g[np.argsort(-np.linalg.norm(g, axis=1), kind="stable")]
+        weight = np.where(nonzero, np.exp(alpha[:, None, None] / 2.0 * (t - top)), 0.0)
+    under = nonzero & (weight == 0.0)
+    if np.count_nonzero(under):
+        order = float(alpha[under.any(axis=(1, 2))][0])
+        raise AlphaOutOfRange(f"a Gram factor weight underflows at alpha = {order!r}")
+    g = (weight[..., None] * rows).reshape(k, -1, rows.shape[-1])
+    # each row's np.linalg.norm, inlined, sorted falling
+    norm = np.sqrt(np.add.reduce((g.conj() * g).real, axis=-1))
+    g = g[np.arange(k)[:, None], np.argsort(-norm, kind="stable")]
     _, s, vh = np.linalg.svd(g, full_matrices=False)
-    return top, SpectralDecomposition(s[::-1], vh[::-1].conj().T)
+    return top[:, 0, 0], SpectralDecomposition(s[:, ::-1], vh[:, ::-1].conj().swapaxes(-1, -2))
 
 
 def _sibson(
-    rho: SpectralDecomposition, alpha: float, ref: SpectralDecomposition
-) -> tuple[float, SpectralDecomposition, np.ndarray]:
+    rho: SpectralDecomposition, alpha: np.ndarray, ref: SpectralDecomposition
+) -> tuple[np.ndarray, SpectralDecomposition, np.ndarray]:
     """``min_sigma D_alpha(rho_AB || ref_A (x) sigma_B)`` over density sigma_B
-    for one decomposed state, with the minimizer's eigenbasis and spectrum;
-    the minimizer itself is not formed.
+    per state of a stack of one support size, with its order and reference
+    along the stack, and the minimizer's eigenbasis and spectrum.
 
     Exact by Sibson's identity, from ``C_B = G^H G`` without forming C_B: G is
     the ``_gram_factor`` over ref's eigenvectors v_k with ``t_ik = ln p_i - ln
     a_k + (ln a_k)/alpha`` for rho's support eigenvalues p_i and ref's a_k.
     G's singular values s_j give ``tr C_B^(1/alpha) = e^top sum_j
-    s_j^(2/alpha)``, and its right singular vectors the minimizer.
+    s_j^(2/alpha)``, and its right singular vectors the minimizer.  A row
+    has the bits of its own stack of one.
     """
-    w, a = rho.eigenvalues, ref.eigenvalues
-    # 2 s_ik / alpha, which no order overflows
-    t = np.log(w[w > 0.0]) - np.log(a)[:, None] + np.log(a)[:, None] / alpha
+    w, ln_a = rho.eigenvalues, np.log(ref.eigenvalues)[:, :, None]
+    # 2 s_ik / alpha (no order overflows) on each support: the last entries, as many as row 0's
+    t = np.log(w[:, -np.count_nonzero(w[0]):])[:, None, :] - ln_a + ln_a / alpha[:, None, None]
     top, dec = _gram_factor(rho, ref.eigenvectors, t, alpha)
     root = power_spectrum(dec.eigenvalues, 2.0 / alpha)
-    total = float(np.sum(root))
-    return alpha / (alpha - 1.0) * (top + math.log(total)), dec, root / total
+    total = root.sum(axis=-1)
+    value = top + np.array([math.log(x) for x in total.tolist()])
+    return alpha / (alpha - 1.0) * value, dec, root / total[:, None]
 
 
 def _optimize(rho_ab: DensityMatrix, alpha: float, mode: str) -> OptimizationOutcome:
-    """The ``_sibson`` minimum against ``_reference(rho_ab, mode)``, with sigma_B* as a state."""
-    alpha = float(check_order(alpha, "alpha", low=1.0))
-    value, dec, sigma = _sibson(rho_ab.spectrum, alpha, _reference(rho_ab, mode))
-    return OptimizationOutcome(value, DensityMatrix(recombine(dec, sigma)))
+    """The ``_sibson`` minimum against ``_reference(rho_ab, mode)`` on a stack
+    of one, with sigma_B* as a state."""
+    alpha = np.array([check_order(alpha, "alpha", low=1.0)])
+    value, dec, sigma = _sibson(_as_stack(rho_ab.spectrum), alpha, _reference(rho_ab, mode))
+    sigma_b = DensityMatrix(recombine(dec.eigenvectors[0], sigma[0]))
+    return OptimizationOutcome(float(value[0]), sigma_b)
 
 
 def conditional_entropy(
@@ -230,9 +240,7 @@ def mutual_information(
     return outcome.optimum_value, outcome
 
 
-def t5_closed_form(
-    rho_ab: DensityMatrix, alpha: float, mode: str
-) -> T5ClosedForm | None:
+def t5_closed_form(rho_ab: DensityMatrix, alpha: float, mode: str) -> T5ClosedForm | None:
     """Optimized quantity evaluated where the determinant bound is tight.
 
     Lemma 3 on ``rho_AB^alpha`` and ``tau^(1-alpha)``, ``tau = ref_A (x) sigma_B``
@@ -253,23 +261,23 @@ def t5_closed_form(
     d_a, _ = _bipartite_dims(rho_ab)
     if not rho_ab.is_positive_definite:
         return None
+    t = -np.log(rho_ab.eigenvalues)[None, None]
     try:
-        _, g = _gram_factor(rho_ab.spectrum, np.eye(d_a), -np.log(rho_ab.eigenvalues)[None], alpha)
+        _, g = _gram_factor(_as_stack(rho_ab.spectrum), np.eye(d_a)[None], t, np.array([alpha]))
     except AlphaOutOfRange:
         return None
-    if not positive_definite(g.eigenvalues):
+    s, v = g.eigenvalues[0], g.eigenvectors[0]
+    if not positive_definite(s):
         return None
     # ratios >= 1 to a negative power: none overflows, and the sum is >= 1
-    root = power_spectrum(g.eigenvalues / g.eigenvalues[0], 2.0 / (1.0 - alpha))
+    root = power_spectrum(s / s[0], 2.0 / (1.0 - alpha))
     root /= float(np.sum(root))
-    sigma_b = DensityMatrix(recombine(g, root))
+    sigma_b = DensityMatrix(recombine(v, root))
     if not sigma_b.is_positive_definite:
         return None
     ref = _reference(rho_ab, mode)
     # tau from its factors' spectra keeps its small eigenvalues' relative precision
-    tau = SpectralDecomposition(
-        np.kron(ref.eigenvalues, root), np.kron(ref.eigenvectors, g.eigenvectors)
-    )
+    tau = SpectralDecomposition(np.kron(ref.eigenvalues[0], root), np.kron(ref.eigenvectors[0], v))
     value, bound = _petz(rho_ab.spectrum, tau, alpha)
     if not chain_tight([normalized_slack(bound, value)]):
         return None
@@ -279,7 +287,7 @@ def t5_closed_form(
 def _t6(rho_ab: DensityMatrix, alpha) -> Verdict:
     """t6 on a PD bipartite state, or on each state of a stack of one tag, at
     one order or one per state: the bound from the stacked spectra, and the
-    mutual information from one ``_sibson`` minimum per state."""
+    mutual information from one ``_sibson`` call on the stack."""
     alpha = check_order(alpha, "alpha", low=1.0)
     dims = _bipartite_dims(rho_ab)
     rho = _as_stack(rho_ab.spectrum)
@@ -288,13 +296,7 @@ def _t6(rho_ab: DensityMatrix, alpha) -> Verdict:
     d = dims[0] * dims[1]
     logdet = np.sum(np.log(rho.eigenvalues), axis=-1)
     bound = alpha / (alpha - 1.0) * (math.log(d) + logdet / d)
-    ref = _as_stack(_reference(rho_ab, "mutual"))
-    rows = zip(rho.eigenvalues, rho.eigenvectors, ref.eigenvalues, ref.eigenvectors,
-               np.broadcast_to(alpha, bound.shape).tolist())
-    value = np.array([
-        _sibson(SpectralDecomposition(w, u), order, SpectralDecomposition(a, v))[0]
-        for w, u, a, v, order in rows
-    ])
+    value = _sibson(rho, np.broadcast_to(alpha, bound.shape), _reference(rho_ab, "mutual"))[0]
     return chain("t6", [("t6", bound, value)], {"mutual_information": value, "bound": bound})
 
 

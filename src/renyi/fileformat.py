@@ -2,17 +2,32 @@
 
 A matrix file is ``{"dim": n, "matrix": [[[re, im], ...], ...]}`` with an
 optional ``"dims": [d_a, d_b]`` bipartite tag; a distribution file is
-``{"p": [...]}``.  Numbers are serialized as shortest round-trip decimals,
-so dump(parse(text)) reproduces a generated file byte for byte.
+``{"p": [...]}``.  Each number read is finite as a float and never a
+boolean (``_number``), else a FileFormatError names its field.  Numbers are
+serialized as shortest round-trip decimals, so dump(parse(text))
+reproduces a generated file byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .exceptions import FileFormatError
+
+
+def _number(x) -> bool:
+    """The format's one number rule: an int or float, not a bool, finite as a float."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _positive_int(x) -> bool:
+    return _number(x) and isinstance(x, int) and x > 0
 
 
 def matrix_payload(matrix, dims=None) -> dict:
@@ -31,17 +46,13 @@ def matrix_from_payload(obj) -> tuple[np.ndarray, tuple[int, int] | None]:
     if not isinstance(obj, dict):
         raise FileFormatError("matrix payload must be an object", "")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _positive_int(dim):
         raise FileFormatError(f"dim must be a positive integer, got {dim!r}", "dim")
     dims = None
     if "dims" in obj:
         raw = obj["dims"]
-        if (
-            not isinstance(raw, list)
-            or len(raw) != 2
-            or not all(isinstance(d, int) and d > 0 for d in raw)
-        ):
-            raise FileFormatError(f"dims must be two positive integers", "dims")
+        if not isinstance(raw, list) or len(raw) != 2 or not all(map(_positive_int, raw)):
+            raise FileFormatError("dims must be two positive integers", "dims")
         if raw[0] * raw[1] != dim:
             raise FileFormatError(
                 f"dims {raw} do not multiply to dim {dim}", "dims"
@@ -55,13 +66,9 @@ def matrix_from_payload(obj) -> tuple[np.ndarray, tuple[int, int] | None]:
         if not isinstance(row, list) or len(row) != dim:
             raise FileFormatError(f"row {i} must have {dim} entries", "matrix")
         for j, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)
-            ):
+            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_number, pair)):
                 raise FileFormatError(
-                    f"entry ({i},{j}) must be an [re, im] pair", "matrix"
+                    f"entry ({i},{j}) must be an [re, im] pair of finite numbers", "matrix"
                 )
             out[i, j] = complex(pair[0], pair[1])
     return out, dims
@@ -75,12 +82,8 @@ def distribution_from_payload(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise FileFormatError("distribution payload must be an object", "")
     p = obj.get("p")
-    if (
-        not isinstance(p, list)
-        or not p
-        or not all(isinstance(x, (int, float)) for x in p)
-    ):
-        raise FileFormatError("p must be a non-empty list of numbers", "p")
+    if not isinstance(p, list) or not p or not all(map(_number, p)):
+        raise FileFormatError("p must be a non-empty list of finite numbers", "p")
     return np.asarray(p, dtype=np.float64)
 
 

@@ -61,7 +61,9 @@ from .fileformat import (
     matrix_from_payload,
     matrix_payload,
 )
-from .linalg import _lemma2, _lemma3, _lemma4, check_order, psd_decompose, spectral_entropy
+from .linalg import (
+    _lemma2, _lemma3, _lemma4, check_order, psd_decompose, recombine, spectral_entropy
+)
 from .quantum import (
     DensityMatrix,
     _bipartite_tag,
@@ -141,9 +143,7 @@ def _pd_from_rng(rng, dim: int, condition_cap: float) -> np.ndarray:
         raise BadCap(f"condition cap must be finite and >= 1, got {condition_cap!r}")
     basis = _basis_from_rng(rng, dim)
     lo, hi = 1.0 / math.sqrt(condition_cap), math.sqrt(condition_cap)
-    spectrum = rng.uniform(lo, hi, dim)
-    m = (basis * spectrum) @ basis.conj().T
-    return (m + m.conj().T) / 2.0
+    return recombine(basis, rng.uniform(lo, hi, dim))
 
 
 def _simplex_from_rng(rng, n: int, zeros: int) -> np.ndarray:
@@ -203,9 +203,7 @@ def _psd_pair(rng, i: int, equal_case: bool) -> tuple[np.ndarray, np.ndarray]:
         wb = np.zeros(dim)
         wa[:split] = rng.uniform(0.5, 2.0, split)
         wb[split:] = rng.uniform(0.5, 2.0, dim - split)
-        a = (basis * wa) @ basis.conj().T
-        b = (basis * wb) @ basis.conj().T
-        return (a + a.conj().T) / 2.0, (b + b.conj().T) / 2.0
+        return recombine(basis, wa), recombine(basis, wb)
     rank_a = int(rng.integers(1, dim + 1))
     rank_b = int(rng.integers(1, dim + 1))
     ga = _ginibre(rng, dim, rank_a)
@@ -226,10 +224,7 @@ def _gen_lemma3(rng, i: int) -> dict:
         basis = _basis_from_rng(rng, dim)
         spectrum = rng.uniform(0.5, 2.0, dim)
         c = rng.uniform(0.5, 3.0)
-        b = (basis * spectrum) @ basis.conj().T
-        a = (basis * (c / spectrum)) @ basis.conj().T
-        a = (a + a.conj().T) / 2.0
-        b = (b + b.conj().T) / 2.0
+        a, b = recombine(basis, c / spectrum), recombine(basis, spectrum)
     else:
         a, b = _psd_pair(rng, i, False)
     return {"a": (a, None), "b": (b, None), "equality_injected": eq}
@@ -306,8 +301,7 @@ def _gen_t3(rng, i: int) -> dict:
         basis = _basis_from_rng(rng, dim)
         w = np.zeros(dim)
         w[:rank] = 1.0 / rank
-        m = (basis * w) @ basis.conj().T
-        rho = (m + m.conj().T) / 2.0
+        rho = recombine(basis, w)
     else:
         rho = _density_from_rng(rng, dim, rank)
     return {"rho": (rho, None), "alpha": alpha, "equality_injected": eq}

@@ -308,9 +308,8 @@ def _stacked_values(matrix) -> tuple[np.ndarray, np.ndarray]:
     return (a[None], w[None]) if a.ndim == 2 else (a, w)
 
 
-def recombine(dec: SpectralDecomposition, w: np.ndarray) -> np.ndarray:
-    """Assemble ``V diag(w) V†`` (Hermitian-symmetrized) from a decomposition."""
-    v = dec.eigenvectors
+def recombine(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Assemble ``V diag(w) V†`` (Hermitian-symmetrized) from the eigenvector columns V."""
     m = (v * w) @ v.conj().T
     return (m + m.conj().T) / 2.0
 
@@ -349,7 +348,7 @@ def clip_spectrum(w: np.ndarray, name: str = "matrix") -> np.ndarray:
     w_min, w_max = w.T[0], w.T[-1]
     # w_min < -PSD_TOL * max(1, w_max), without a ufunc on scalars
     low = (w_min < -PSD_TOL) & (w_min < -PSD_TOL * w_max)
-    if low.any():
+    if np.count_nonzero(low):
         raise NotPsd(f"{name} has eigenvalue {np.extract(low, w_min)[0]:.3e}")
     out = w.copy()
     out.T[out.T <= ZERO_THRESHOLD * w_max] = 0.0
@@ -369,21 +368,21 @@ def psd_decompose(matrix, name: str) -> SpectralDecomposition:
     return SpectralDecomposition(w, dec.eigenvectors, dec.matrix)
 
 
-def power_spectrum(w: np.ndarray, r: float) -> np.ndarray:
-    """``w_i**r`` on the support of ``clip_spectrum(w)`` (ascending), 0 off it.
+def power_spectrum(w: np.ndarray, r) -> np.ndarray:
+    """``w_i**r`` on the support of ``clip_spectrum(w)`` (ascending), 0 off it;
+    for a stack of spectra, at one ``r`` or at one ``r`` per spectrum.
 
     The one power rule of the package, for every ``r``: ``r = 0`` gives the
     support indicator and a negative ``r`` the power of the pseudo-inverse.
     """
     w = clip_spectrum(w)
-    support = w > 0.0
-    w[support] = w[support] ** r
+    np.power(w, np.asarray(r)[..., None], out=w, where=w > 0.0)
     return w
 
 
 def spectral_power(dec: SpectralDecomposition, r: float) -> np.ndarray:
     """``A^r`` under the ``power_spectrum`` rule, from A's decomposition."""
-    return recombine(dec, power_spectrum(dec.eigenvalues, r))
+    return recombine(dec.eigenvectors, power_spectrum(dec.eigenvalues, r))
 
 
 # ln 2: the kernel's nats over it are bits

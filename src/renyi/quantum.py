@@ -17,6 +17,7 @@ check of both.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -54,14 +55,15 @@ class EntropyValue:
     alpha: float
 
 
-def _unit_trace(matrix: np.ndarray) -> None:
-    """InvalidDensityMatrix unless the validated matrix, or each matrix of a
-    stack, has unit trace within NORM_TOL; a trace past the float range is
-    not 1, and is rejected without a warning."""
-    with np.errstate(over="ignore"):
-        trace = np.trace(matrix, axis1=-2, axis2=-1).real
-    off = np.abs(trace - 1.0) > NORM_TOL
-    if off.any():
+def _unit_trace(matrix: np.ndarray, w: np.ndarray) -> None:
+    """InvalidDensityMatrix unless the validated PSD matrix, or each matrix of
+    a stack, has unit trace within NORM_TOL (``w`` its clipped spectra); a
+    trace past the float range is not 1, and is rejected without a warning."""
+    # no diagonal entry exceeds the largest eigenvalue: below 2**1000 no trace overflows
+    with np.errstate(over="ignore") if w.max() > 2.0**1000 else contextlib.nullcontext():
+        trace = matrix.trace(axis1=-2, axis2=-1).real
+    off = abs(trace - 1.0) > NORM_TOL
+    if np.count_nonzero(off):
         raise InvalidDensityMatrix(f"trace is {float(np.extract(off, trace)[0])!r}, not 1")
 
 
@@ -69,7 +71,7 @@ def _density_decompose(matrix) -> SpectralDecomposition:
     """``psd_decompose`` of a density matrix, or of each matrix of a stack,
     once each has unit trace (``_unit_trace``)."""
     dec = psd_decompose(matrix, "density matrix")
-    _unit_trace(dec.matrix)
+    _unit_trace(dec.matrix, dec.eigenvalues)
     return dec
 
 
@@ -79,7 +81,7 @@ def _density_values(matrix) -> np.ndarray:
     ``_density_decompose``, in its order, with no eigenvectors formed."""
     a, w = spectral_values(matrix)
     w = clip_spectrum(w, "density matrix")
-    _unit_trace(a)
+    _unit_trace(a, w)
     return w
 
 

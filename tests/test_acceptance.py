@@ -133,7 +133,7 @@ def test_criterion_7_eigensolver():
             a = (g + g.conj().T) / 2
             dec = spectral_decompose(a)
             scale = 1.0 + np.abs(a).max()
-            assert np.abs(recombine(dec, dec.eigenvalues) - a).max() <= 1e-9 * scale
+            assert np.abs(recombine(dec.eigenvectors, dec.eigenvalues) - a).max() <= 1e-9 * scale
             v = dec.eigenvectors
             assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-9
             if trial % 5 == 0:

@@ -654,6 +654,42 @@ def test_entries_near_the_float_maximum_are_one_error_object(capsys, tmp_path, c
         assert len(lines) == 1 and json.loads(lines[0])["code"] == want
 
 
+# payloads that break the file format's one number rule (no boolean, and
+# finite as a float), each with a command that reads it and the field its
+# FileFormatError names; 10**400 is a JSON integer past the float range
+_I4 = json.dumps(matrix_payload(np.eye(4) / 4)["matrix"])
+BAD_NUMBER_PAYLOADS = {
+    "dim-true": ('{"dim": true, "matrix": [[[1, 0]]]}', "entropy quantum --state", "dim"),
+    "dims-true": (
+        '{"dim": 4, "dims": [true, 4], "matrix": ' + _I4 + "}", "mutual-info --state", "dims"
+    ),
+    "entry-true": ('{"dim": 1, "matrix": [[[true, 0]]]}', "entropy quantum --state", "matrix"),
+    "entry-huge": (
+        '{"dim": 1, "matrix": [[[1' + "0" * 400 + ', 0]]]}', "entropy quantum --state", "matrix"
+    ),
+    "entry-nan": ('{"dim": 1, "matrix": [[[NaN, 0]]]}', "entropy quantum --state", "matrix"),
+    "p-true": ('{"p": [true, false]}', "entropy classical --dist", "p"),
+    "p-huge": ('{"p": [1' + "0" * 400 + ", 0]}", "entropy classical --dist", "p"),
+    "p-inf": ('{"p": [Infinity, 0]}', "entropy classical --dist", "p"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NUMBER_PAYLOADS))
+def test_numbers_outside_the_rule_are_one_file_format_error(capsys, tmp_path, name):
+    text, command, field = BAD_NUMBER_PAYLOADS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    order = "--beta" if "--dist" in command else "--alpha"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, [*command.split(), str(path), order, "2"])
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert (error["code"], error["offending_field"]) == ("FileFormatError", field)
+
+
 # the Sibson commands on I/4, and where each --json report carries the value,
 # which is ln 2 for H_alpha(A|B) and 0 for I_alpha(A;B) at every order
 MIXED_SIBSON_VALUES = {

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renyi.divergence import (
+    _reference,
+    _sibson,
     conditional_entropy,
     mutual_information,
     renyi_relative_entropy,
@@ -28,10 +30,18 @@ from renyi.exceptions import (
     SigmaSingular,
     TraceNonpositive,
 )
-from renyi.linalg import kron, matrix_power, partial_trace_a, partial_trace_b
-from renyi.quantum import DensityMatrix, quantum_renyi_entropy
+from renyi.harness import ORDERS_ABOVE_ONE, T6_DIMS_CYCLE, random_density_array
+from renyi.linalg import (
+    SpectralDecomposition,
+    kron,
+    matrix_power,
+    partial_trace_a,
+    partial_trace_b,
+)
+from renyi.quantum import DensityMatrix, _density_decompose, quantum_renyi_entropy
 
 from bloch_oracle import zoom_grid_minimum
+from test_linalg import _bits
 
 D2_EXAMPLE = 0.2876820724517809          # ln(4/3)
 T4_EXAMPLE = 0.14384103622589046         # ln 2 + ln(1/4) - 0.5 ln(3/16)
@@ -723,6 +733,49 @@ class TestT6LowerBound:
         rho = DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]), dims=(2, 2))
         with pytest.raises(NotPd):
             t6_lower_bound(rho, 2.0)
+
+
+def _row(dec: SpectralDecomposition, i: int) -> SpectralDecomposition:
+    """Row ``i`` of a stacked decomposition, as a stack of one."""
+    return SpectralDecomposition(dec.eigenvalues[i : i + 1], dec.eigenvectors[i : i + 1])
+
+
+class TestSibsonStack:
+    """``_sibson`` over a stack of states with one order and one reference per
+    state: each row has the bits of its own stack of one, which is what the
+    public optimized quantity of that state reads."""
+
+    @pytest.mark.parametrize("mode", ["mutual", "conditional"])
+    @pytest.mark.parametrize("dims", T6_DIMS_CYCLE)
+    def test_rows_match_stacks_of_one(self, dims, mode):
+        d = dims[0] * dims[1]
+        # full rank, as t6 reads, and one smaller support shared by the stack
+        for rank in (d, d - 2):
+            stack = np.stack([random_density_array(d, seed, rank) for seed in range(12)])
+            rho = DensityMatrix._trusted(_density_decompose(stack), dims)
+            ref = _reference(rho, mode)
+            if mode == "conditional":  # mu_A, one copy per state
+                ref = SpectralDecomposition(
+                    np.tile(ref.eigenvalues, (12, 1)), np.tile(ref.eigenvectors, (12, 1, 1))
+                )
+            alpha = np.resize(ORDERS_ABOVE_ONE, 12)  # each order three times
+            value, g, sigma = _sibson(rho.spectrum, alpha, ref)
+            for i in range(12):
+                one = _sibson(_row(rho.spectrum, i), alpha[i : i + 1], _row(ref, i))
+                assert _bits(value[i]) == _bits(one[0]), (rank, i)
+                assert _bits(g.eigenvalues[i]) == _bits(one[1].eigenvalues), (rank, i)
+                assert _bits(g.eigenvectors[i]) == _bits(one[1].eigenvectors), (rank, i)
+                assert _bits(sigma[i]) == _bits(one[2]), (rank, i)
+                alone = DensityMatrix(stack[i], dims=dims)
+                optimized = mutual_information if mode == "mutual" else conditional_entropy
+                want = optimized(alone, float(alpha[i]))[1].optimum_value
+                assert _bits(value[i]) == _bits(want), (rank, i)
+
+    def test_an_underflowing_row_names_its_order(self):
+        stack = np.stack([random_density_array(4, seed) for seed in range(3)])
+        rho = DensityMatrix._trusted(_density_decompose(stack), (2, 2))
+        with pytest.raises(AlphaOutOfRange, match=r"underflows at alpha = 2000\.0$"):
+            _sibson(rho.spectrum, np.array([2.0, 2000.0, 3.0]), _reference(rho, "mutual"))
 
 
 class TestTriangle:

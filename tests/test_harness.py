@@ -20,6 +20,7 @@ from renyi.exceptions import (
     BadTrials,
     BadZeros,
     DimensionMismatch,
+    FileFormatError,
     InvalidDistribution,
     NonHermitianInput,
     NotBipartite,
@@ -315,6 +316,26 @@ class TestRunSuite:
             inputs["q"] = {"p": [0.25, 0.75]}
             assert replay("diag_oracle", inputs).passed
 
+    @pytest.mark.parametrize(
+        "name,key,payload,field",
+        [
+            ("t3", "rho", {"dim": True, "matrix": [[[1, 0]]]}, "dim"),
+            ("t6", "rho", {"dim": 1, "dims": [True, 1], "matrix": [[[1, 0]]]}, "dims"),
+            ("t3", "rho", {"dim": 1, "matrix": [[[10**400, 0]]]}, "matrix"),
+            ("t1", "p", {"p": [10**400, 0]}, "p"),
+            ("t1", "p", {"p": [True, False]}, "p"),
+        ],
+        ids=["dim-true", "dims-true", "entry-huge", "p-huge", "p-true"],
+    )
+    def test_replay_parses_by_the_file_format_number_rule(self, name, key, payload, field):
+        # no boolean, and finite as a float: what the CLI reads from a file
+        suite = SUITES[name]
+        inputs = suite.serialize(suite.gen(derive_rng(9, 1), 1))
+        inputs[key] = payload
+        with pytest.raises(FileFormatError) as info:
+            replay(name, inputs)
+        assert info.value.offending_field == field
+
     def test_negative_trials_rejected(self):
         with pytest.raises(BadTrials):
             run_suite("t4", -1, seed=1)
@@ -514,10 +535,25 @@ def _count_calls(monkeypatch, module, names):
 _SPECTRAL = ("spectral_decompose", "spectral_values", "as_hermitian")
 
 
+def _count_svd(monkeypatch, counts: dict) -> dict:
+    """Count ``np.linalg.svd`` calls under ``counts["svd"]``."""
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    counts["svd"] = 0
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return counts
+
+
 class TestWorkPerTrial:
     """Each operand is validated once and decomposed once per trial: in full
     by ``spectral_decompose`` where eigenvectors are read, else to its
-    spectrum alone by ``spectral_values``."""
+    spectrum alone by ``spectral_values``.  The Sibson minimum takes one
+    ``np.linalg.svd`` per stack: per t6 shape group, and per optimized
+    quantity."""
 
     @pytest.mark.parametrize(
         "name,decompositions,values,validations",
@@ -536,15 +572,16 @@ class TestWorkPerTrial:
     def test_counts(self, monkeypatch, name, decompositions, values, validations):
         from renyi import linalg
 
-        counts = _count_calls(monkeypatch, linalg, _SPECTRAL)
+        counts = _count_svd(monkeypatch, _count_calls(monkeypatch, linalg, _SPECTRAL))
         suite = SUITES[name]
         for trial in range(1, 25):  # no multiple of 100: no equality case
-            counts.update(dict.fromkeys(_SPECTRAL, 0))
+            counts.update(dict.fromkeys(counts, 0))
             suite.check([suite.gen(derive_rng(3, trial), trial)])
             assert counts == {
                 "spectral_decompose": decompositions,
                 "spectral_values": values,
                 "as_hermitian": validations,
+                "svd": int(name == "t6"),
             }, trial
 
     @pytest.mark.parametrize("trials", [1, 6, 7, 60, 256])
@@ -572,7 +609,7 @@ class TestWorkPerTrial:
         # as 2x3 and 3x2)
         from renyi import linalg
 
-        counts = _count_calls(monkeypatch, linalg, _SPECTRAL)
+        counts = _count_svd(monkeypatch, _count_calls(monkeypatch, linalg, _SPECTRAL))
         suite = SUITES[name]
         batch = [suite.gen(derive_rng(3, trial), trial) for trial in range(1, 1 + trials)]
         kinds = suite.inputs.items()
@@ -591,7 +628,28 @@ class TestWorkPerTrial:
             "spectral_decompose": decompositions * groups,
             "spectral_values": values * groups,
             "as_hermitian": (decompositions + values) * groups,
+            "svd": groups if name == "t6" else 0,
         }
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3)])
+    def test_optimized_quantities_take_one_svd_per_call(self, monkeypatch, dims):
+        # sigma_B* is decomposed as a state, and the mutual information's
+        # marginal rho_A before it; the minimum is one SVD on a stack of one
+        from renyi import linalg
+        from renyi.divergence import conditional_entropy, mutual_information
+
+        rho = DensityMatrix(harness.random_density_array(dims[0] * dims[1], 5), dims=dims)
+        counts = _count_svd(monkeypatch, _count_calls(monkeypatch, linalg, _SPECTRAL))
+        for optimized, decompositions in ((mutual_information, 2), (conditional_entropy, 1)):
+            for alpha in (1.5, 2.0, 3.0):
+                counts.update(dict.fromkeys(counts, 0))
+                optimized(rho, alpha)
+                assert counts == {
+                    "spectral_decompose": decompositions,
+                    "spectral_values": 0,
+                    "as_hermitian": decompositions,
+                    "svd": 1,
+                }, (optimized.__name__, alpha)
 
     def test_diag_oracle_decomposes_one_shape_once_at_every_order(self, monkeypatch):
         # the orders of a group are one array: diag(p) and diag(q) are one

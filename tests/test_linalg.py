@@ -108,7 +108,7 @@ class TestSpectralDecompose:
             a = random_hermitian(rng, n)
             dec = spectral_decompose(a)
             scale = 1.0 + np.abs(a).max()
-            assert np.abs(recombine(dec, dec.eigenvalues) - a).max() <= 1e-9 * scale
+            assert np.abs(recombine(dec.eigenvectors, dec.eigenvalues) - a).max() <= 1e-9 * scale
             v = dec.eigenvectors
             assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-9
 
@@ -649,7 +649,7 @@ def test_convergence_failure_is_not_triggered_at_desk_scale():
     rng = np.random.default_rng(22)
     a = random_hermitian(rng, 32)
     dec = spectral_decompose(a)
-    back = recombine(dec, dec.eigenvalues)
+    back = recombine(dec.eigenvectors, dec.eigenvalues)
     assert np.abs(back - a).max() <= 1e-9 * (1 + np.abs(a).max())
 
 
