@@ -6,6 +6,9 @@ Subcommands: ``entropy classical|quantum``, ``type-beta``, ``divergence``,
 and :func:`_emit` prints it: by default as ``key value`` lines, numbers with
 12 significant digits; under ``--json`` as one object with the tolerances,
 the command, the fields and every input needed to recompute the result.
+One reader, :func:`_read`, turns each file flag into its input: it caps a
+matrix's declared ``dim`` at ``RENYI_MAX_DIM`` (default 64, as ``gen``) before
+any row is parsed.  A file that does not decode or parse is a FileFormatError.
 Exit codes: 0 success, 1 computation/validation error (machine-readable error
 object on stderr; a reader that closes stdout early, as ``| head`` does, is an
 ``IoError``), 2 usage error (for ``bounds`` also a missing input flag, or a
@@ -55,36 +58,36 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _max_dim() -> int:
+def _check_dim(dim) -> None:
+    """Reject a declared or requested ``dim`` over ``RENYI_MAX_DIM`` (default
+    64), before any array of that size is allocated."""
     raw = os.environ.get("RENYI_MAX_DIM", "64")
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise IoError(f"RENYI_MAX_DIM must be an integer, got {raw!r}")
+    if isinstance(dim, int) and dim > cap:
+        raise FileFormatError(f"dim {dim} exceeds RENYI_MAX_DIM={cap}", "dim")
 
 
-def _read_payload(path: str) -> dict:
+def _read(args, flag: str):
+    """The input of one file flag and the payload the output echoes: the
+    distribution for ``--dist``, else ``(matrix, dims)``, a ``--state``'s tag
+    replaced by ``--dims`` where that is given."""
+    path = getattr(args, flag)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_payload(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}")
-
-
-def _load_matrix(path: str) -> tuple[np.ndarray, tuple[int, int] | None, dict]:
-    payload = _read_payload(path)
+    payload = load_payload(data)
+    if flag == "dist":
+        return distribution_from_payload(payload), payload
+    _check_dim(payload.get("dim"))
     matrix, dims = matrix_from_payload(payload)
-    if matrix.shape[0] > _max_dim():
-        raise FileFormatError(
-            f"matrix dimension {matrix.shape[0]} exceeds RENYI_MAX_DIM={_max_dim()}",
-            "dim",
-        )
-    return matrix, dims, payload
-
-
-def _load_distribution(path: str) -> tuple[np.ndarray, dict]:
-    payload = _read_payload(path)
-    return distribution_from_payload(payload), payload
+    if flag == "state" and getattr(args, "dims", None):
+        dims = _parse_dims(args.dims)
+    return (matrix, dims), payload
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -128,24 +131,21 @@ def _emit(
 
 def _cmd_entropy(args) -> int:
     if args.which == "classical":
-        p, payload = _load_distribution(args.dist)
-        units = args.units or "bits"
-        value = renyi_entropy(p, args.beta) * (_LN2 if units == "nats" else 1.0)
-        record = {"value": value, "units": units, "beta": args.beta}
+        p, payload = _read(args, "dist")
+        value = renyi_entropy(p, args.beta) * (_LN2 if args.units == "nats" else 1.0)
+        record = {"value": value, "units": args.units, "beta": args.beta}
         inputs = {"dist": payload}
     else:
-        matrix, dims, payload = _load_matrix(args.state)
-        units = args.units or "nats"
-        rho = DensityMatrix(matrix, dims=dims)
-        value = quantum_renyi_entropy(rho, args.alpha, units=units).value
-        record = {"value": value, "units": units, "alpha": args.alpha}
+        state, payload = _read(args, "state")
+        value = quantum_renyi_entropy(DensityMatrix(*state), args.alpha, units=args.units).value
+        record = {"value": value, "units": args.units, "alpha": args.alpha}
         inputs = {"state": payload}
     _emit(args, f"entropy {args.which}", record, inputs)
     return 0
 
 
 def _cmd_type_beta(args) -> int:
-    p, payload = _load_distribution(args.dist)
+    p, payload = _read(args, "dist")
     value = entropy_type_beta(p, args.beta)
     record = {"value": value, "beta": args.beta}
     shown = {**record, "units": "type-beta"}
@@ -154,32 +154,23 @@ def _cmd_type_beta(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
-    rho_m, rho_dims, rho_payload = _load_matrix(args.state)
-    sigma, _, sigma_payload = _load_matrix(args.sigma)
-    units = args.units or "nats"
-    result = dv.renyi_relative_entropy(
-        DensityMatrix(rho_m, dims=rho_dims), sigma, args.alpha
-    )
-    value = result.value if units == "nats" else result.value / _LN2
-    record = {"value": value, "units": units, "alpha": args.alpha,
+    state, state_payload = _read(args, "state")
+    (sigma, _), sigma_payload = _read(args, "sigma")
+    result = dv.renyi_relative_entropy(DensityMatrix(*state), sigma, args.alpha)
+    value = result.value if args.units == "nats" else result.value / _LN2
+    record = {"value": value, "units": args.units, "alpha": args.alpha,
               "equality_case": result.equality_case}
-    _emit(args, "divergence", record, {"state": rho_payload, "sigma": sigma_payload})
+    _emit(args, "divergence", record, {"state": state_payload, "sigma": sigma_payload})
     return 0
 
 
-def _optimized(args, mode: str) -> int:
-    matrix, dims, payload = _load_matrix(args.state)
-    if args.dims:
-        dims = _parse_dims(args.dims)
-    rho = DensityMatrix(matrix, dims=dims)
-    units = args.units or "nats"
-    if mode == "conditional":
-        value, outcome = dv.conditional_entropy(rho, args.alpha)
-    else:
-        value, outcome = dv.mutual_information(rho, args.alpha)
-    if units == "bits":
+def _optimized(args, mode: str, quantity) -> int:
+    state, payload = _read(args, "state")
+    rho = DensityMatrix(*state)
+    value, outcome = quantity(rho, args.alpha)
+    if args.units == "bits":
         value /= _LN2
-    record = {"value": value, "units": units, "alpha": args.alpha,
+    record = {"value": value, "units": args.units, "alpha": args.alpha,
               "sigma_b": outcome.optimizer_sigma.matrix}
     _emit(args, mode, record, {"state": payload, "dims": list(rho.dims)})
     return 0
@@ -198,18 +189,12 @@ def _cmd_bounds(args) -> int:
             return 2
     inputs, echo = {}, {}
     for (name, kind), flag in zip(suite.inputs.items(), flags):
-        value = getattr(args, flag)
-        if kind == harness.MATRIX:
-            matrix, dims, value = _load_matrix(value)
-            if name == "rho" and args.dims:
-                dims = _parse_dims(args.dims)
-                echo["dims"] = list(dims)
-            inputs[name] = (matrix, dims)
-        elif kind == harness.DISTRIBUTION:
-            inputs[name], value = _load_distribution(value)
+        if kind == harness.NUMBER:
+            inputs[name] = echo[flag] = getattr(args, flag)
         else:
-            inputs[name] = value
-        echo[flag] = value
+            inputs[name], echo[flag] = _read(args, flag)
+    if args.dims:
+        echo["dims"] = list(inputs["rho"][1])
     report = suite.check([inputs])[0]
     # the human form flattens the report under "check", its extras sorted
     flat = report.to_dict()
@@ -240,10 +225,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen(args) -> int:
     dim = args.dim
-    if dim > _max_dim():
-        raise FileFormatError(
-            f"dim {dim} exceeds RENYI_MAX_DIM={_max_dim()}", "dim"
-        )
+    _check_dim(dim)
     if args.kind == "density":
         rho = harness.random_density_array(dim, args.seed, rank=args.rank)
         dims = _parse_dims(args.dims) if args.dims else None
@@ -265,6 +247,25 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _read_command(sub, name: str, func, flags, units=None, required=True, **kwargs):
+    """Add one read subcommand: a flag for each input, ``--alpha`` and
+    ``--beta`` floats and every flag but ``--dims`` required (in ``bounds``
+    none is), ``--units`` with the command's default, and ``--json``."""
+    cmd = sub.add_parser(name, **kwargs)
+    for flag in flags:
+        cmd.add_argument(
+            f"--{flag}",
+            type=float if flag in ("alpha", "beta") else str,
+            required=required and flag != "dims",
+            help="dA,dB bipartite split" if flag == "dims" else None,
+        )
+    if units:
+        cmd.add_argument("--units", choices=("bits", "nats"), default=units)
+    cmd.add_argument("--json", action="store_true")
+    cmd.set_defaults(func=func)
+    return cmd
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="renyi",
@@ -274,51 +275,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     entropy = sub.add_parser("entropy", help="entropy of a distribution or state")
     entropy_sub = entropy.add_subparsers(dest="which", required=True)
-    ec = entropy_sub.add_parser("classical")
-    ec.add_argument("--dist", required=True)
-    ec.add_argument("--beta", type=float, required=True)
-    ec.add_argument("--units", choices=("bits", "nats"))
-    ec.add_argument("--json", action="store_true")
-    ec.set_defaults(func=_cmd_entropy)
-    eq = entropy_sub.add_parser("quantum")
-    eq.add_argument("--state", required=True)
-    eq.add_argument("--alpha", type=float, required=True)
-    eq.add_argument("--units", choices=("bits", "nats"))
-    eq.add_argument("--json", action="store_true")
-    eq.set_defaults(func=_cmd_entropy)
-
-    tb = sub.add_parser("type-beta", help="entropy of type beta")
-    tb.add_argument("--dist", required=True)
-    tb.add_argument("--beta", type=float, required=True)
-    tb.add_argument("--json", action="store_true")
-    tb.set_defaults(func=_cmd_type_beta)
-
-    div = sub.add_parser("divergence", help="Renyi relative entropy")
-    div.add_argument("--state", required=True)
-    div.add_argument("--sigma", required=True)
-    div.add_argument("--alpha", type=float, required=True)
-    div.add_argument("--units", choices=("bits", "nats"))
-    div.add_argument("--json", action="store_true")
-    div.set_defaults(func=_cmd_divergence)
-
-    for mode, name in (("conditional", "conditional"), ("mutual", "mutual-info")):
-        cmd = sub.add_parser(name, help=f"optimized {mode} quantity")
-        cmd.add_argument("--state", required=True)
-        cmd.add_argument("--dims", help="dA,dB bipartite split")
-        cmd.add_argument("--alpha", type=float, required=True)
-        cmd.add_argument("--units", choices=("bits", "nats"))
-        cmd.add_argument("--json", action="store_true")
-        cmd.set_defaults(func=lambda args, _m=mode: _optimized(args, _m))
-
-    bounds = sub.add_parser("bounds", help="evaluate one theorem's bound report")
+    _read_command(entropy_sub, "classical", _cmd_entropy, ("dist", "beta"), "bits")
+    _read_command(entropy_sub, "quantum", _cmd_entropy, ("state", "alpha"), "nats")
+    _read_command(sub, "type-beta", _cmd_type_beta, ("dist", "beta"),
+                  help="entropy of type beta")
+    _read_command(sub, "divergence", _cmd_divergence, ("state", "sigma", "alpha"), "nats",
+                  help="Renyi relative entropy")
+    for mode, name, quantity in (("conditional", "conditional", dv.conditional_entropy),
+                                 ("mutual", "mutual-info", dv.mutual_information)):
+        _read_command(sub, name, lambda args, m=mode, q=quantity: _optimized(args, m, q),
+                      ("state", "dims", "alpha"), "nats", help=f"optimized {mode} quantity")
+    bounds = _read_command(sub, "bounds", _cmd_bounds, _BOUNDS_FLAGS, required=False,
+                           help="evaluate one theorem's bound report")
     bounds.add_argument(
         "theorem",
         choices=("lemma2", "lemma3", "lemma4", "t1", "t2_2", "t3", "t3_2", "t4", "t6", "triangle"),
     )
-    for flag in _BOUNDS_FLAGS:
-        bounds.add_argument(f"--{flag}", type=float if flag in ("beta", "alpha") else str)
-    bounds.add_argument("--json", action="store_true")
-    bounds.set_defaults(func=_cmd_bounds)
 
     verify = sub.add_parser("verify", help="run a randomized property suite")
     verify.add_argument("suite", choices=sorted(harness.SUITES))

@@ -91,10 +91,13 @@ def dump_payload(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def load_payload(text: str) -> dict:
+def load_payload(data: bytes | str) -> dict:
+    """Parse UTF-8 bytes or text.  Bytes that are not UTF-8, an integer past
+    Python's digit limit (ValueErrors, as invalid JSON is) and JSON nested past
+    the recursion limit are each a FileFormatError with no field."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
         raise FileFormatError(f"invalid JSON: {exc}", "") from exc
     if not isinstance(obj, dict):
         raise FileFormatError("top-level value must be an object", "")

@@ -86,6 +86,14 @@ def cli_commands(directory: str) -> dict[str, list[str]]:
         name = "bipartite" if "--dims" in argv else argv[0]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["gen", *argv, "--out", path(name)]) == 0
+    # files the reader cannot decode or parse, as the CI step writes them
+    for name, data in (
+        ("not-utf8", b'{"p": [\xff]}\n'),
+        ("deep", b"[" * 100_000 + b"\n"),
+        ("long-int", b'{"dim": 1' + b"0" * 4300 + b"}\n"),
+    ):
+        with open(path(name), "wb") as fh:
+            fh.write(data)
     simplex = ["--dist", path("simplex")]
     pair = ["--state", path("density"), "--sigma", path("pd")]
     bipartite = ["--state", path("bipartite")]
@@ -102,6 +110,10 @@ def cli_commands(directory: str) -> dict[str, list[str]]:
         "bounds-lemma3": ["bounds", "lemma3", "--a", path("density"), "--b", path("pd"), "--json"],
         "bounds-t6-dims": ["bounds", "t6", *bipartite, "--dims", "2,2", "--alpha", "2", "--json"],
         "bounds-t3-dims": ["bounds", "t3", *bipartite, "--dims", "2,2", "--alpha", "2", "--json"],
+        "not-utf8": ["entropy", "classical", "--dist", path("not-utf8"), "--beta", "2"],
+        "deep": ["entropy", "quantum", "--state", path("deep"), "--alpha", "2"],
+        "long-int": ["divergence", "--state", path("long-int"), "--sigma", path("pd"),
+                     "--alpha", "2"],
     }
     for alpha in ("0.5", "2"):
         for theorem in ("t3", "t3_2"):

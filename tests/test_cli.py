@@ -297,14 +297,25 @@ class TestBounds:
 
 
 # default stdout, byte for byte, on inputs whose printed values are exact:
-# u2 = (1/2, 1/2), mm4 = I/4, bell = |Phi+><Phi+|, and diag(1/2, 1/2) against
-# diag(1/4, 3/4) (ln 4/3)
+# u2 = (1/2, 1/2), mm4 = I/4, bell = |Phi+><Phi+|, diag(1/2, 1/2) against
+# diag(1/4, 3/4) (ln 4/3), and the untagged diag(3/8, 1/8, 1/8, 3/8), which
+# t6 reads only through --dims; each command's --units default is pinned too
 PINNED_STDOUT = {
     "entropy classical --dist u2 --beta 2": "value 1\nunits bits\nbeta 2\n",
+    "entropy classical --dist u2 --beta 2 --units nats": (
+        "value 0.69314718056\nunits nats\nbeta 2\n"
+    ),
     "entropy quantum --state mm4 --alpha 2": "value 1.38629436112\nunits nats\nalpha 2\n",
     "type-beta --dist u2 --beta 2": "value 1\nbeta 2\nunits type-beta\n",
     "divergence --state half --sigma quarter --alpha 2": (
         "value 0.287682072452\nunits nats\nalpha 2\nequality_case False\n"
+    ),
+    "divergence --state half --sigma quarter --alpha 2 --units bits": (
+        "value 0.415037499279\nunits bits\nalpha 2\nequality_case False\n"
+    ),
+    "conditional --state bell --alpha 2": (
+        "value -0.69314718056\nunits nats\nalpha 2\n"
+        "sigma_b\n  0.5+0j  0+0j\n  0+0j  0.5+0j\n"
     ),
     "mutual-info --state bell --alpha 2": (
         "value 1.38629436112\nunits nats\nalpha 2\n"
@@ -319,6 +330,11 @@ PINNED_STDOUT = {
         "check t4\nlhs 0\nrhs 0\ngap 0\npassed True\nequality True\n"
         "tolerance 1e-08\nbound 0\ndivergence 0\nslack_t4 0\n"
     ),
+    "bounds t6 --state corr --dims 2,2 --alpha 2": (
+        "check t6\nlhs -0.287682072452\nrhs 0.223143551314\ngap 0.417633419411\n"
+        "passed True\nequality False\ntolerance 1e-08\nbound -0.287682072452\n"
+        "mutual_information 0.223143551314\nslack_t6 0.417633419411\n"
+    ),
 }
 
 
@@ -331,6 +347,7 @@ def test_default_stdout_bytes(capsys, tmp_path, u2, mm4, command):
         "bell": write_matrix(tmp_path / "bell.json", bell, dims=(2, 2)),
         "half": write_matrix(tmp_path / "half.json", np.diag([0.5, 0.5])),
         "quarter": write_matrix(tmp_path / "quarter.json", np.diag([0.25, 0.75])),
+        "corr": write_matrix(tmp_path / "corr.json", np.diag([0.375, 0.125, 0.125, 0.375])),
     }
     argv = [files.get(word, word) for word in command.split()]
     assert run(capsys, argv) == (0, PINNED_STDOUT[command], "")
@@ -511,6 +528,34 @@ class TestErrorHandling:
         assert code == 1
         assert "RENYI_MAX_DIM" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "divergence --state {ok} --sigma {big} --alpha 2",
+            "bounds lemma3 --a {big} --b {ok}",
+            "bounds lemma3 --a {ok} --b {big}",
+            "bounds t3 --state {big} --alpha 2",
+            "gen density --dim 4 --seed 1 --out {out}",
+        ],
+    )
+    def test_max_dim_caps_every_matrix_flag_and_gen(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.setenv("RENYI_MAX_DIM", "3")
+        files = {
+            "ok": write_matrix(tmp_path / "ok.json", np.eye(2) / 2),
+            "big": write_matrix(tmp_path / "big.json", np.eye(4) / 4),
+            "out": str(tmp_path / "out.json"),
+        }
+        code, out, err = run(capsys, command.format(**files).split())
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "code": "FileFormatError",
+            "message": "dim 4 exceeds RENYI_MAX_DIM=3",
+            "offending_field": "dim",
+        }
+        assert not (tmp_path / "out.json").exists()
+
     def test_beta_one_maps_to_error_object(self, capsys, u2):
         code, _, err = run(capsys, ["type-beta", "--dist", u2, "--beta", "1.0"])
         assert code == 1
@@ -688,6 +733,46 @@ def test_numbers_outside_the_rule_are_one_file_format_error(capsys, tmp_path, na
     assert len(lines) == 1
     error = json.loads(lines[0])
     assert (error["code"], error["offending_field"]) == ("FileFormatError", field)
+
+
+# files the reader cannot decode or parse: bytes that are not UTF-8, arrays
+# nested past the recursion limit, and an integer of 4,301 digits, past
+# Python's int-to-str limit; each used to end in a traceback
+MALFORMED_FILES = {
+    "not-utf8": b'{"p": [\xff]}',
+    "deep": b"[" * 100_000,
+    "long-int": b'{"dim": 1' + b"0" * 4300 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", ["entropy quantum --state", "entropy classical --dist"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_files_are_one_file_format_error(capsys, tmp_path, name, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED_FILES[name])
+    order = "--beta" if "--dist" in command else "--alpha"
+    code, out, err = run(capsys, [*command.split(), str(path), order, "2"])
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert (error["code"], error["offending_field"]) == ("FileFormatError", "")
+
+
+def test_declared_dim_is_capped_before_any_allocation(capsys, tmp_path, monkeypatch):
+    # 3 MB declaring a 10^6 x 10^6 matrix (14.6 TiB of complex128), with 10^6
+    # empty rows so the row count matches the declared dim
+    monkeypatch.delenv("RENYI_MAX_DIM", raising=False)
+    path = tmp_path / "huge.json"
+    text = '{"dim": 1000000, "matrix": [' + ",".join(["[]"] * 10**6) + "]}"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["entropy", "quantum", "--state", str(path), "--alpha", "2"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "code": "FileFormatError",
+        "message": "dim 1000000 exceeds RENYI_MAX_DIM=64",
+        "offending_field": "dim",
+    }
 
 
 # the Sibson commands on I/4, and where each --json report carries the value,
