@@ -37,7 +37,7 @@ from .fileformat import (
     matrix_payload,
 )
 from .linalg import _LN2, CHAIN_TOL, EQ_TOL, HERM_TOL, PSD_TOL, ZERO_THRESHOLD
-from .quantum import DensityMatrix, quantum_renyi_entropy
+from .quantum import DensityMatrix, _renyi_entropy
 
 # the flag that names each suite input, where the two differ
 _FLAGS = {"rho": "state", "p": "dist"}
@@ -137,7 +137,7 @@ def _cmd_entropy(args) -> int:
         inputs = {"dist": payload}
     else:
         state, payload = _read(args, "state")
-        value = quantum_renyi_entropy(DensityMatrix(*state), args.alpha, units=args.units).value
+        value = _renyi_entropy(harness._spectra(*state), args.alpha, args.units).value
         record = {"value": value, "units": args.units, "alpha": args.alpha}
         inputs = {"state": payload}
     _emit(args, f"entropy {args.which}", record, inputs)

@@ -61,10 +61,12 @@ def matrix_from_payload(obj) -> tuple[np.ndarray, tuple[int, int] | None]:
     rows = obj.get("matrix")
     if not isinstance(rows, list) or len(rows) != dim:
         raise FileFormatError(f"matrix must be a list of {dim} rows", "matrix")
-    out = np.empty((dim, dim), dtype=np.complex128)
+    # every row's shape before the dim x dim array is allocated
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise FileFormatError(f"row {i} must have {dim} entries", "matrix")
+    out = np.empty((dim, dim), dtype=np.complex128)
+    for i, row in enumerate(rows):
         for j, pair in enumerate(row):
             if not isinstance(pair, list) or len(pair) != 2 or not all(map(_number, pair)):
                 raise FileFormatError(

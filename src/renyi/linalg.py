@@ -3,11 +3,11 @@
 Two eigensolvers, by what the caller reads.  ``spectral_decompose``, for
 every consumer of eigenvectors (fractional powers, density matrices, the
 divergences), is a cyclic Jacobi iteration for complex Hermitian matrices.
-``spectral_values``, for the checks that read a spectrum alone (the lemma
-checks, ``log_det``, ``classify_definiteness``, and the t3 and t3_2 suites,
-so ``bounds t3|t3_2``), is one LAPACK ``eigvalsh`` call.  Matrices are
-plain ``complex128`` ndarrays; validation happens at the operation
-boundary.
+``spectral_values``, for the readers of a spectrum alone (the lemma checks,
+``log_det``, ``classify_definiteness``, the t3 and t3_2 suites, so ``bounds
+t3|t3_2``, and ``entropy quantum``), is one LAPACK ``eigvalsh`` call.
+Matrices are plain ``complex128`` ndarrays; validation happens at the
+operation boundary.
 
 The validation and spectral layer takes a leading stack axis:
 ``as_hermitian``, ``spectral_values`` and ``spectral_decompose`` accept an
@@ -292,11 +292,11 @@ def spectral_values(matrix) -> tuple[np.ndarray, np.ndarray]:
     """The validated Hermitian matrix and its ascending spectrum; for a
     stack, the validated stack and one spectrum per matrix along it.
 
-    For the checks that read eigenvalues alone: one LAPACK ``eigvalsh`` call
-    on the validated matrix or stack, with no eigenvectors formed.  LAPACK
-    scales a matrix whose norm leaves its safe range, so the spectrum is
-    resolved at every scale, and each row of a stacked result has the bits
-    of that matrix's own call.
+    For the readers of eigenvalues alone, the spectrum-only checks and
+    ``entropy quantum``: one LAPACK ``eigvalsh`` call on the validated matrix
+    or stack, with no eigenvectors formed.  LAPACK scales a matrix whose norm
+    leaves its safe range, so the spectrum is resolved at every scale, and
+    each row of a stacked result has the bits of that matrix's own call.
     """
     a = as_hermitian(matrix)
     return a, np.linalg.eigvalsh(a)

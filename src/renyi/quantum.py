@@ -3,7 +3,10 @@
 Entropies are always computed from the (clipped) eigenvalue spectrum, never
 from an explicitly powered matrix, by ``linalg.spectral_entropy``, the
 package's one Renyi entropy kernel, and default to natural log;
-``units="bits"`` rescales by 1/ln 2.  Orders go through
+``units="bits"`` rescales by 1/ln 2.  ``_renyi_entropy`` is the one quantum
+entropy kernel on a spectrum: ``quantum_renyi_entropy`` is it on
+``rho.eigenvalues``, and ``entropy quantum`` it on ``_density_values``, so
+that command forms no eigenvectors.  Orders go through
 ``linalg.check_order``: alpha > 0, with alpha = 1 the kernel's von Neumann
 limit for the entropy and ``log_dim_cap``; ``t3_bound`` excludes the band
 around 1.  Each bound reads a state's spectrum alone, so its kernel takes a
@@ -170,13 +173,17 @@ def von_neumann_entropy(rho: DensityMatrix, units: str = "nats") -> float:
 def quantum_renyi_entropy(
     rho: DensityMatrix, alpha: float, units: str = "nats"
 ) -> EntropyValue:
-    """``H_alpha(rho) = (1-alpha)^(-1) log tr rho^alpha`` from the spectrum.
+    """``H_alpha(rho) = (1-alpha)^(-1) log tr rho^alpha``, the von Neumann
+    limit at ``alpha = 1``: ``_renyi_entropy`` on ``rho.eigenvalues``."""
+    return _renyi_entropy(rho.eigenvalues, alpha, units)
 
-    ``alpha = 1`` returns the von Neumann limit.
-    """
+
+def _renyi_entropy(w: np.ndarray, alpha: float, units: str) -> EntropyValue:
+    """The one quantum Renyi entropy kernel, on a state's clipped spectrum
+    ``w`` (``rho.eigenvalues``, or ``_density_values`` without eigenvectors)."""
     scale = _unit_scale(units)
     alpha = float(check_order(alpha, "alpha", one=True))
-    return EntropyValue(float(spectral_entropy(rho.eigenvalues, alpha)) * scale, units, alpha)
+    return EntropyValue(float(spectral_entropy(w, alpha)) * scale, units, alpha)
 
 
 def _log_dim_cap(w: np.ndarray, alpha) -> Verdict:

@@ -115,6 +115,10 @@ def cli_commands(directory: str) -> dict[str, list[str]]:
         "long-int": ["divergence", "--state", path("long-int"), "--sigma", path("pd"),
                      "--alpha", "2"],
     }
+    for alpha in ("0.5", "1e5"):
+        commands[f"entropy-quantum-{alpha}"] = [
+            "entropy", "quantum", "--state", path("density"), "--alpha", alpha, "--json"
+        ]
     for alpha in ("0.5", "2"):
         for theorem in ("t3", "t3_2"):
             commands[f"bounds-{theorem}-{alpha}"] = [

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from renyi import linalg
 from renyi.cli import main
 from renyi.exceptions import RenyiError
 from renyi.fileformat import (
@@ -19,9 +20,10 @@ from renyi.fileformat import (
     matrix_from_payload,
     matrix_payload,
 )
-from renyi.harness import SUITES, derive_rng
+from renyi.harness import SUITES, derive_rng, random_density_array
+from renyi.quantum import DensityMatrix, quantum_renyi_entropy
 
-from test_harness import _count_calls
+from test_harness import _SPECTRAL, _count_calls
 
 
 def write_dist(path, p):
@@ -159,6 +161,40 @@ class TestEntropyCommands:
         code, out, _ = run(capsys, ["type-beta", "--dist", u2, "--beta", "0.5"])
         assert code == 0
         assert out.splitlines()[0] == "value 1"
+
+
+# the states `entropy quantum` is checked on: full rank, rank deficient
+# (5 zero eigenvalues), 1x1 and the largest dimension the reader admits
+QUANTUM_ENTROPY_STATES = {
+    "full-8": lambda: random_density_array(8, 3),
+    "rank-3-of-8": lambda: random_density_array(8, 5, rank=3),
+    "one-by-one": lambda: np.ones((1, 1)),
+    "full-64": lambda: random_density_array(64, 3),
+}
+
+
+class TestQuantumEntropyFromTheSpectrum:
+    """`entropy quantum` reads the state's spectrum alone, by eigvalsh."""
+
+    def test_no_eigenvectors_are_formed(self, capsys, monkeypatch, mm4):
+        counts = _count_calls(monkeypatch, linalg, _SPECTRAL)
+        code, _, _ = run(capsys, ["entropy", "quantum", "--state", mm4, "--alpha", "2"])
+        assert (code, counts) == (
+            0, {"spectral_decompose": 0, "spectral_values": 1, "as_hermitian": 1}
+        )
+
+    @pytest.mark.parametrize("name", sorted(QUANTUM_ENTROPY_STATES))
+    def test_value_is_the_library_entropy(self, capsys, tmp_path, name):
+        matrix = QUANTUM_ENTROPY_STATES[name]()
+        state = write_matrix(tmp_path / "rho.json", matrix)
+        rho = DensityMatrix(matrix)
+        for alpha in (0.3, 0.5, 1.0, 2.0, 10.0, 1000.0):
+            code, out, _ = run(
+                capsys, ["entropy", "quantum", "--state", state, "--alpha", str(alpha), "--json"]
+            )
+            want = quantum_renyi_entropy(rho, alpha).value
+            assert code == 0
+            assert abs(json.loads(out)["value"] - want) <= 1e-12 * max(1.0, abs(want)), alpha
 
 
 class TestDivergenceCommands:

@@ -336,6 +336,21 @@ class TestRunSuite:
             replay(name, inputs)
         assert info.value.offending_field == field
 
+    def test_replay_checks_every_row_before_allocating(self, monkeypatch):
+        # a declared dim of 10**6 with 10**6 empty rows is 8 MB of references;
+        # its 10**6 x 10**6 array would be 14.6 TiB, and none is requested
+        empty = np.empty
+
+        def guarded(shape, *args, **kwargs):
+            assert np.prod(shape) <= 10**6, f"np.empty{shape}"
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", guarded)
+        with pytest.raises(FileFormatError) as info:
+            replay("lemma4", {"a": {"dim": 10**6, "matrix": [[]] * 10**6}})
+        assert info.value.offending_field == "matrix"
+        assert str(info.value) == "row 0 must have 1000000 entries"
+
     def test_negative_trials_rejected(self):
         with pytest.raises(BadTrials):
             run_suite("t4", -1, seed=1)
