@@ -107,7 +107,10 @@ def cli_commands(directory: str) -> dict[str, list[str]]:
         "type-beta": ["type-beta", *simplex, "--beta", "0.5", "--json"],
         "beta-0": ["entropy", "classical", *simplex, "--beta", "0"],
         "alpha-1": ["divergence", *pair, "--alpha", "1"],
+        "bounds-lemma2": ["bounds", "lemma2", "--a", path("density"), "--b", path("pd"), "--json"],
         "bounds-lemma3": ["bounds", "lemma3", "--a", path("density"), "--b", path("pd"), "--json"],
+        "bounds-lemma4": ["bounds", "lemma4", "--a", path("pd"), "--json"],
+        "bounds-t2_2-0.5": ["bounds", "t2_2", *simplex, "--beta", "0.5", "--json"],
         "bounds-t6-dims": ["bounds", "t6", *bipartite, "--dims", "2,2", "--alpha", "2", "--json"],
         "bounds-t3-dims": ["bounds", "t3", *bipartite, "--dims", "2,2", "--alpha", "2", "--json"],
         "not-utf8": ["entropy", "classical", "--dist", path("not-utf8"), "--beta", "2"],
@@ -115,6 +118,8 @@ def cli_commands(directory: str) -> dict[str, list[str]]:
         "long-int": ["divergence", "--state", path("long-int"), "--sigma", path("pd"),
                      "--alpha", "2"],
     }
+    for beta in ("0.5", "2"):
+        commands[f"bounds-t1-{beta}"] = ["bounds", "t1", *simplex, "--beta", beta, "--json"]
     for alpha in ("0.5", "1e5"):
         commands[f"entropy-quantum-{alpha}"] = [
             "entropy", "quantum", "--state", path("density"), "--alpha", alpha, "--json"
