@@ -12,7 +12,7 @@ any row is parsed.  A file that does not decode or parse is a FileFormatError.
 Exit codes: 0 success, 1 computation/validation error (machine-readable error
 object on stderr; a reader that closes stdout early, as ``| head`` does, is an
 ``IoError``), 2 usage error (for ``bounds`` also a missing input flag, or a
-given one its theorem does not read).
+given one its theorem does not read; for ``gen`` a flag its kind does not read).
 """
 
 from __future__ import annotations
@@ -300,15 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     gen = sub.add_parser("gen", help="generate a random instance file")
-    gen.add_argument("kind", choices=("density", "pd", "simplex"))
-    gen.add_argument("--dim", type=int, required=True)
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--out", required=True)
-    gen.add_argument("--rank", type=int)
-    gen.add_argument("--zeros", type=int, default=0)
-    gen.add_argument("--cap", type=float, default=100.0)
-    gen.add_argument("--dims")
     gen.set_defaults(func=_cmd_gen)
+    # each kind takes only the flags it reads
+    kinds = gen.add_subparsers(dest="kind", required=True)
+    density, pd, simplex = (kinds.add_parser(kind) for kind in ("density", "pd", "simplex"))
+    for cmd in (density, pd, simplex):
+        cmd.add_argument("--dim", type=int, required=True)
+        cmd.add_argument("--seed", type=int, required=True)
+        cmd.add_argument("--out", required=True)
+    density.add_argument("--rank", type=int)
+    density.add_argument("--dims")
+    pd.add_argument("--cap", type=float, default=100.0)
+    simplex.add_argument("--zeros", type=int, default=0)
 
     return parser
 

@@ -11,16 +11,18 @@ scalars in one call (``uniform(0, h)`` is ``h * random()``).
 
 Each suite knows how to generate one trial's inputs as arrays, and its check
 is a kernel over a block of trials that returns a
-:class:`~renyi.report.Verdict`: one gap, one equality flag and one failure
-tolerance per trial, as arrays.  :func:`run_suite` reduces those arrays to
-the maximum violation, the failure mask and the equality counts, and builds
-a trial's :class:`~renyi.report.BoundReport` only when the trial fails.
+:class:`~renyi.report.Verdict`: one array per report field and per extra,
+one entry per trial.  :func:`run_suite` reduces its gap, equality and
+tolerance arrays to the maximum violation, the failure mask and the
+equality counts, and builds a trial's :class:`~renyi.report.BoundReport`
+(indexing the verdict) only when the trial fails.
 The classical checks evaluate each formula once on a block's zero-padded
 stack and take their verdict from :func:`renyi.report.chain` or
 :func:`renyi.report.identities`.  Every other suite is a kernel suite: it
 groups a block by the shapes of its matrices and distributions (and by the
 dims tag of a state), runs its kernel once per group and joins the groups'
-verdicts back in trial order.  lemma2, lemma3, lemma4, t3, t3_2, t4, t6 and
+verdicts: each array and each extra concatenated, then put back in trial
+order.  lemma2, lemma3, lemma4, t3, t3_2, t4, t6 and
 triangle run their library bound's kernel, whose verdict the public bound
 reads as row 0, on each matrix operand as one stack.  A state is built by
 what its kernel reads, validated as one stack: a ``DensityMatrix``
@@ -432,20 +434,13 @@ def _diag_oracle(p, q, alpha) -> Verdict:
         d_classical[k] = math.log((terms * y ** (1.0 - a))[x > 0.0].sum()) / (a - 1.0)
     # the smaller gap by Python's min rule, as chain_gap takes it
     gap = chain_gap([identity_gap(h_quantum, h_classical), identity_gap(d_quantum, d_classical)])
-    tolerance = 1e-10
+    diffs = {
+        "entropy_diff": np.abs(h_quantum - h_classical),
+        "divergence_diff": np.abs(d_quantum - d_classical),
+    }
+    tolerance = np.full(len(gap), 1e-10)
     equality = gap >= -tolerance
-
-    def report(i: int) -> BoundReport:
-        diffs = {
-            "entropy_diff": float(abs(h_quantum[i] - h_classical[i])),
-            "divergence_diff": float(abs(d_quantum[i] - d_classical[i])),
-        }
-        return BoundReport(
-            "diag_oracle", float(h_quantum[i]), float(h_classical[i]), float(gap[i]),
-            bool(equality[i]), tolerance, diffs,
-        )
-
-    return Verdict(gap, equality, np.full(len(gap), tolerance), report)
+    return Verdict("diag_oracle", h_quantum, h_classical, gap, equality, tolerance, diffs)
 
 
 @dataclass(frozen=True)
@@ -480,19 +475,19 @@ class Suite:
 
 def _joined(verdicts: list[Verdict], groups: list[list[int]]) -> Verdict:
     """The verdict of a batch from its groups' verdicts, row ``j`` of group
-    ``g`` being trial ``groups[g][j]``: the arrays back in trial order, and
-    a trial's report its group's report of its row."""
-    rows = {i: (v, j) for v, group in zip(verdicts, groups) for j, i in enumerate(group)}
+    ``g`` being trial ``groups[g][j]``: each array, and each extra, the
+    groups' arrays joined and put back in trial order."""
     at = np.argsort(np.concatenate(groups), kind="stable")
 
-    def join(field: str) -> np.ndarray:
-        return np.concatenate([getattr(v, field) for v in verdicts])[at]
+    def join(arrays: list) -> np.ndarray:
+        return np.concatenate(arrays)[at]
 
-    def report(i: int) -> BoundReport:
-        verdict, j = rows[i]
-        return verdict.report(j)
-
-    return Verdict(join("gap"), join("equality"), join("tolerance"), report)
+    fields = ("lhs", "rhs", "gap", "equality", "tolerance")
+    return Verdict(
+        verdicts[0].name,
+        *(join([getattr(v, name) for v in verdicts]) for name in fields),
+        {key: join([v.extras[key] for v in verdicts]) for key in verdicts[0].extras},
+    )
 
 
 def _states(stack: np.ndarray, dims):

@@ -380,11 +380,6 @@ def power_spectrum(w: np.ndarray, r) -> np.ndarray:
     return w
 
 
-def spectral_power(dec: SpectralDecomposition, r: float) -> np.ndarray:
-    """``A^r`` under the ``power_spectrum`` rule, from A's decomposition."""
-    return recombine(dec.eigenvectors, power_spectrum(dec.eigenvalues, r))
-
-
 # ln 2: the kernel's nats over it are bits
 _LN2 = math.log(2.0)
 
@@ -476,9 +471,9 @@ def petz_divergence(p: np.ndarray, q: np.ndarray, overlap: np.ndarray, alpha):
 
 
 def matrix_power(matrix, r: float) -> np.ndarray:
-    """Spectral power ``A^r`` of a PSD matrix (PD required when ``r < 0``).
-
-    Unlike ``spectral_power``, ``A^0`` is the identity even off the support.
+    """Spectral power ``A^r`` of a PSD matrix (PD required when ``r < 0``):
+    ``power_spectrum``'s ``w^r`` on the support and 0 off it, except that
+    ``A^0`` is the identity even off the support.
     """
     dec = psd_decompose(_single(matrix), "matrix")
     w = dec.eigenvalues
@@ -488,7 +483,7 @@ def matrix_power(matrix, r: float) -> np.ndarray:
         )
     if r == 0.0:
         return np.eye(w.size, dtype=np.complex128)
-    return spectral_power(dec, r)
+    return recombine(dec.eigenvectors, power_spectrum(w, r))
 
 
 def log_det(matrix) -> float:

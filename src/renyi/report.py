@@ -12,8 +12,9 @@ passes when its gap is at least ``-CHAIN_TOL``, and is tight when some part's
 slack is within ``EQ_TOL`` of zero, unless the check supplies a structural
 equality test of its own.  Every check is stacked, one row per checked
 instance: :func:`chain` and :func:`identities` apply the rules to arrays and
-return a :class:`Verdict`, whose gap, equality and tolerance arrays a suite
-reads for a whole block, and which builds a row's report only when asked.
+return a :class:`Verdict`, plain data that holds one array per report field
+and per extra.  A suite reads its arrays for a whole block; indexing it is
+the one place a row's report is built, and only for the rows asked for.
 A bound's kernel returns that verdict, and a public bound is its kernel on
 a stack of one, reported as row 0.
 """
@@ -21,7 +22,6 @@ a stack of one, reported as row 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -91,15 +91,18 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Stacked checks, one row per instance: ``gap``, ``equality`` and
-    ``tolerance`` arrays, and ``report(i)``, which builds row ``i``'s
-    :class:`BoundReport`.  Indexing builds that report, so ``verdict[0]``
-    is the report of a check on a stack of one."""
+    """Stacked checks, one row per instance: the ``lhs``, ``rhs``, ``gap``,
+    ``equality`` and ``tolerance`` arrays, and ``extras``, a dict of arrays.
+    Indexing builds row ``i``'s :class:`BoundReport`, so ``verdict[0]`` is
+    the report of a check on a stack of one."""
 
+    name: str
+    lhs: np.ndarray
+    rhs: np.ndarray
     gap: np.ndarray
     equality: np.ndarray
     tolerance: np.ndarray
-    report: Callable[[int], BoundReport]
+    extras: dict = field(default_factory=dict)
 
     @property
     def violation(self) -> np.ndarray:
@@ -111,7 +114,13 @@ class Verdict:
         return len(self.gap)
 
     def __getitem__(self, i: int) -> BoundReport:
-        return self.report(i)
+        """Row ``i``'s report, every entry as its Python scalar (an integer
+        extra stays an int)."""
+        return BoundReport(
+            self.name, self.lhs[i].item(), self.rhs[i].item(), self.gap[i].item(),
+            bool(self.equality[i]), self.tolerance[i].item(),
+            {key: value[i].item() for key, value in self.extras.items()},
+        )
 
 
 def chain(name: str, parts: list, extras: dict, equality=None) -> Verdict:
@@ -119,26 +128,17 @@ def chain(name: str, parts: list, extras: dict, equality=None) -> Verdict:
 
     ``parts`` are ``(label, lhs, rhs)`` and ``extras`` map names to values,
     each an array with one entry per row; ``equality`` is the check's own
-    structural test per row, or None for the slack rule.  A row's report
-    spans the chain (first part's lhs to last part's rhs) and carries its
-    extras and then each part's slack as ``slack_<label>``, every entry as
-    its Python scalar (an integer extra stays an int).
+    structural test per row, or None for the slack rule.  The verdict spans
+    the chain (first part's lhs to last part's rhs) and carries the extras
+    and then each part's slack as ``slack_<label>``.
     """
     slacks = [normalized_slack(lo, hi) for _, lo, hi in parts]
     gap = chain_gap(slacks)
     if equality is None:
         equality = chain_tight(slacks)
-
-    def report(i: int) -> BoundReport:
-        out = {key: value[i].item() for key, value in extras.items()}
-        for (label, _, _), slack in zip(parts, slacks):
-            out[f"slack_{label}"] = slack[i].item()
-        return BoundReport(
-            name, parts[0][1][i].item(), parts[-1][2][i].item(), gap[i].item(),
-            bool(equality[i]), CHAIN_TOL, out,
-        )
-
-    return Verdict(gap, equality, np.full(len(gap), CHAIN_TOL), report)
+    extras = {**extras, **{f"slack_{label}": s for (label, _, _), s in zip(parts, slacks)}}
+    tolerance = np.full(len(gap), CHAIN_TOL)
+    return Verdict(name, parts[0][1], parts[-1][2], gap, equality, tolerance, extras)
 
 
 def identities(
@@ -147,12 +147,4 @@ def identities(
     """Stacked identities ``value == expected``, each equal when its gap is
     at least ``-tolerance``."""
     gap = identity_gap(value, expected)
-    equality = gap >= -tolerance
-
-    def report(i: int) -> BoundReport:
-        return BoundReport(
-            name, value[i].item(), expected[i].item(), gap[i].item(),
-            bool(equality[i]), tolerance,
-        )
-
-    return Verdict(gap, equality, np.full(len(gap), tolerance), report)
+    return Verdict(name, value, expected, gap, gap >= -tolerance, np.full(len(gap), tolerance))

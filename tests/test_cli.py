@@ -555,6 +555,25 @@ class TestErrorHandling:
         assert main(["entropy", "classical", "--beta", "2"]) == 2
         assert main(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize(
+        "kind,flag,value",
+        [
+            ("pd", "--dims", "2,2"),
+            ("simplex", "--dims", "2,2"),
+            ("pd", "--rank", "2"),
+            ("simplex", "--rank", "2"),
+            ("density", "--zeros", "1"),
+            ("pd", "--zeros", "1"),
+            ("density", "--cap", "10"),
+            ("simplex", "--cap", "10"),
+        ],
+    )
+    def test_gen_rejects_a_flag_its_kind_does_not_read(self, capsys, tmp_path, kind, flag, value):
+        out = tmp_path / "out.json"
+        argv = ["gen", kind, "--dim", "4", "--seed", "1", "--out", str(out), flag, value]
+        assert main(argv) == 2
+        assert not out.exists()
+
     def test_max_dim_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("RENYI_MAX_DIM", "3")
         state = write_matrix(tmp_path / "mm4.json", np.eye(4) / 4)

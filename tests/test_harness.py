@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -212,7 +213,7 @@ class TestRunSuite:
         def record(batch):
             seen.extend(batch)
             zeros = np.zeros(len(batch))
-            return harness.Verdict(zeros, zeros > 0.0, zeros, None)
+            return harness.Verdict("record", zeros, zeros, zeros, zeros > 0.0, zeros)
 
         monkeypatch.setitem(SUITES, name, dataclasses.replace(suite, check=record))
         monkeypatch.setattr(harness, "BLOCK", 64)
@@ -263,6 +264,18 @@ class TestRunSuite:
             report = verdict[i]
             assert json.dumps(report.to_dict()) == json.dumps(alone.to_dict())
             assert _entry(verdict, i) == _fields(report), i
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_verdicts_survive_a_pickle_round_trip(self, name):
+        # a verdict is plain data: arrays and a dict of arrays, no closure,
+        # over a block of several shape groups for the kernel suites
+        suite = SUITES[name]
+        batch = [suite.gen(derive_rng(3, trial), trial) for trial in range(16)]
+        verdict = suite.check(batch)
+        again = pickle.loads(pickle.dumps(verdict))
+        assert len(again) == len(batch)
+        for i in range(len(batch)):
+            assert json.dumps(again[i].to_dict()) == json.dumps(verdict[i].to_dict()), i
 
     def test_trials_are_order_independent_substreams(self):
         # trial k's inputs depend only on (seed, k), not on earlier trials
