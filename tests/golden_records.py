@@ -1,12 +1,19 @@
-"""Golden outputs: what each suite and the CI read commands produce.
+"""Golden outputs, and the one table of the commands they pin.
+
+``commands`` is the table: every ``gen``, ``verify`` and read command that
+``determinism.py`` runs twice, each with its exit code.  No other file lists
+a command.
 
 ``tests/golden/suites.json`` holds, for each of the 13 suites, the record of
 ``run_suite(name, 64, 9, tolerance=-1.0)``: its counts and, for every trial
 (each one fails at a negative tolerance), ``(trial, lhs, rhs, gap, passed,
 equality)``.  ``tests/golden/cli.json`` holds, for each read command of the
-CI determinism step, its exit code and the JSON it prints on stdout or
-stderr.  ``test_golden.py`` compares the tree against these records, floats
-within :data:`REL_TOL` relative and everything else exactly.
+table, its exit code and the JSON it prints on stdout or stderr;
+``cli_records`` runs the table's ``gen`` entries in process for the inputs,
+skips its ``verify`` entries (``suites.json`` pins the suites) and asserts
+each read command's exit code.  ``test_golden.py`` compares the tree against
+these records, floats within :data:`REL_TOL` relative and everything else
+exactly.
 
 Regenerate the records, and print how far each value moved, with::
 
@@ -73,78 +80,121 @@ def _run(argv: list[str]) -> dict:
     }
 
 
-def cli_commands(directory: str) -> dict[str, list[str]]:
-    """The read commands of the CI determinism step, by name, on inputs that
-    ``gen`` writes into ``directory``."""
-    path = lambda name: os.path.join(directory, f"{name}.json")  # noqa: E731
-    for argv in (
-        ["density", "--dim", "8", "--seed", "3"],
-        ["pd", "--dim", "8", "--seed", "4"],
-        ["density", "--dim", "4", "--seed", "3", "--dims", "2,2"],
-        ["simplex", "--dim", "6", "--seed", "5", "--zeros", "2"],
-    ):
-        name = "bipartite" if "--dims" in argv else argv[0]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["gen", *argv, "--out", path(name)]) == 0
-    # files the reader cannot decode or parse, as the CI step writes them
+def write_inputs(directory: str) -> None:
+    """Write the read commands' inputs that ``gen`` does not into ``directory``:
+    files the reader cannot decode or parse."""
     for name, data in (
         ("not-utf8", b'{"p": [\xff]}\n'),
         ("deep", b"[" * 100_000 + b"\n"),
         ("long-int", b'{"dim": 1' + b"0" * 4300 + b"}\n"),
     ):
-        with open(path(name), "wb") as fh:
+        with open(os.path.join(directory, f"{name}.json"), "wb") as fh:
             fh.write(data)
+
+
+def commands(directory: str) -> dict[str, tuple[int, list[str]]]:
+    """Every command of the determinism check, by name: its exit code and its
+    argv, on inputs in ``directory``.  The ``gen`` runs come first and write
+    the inputs that ``write_inputs`` does not; then the ``verify`` runs; then
+    the read commands, whose records ``cli.json`` holds."""
+    path = lambda name: os.path.join(directory, f"{name}.json")  # noqa: E731
+    table = {}
+    for name, argv in (
+        ("density", ["density", "--dim", "8", "--seed", "3"]),
+        ("pd", ["pd", "--dim", "8", "--seed", "4"]),
+        ("bipartite", ["density", "--dim", "4", "--seed", "3", "--dims", "2,2"]),
+        ("simplex", ["simplex", "--dim", "6", "--seed", "5", "--zeros", "2"]),
+    ):
+        table[name] = (0, ["gen", *argv, "--out", path(name)])
+    seed = ["--seed", "9", "--json"]
+    for suite in ("t1", "t2_2", "info_fn_eq", "eq4_roundtrip"):
+        table[suite] = (0, ["verify", suite, "--trials", "500", *seed])
+    for suite in ("lemma2", "lemma3", "lemma4", "t3", "t3_2", "t4", "triangle", "diag_oracle"):
+        table[suite] = (0, ["verify", suite, "--trials", "200", *seed])
+    table["t6"] = (0, ["verify", "t6", "--trials", "40", *seed])
+    # 4 blocks, the last one partial: block and shape-group boundaries
+    table["diag_oracle-882"] = (0, ["verify", "diag_oracle", "--trials", "882", *seed])
+    # 3 blocks, the last one partial, each checked per shape group, so every
+    # kernel suite's verdict join is compared across blocks (t6's blocks each
+    # hold both dims tags of its 6x6 states)
+    for suite in ("t4", "lemma2", "lemma3", "lemma4", "t3", "t3_2", "triangle", "t6"):
+        table[f"{suite}-600"] = (0, ["verify", suite, "--trials", "600", *seed])
     simplex = ["--dist", path("simplex")]
     pair = ["--state", path("density"), "--sigma", path("pd")]
     bipartite = ["--state", path("bipartite")]
-    commands = {
-        "entropy-classical": ["entropy", "classical", *simplex, "--beta", "2", "--json"],
-        "entropy-quantum": ["entropy", "quantum", "--state", path("density"), "--alpha", "2",
-                            "--json"],
-        "entropy-classical-1": ["entropy", "classical", *simplex, "--beta", "1", "--json"],
-        "entropy-quantum-1": ["entropy", "quantum", "--state", path("density"), "--alpha", "1",
-                              "--json"],
-        "type-beta": ["type-beta", *simplex, "--beta", "0.5", "--json"],
-        "beta-0": ["entropy", "classical", *simplex, "--beta", "0"],
-        "alpha-1": ["divergence", *pair, "--alpha", "1"],
-        "bounds-lemma2": ["bounds", "lemma2", "--a", path("density"), "--b", path("pd"), "--json"],
-        "bounds-lemma3": ["bounds", "lemma3", "--a", path("density"), "--b", path("pd"), "--json"],
-        "bounds-lemma4": ["bounds", "lemma4", "--a", path("pd"), "--json"],
-        "bounds-t2_2-0.5": ["bounds", "t2_2", *simplex, "--beta", "0.5", "--json"],
-        "bounds-t6-dims": ["bounds", "t6", *bipartite, "--dims", "2,2", "--alpha", "2", "--json"],
-        "bounds-t3-dims": ["bounds", "t3", *bipartite, "--dims", "2,2", "--alpha", "2", "--json"],
-        "not-utf8": ["entropy", "classical", "--dist", path("not-utf8"), "--beta", "2"],
-        "deep": ["entropy", "quantum", "--state", path("deep"), "--alpha", "2"],
-        "long-int": ["divergence", "--state", path("long-int"), "--sigma", path("pd"),
-                     "--alpha", "2"],
-    }
+    table.update({
+        "entropy-classical": (0, ["entropy", "classical", *simplex, "--beta", "2", "--json"]),
+        "entropy-quantum": (0, ["entropy", "quantum", "--state", path("density"), "--alpha", "2",
+                                "--json"]),
+        # order 1: the Shannon and von Neumann limits
+        "entropy-classical-1": (0, ["entropy", "classical", *simplex, "--beta", "1", "--json"]),
+        "entropy-quantum-1": (0, ["entropy", "quantum", "--state", path("density"), "--alpha",
+                                  "1", "--json"]),
+        "type-beta": (0, ["type-beta", *simplex, "--beta", "0.5", "--json"]),
+        # orders outside their interval
+        "beta-0": (1, ["entropy", "classical", *simplex, "--beta", "0"]),
+        "alpha-1": (1, ["divergence", *pair, "--alpha", "1"]),
+        "bounds-lemma2": (0, ["bounds", "lemma2", "--a", path("density"), "--b", path("pd"),
+                              "--json"]),
+        "bounds-lemma3": (0, ["bounds", "lemma3", "--a", path("density"), "--b", path("pd"),
+                              "--json"]),
+        "bounds-lemma4": (0, ["bounds", "lemma4", "--a", path("pd"), "--json"]),
+        "bounds-t2_2-0.5": (0, ["bounds", "t2_2", *simplex, "--beta", "0.5", "--json"]),
+        "bounds-t6-dims": (0, ["bounds", "t6", *bipartite, "--dims", "2,2", "--alpha", "2",
+                               "--json"]),
+        "bounds-t3-dims": (0, ["bounds", "t3", *bipartite, "--dims", "2,2", "--alpha", "2",
+                               "--json"]),
+        # files the reader cannot decode or parse
+        "not-utf8": (1, ["entropy", "classical", "--dist", path("not-utf8"), "--beta", "2"]),
+        "deep": (1, ["entropy", "quantum", "--state", path("deep"), "--alpha", "2"]),
+        "long-int": (1, ["divergence", "--state", path("long-int"), "--sigma", path("pd"),
+                         "--alpha", "2"]),
+    })
     for beta in ("0.5", "2"):
-        commands[f"bounds-t1-{beta}"] = ["bounds", "t1", *simplex, "--beta", beta, "--json"]
+        table[f"bounds-t1-{beta}"] = (0, ["bounds", "t1", *simplex, "--beta", beta, "--json"])
+    # the entropy from the eigvalsh spectrum, at an ordinary and an extreme order
     for alpha in ("0.5", "1e5"):
-        commands[f"entropy-quantum-{alpha}"] = [
+        table[f"entropy-quantum-{alpha}"] = (0, [
             "entropy", "quantum", "--state", path("density"), "--alpha", alpha, "--json"
-        ]
+        ])
+    # the spectrum-only bounds, on eigvalsh spectra
     for alpha in ("0.5", "2"):
         for theorem in ("t3", "t3_2"):
-            commands[f"bounds-{theorem}-{alpha}"] = [
+            table[f"bounds-{theorem}-{alpha}"] = (0, [
                 "bounds", theorem, "--state", path("density"), "--alpha", alpha, "--json"
-            ]
+            ])
+    # the divergence commands at ordinary and extreme orders
     for alpha in ("2", "1e5", "1e308"):
-        commands[f"divergence-{alpha}"] = ["divergence", *pair, "--alpha", alpha, "--json"]
+        table[f"divergence-{alpha}"] = (0, ["divergence", *pair, "--alpha", alpha, "--json"])
         for theorem in ("t4", "triangle"):
-            commands[f"bounds-{theorem}-{alpha}"] = [
+            table[f"bounds-{theorem}-{alpha}"] = (0, [
                 "bounds", theorem, *pair, "--alpha", alpha, "--json"
-            ]
-    # at 2000 a Gram factor weight underflows: each command is one error object
+            ])
+    # the optimized quantities at ordinary orders and at 10; at 2000 a Gram
+    # factor weight underflows, and each command exits 1 with one error object
     for alpha in ("2", "3", "10", "2000"):
+        code = 1 if alpha == "2000" else 0
         for command in ("conditional", "mutual-info"):
-            commands[f"{command}-{alpha}"] = [command, *bipartite, "--alpha", alpha, "--json"]
-        commands[f"bounds-t6-{alpha}"] = ["bounds", "t6", *bipartite, "--alpha", alpha, "--json"]
-    return commands
+            table[f"{command}-{alpha}"] = (code, [command, *bipartite, "--alpha", alpha, "--json"])
+        table[f"bounds-t6-{alpha}"] = (code, ["bounds", "t6", *bipartite, "--alpha", alpha,
+                                              "--json"])
+    return table
 
 
 def cli_records(directory: str) -> dict:
-    return {name: _run(argv) for name, argv in cli_commands(directory).items()}
+    """The record of each read command of ``commands``, on inputs written into
+    ``directory`` (the ``gen`` runs in process); each exit code must be the
+    table's.  The ``verify`` runs are skipped: ``suites.json`` pins the suites."""
+    write_inputs(directory)
+    records = {}
+    for name, (code, argv) in commands(directory).items():
+        if argv[0] == "gen":
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == code, name
+        elif argv[0] != "verify":
+            records[name] = _run(argv)
+            assert records[name]["code"] == code, (name, records[name])
+    return records
 
 
 def moves(expected, actual, where: str = "") -> tuple[int, float, list[str]]:
