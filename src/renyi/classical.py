@@ -59,7 +59,8 @@ def probability_vector(values) -> np.ndarray:
     if low < -ZERO_THRESHOLD:
         raise InvalidDistribution(f"negative probability {low:.3e}")
     p[p < 0.0] = 0.0
-    total = _row_sum(p)
+    with np.errstate(over="ignore"):  # a sum past the float range is not 1
+        total = _row_sum(p)
     off = np.abs(total - 1.0) > NORM_TOL
     if off.any():
         raise InvalidDistribution(f"probabilities sum to {_first(total, off)!r}, not 1")

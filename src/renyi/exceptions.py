@@ -38,7 +38,7 @@ class DimensionMismatch(RenyiError):
 
 
 class SideOverflow(RenyiError):
-    """A side of a check on finite operands overflows the float range."""
+    """A value from finite operands, a check's side or an eigenvalue, overflows the float range."""
 
 
 # classical entropies

@@ -213,7 +213,9 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         parts = a.view(np.float64)  # the real and imaginary parts, scaled in place
         np.ldexp(parts, -exp, out=parts)
         w, v = _jacobi(a)
-        return np.ldexp(w, exp), v
+        # an eigenvalue past the float range comes back inf, for clip_spectrum
+        with np.errstate(over="ignore"):
+            return np.ldexp(w, exp), v
     fro = math.sqrt(float(np.sum(modulus**2)))
     threshold = _JACOBI_REL_TOL * fro
     if fro == 0.0:
@@ -342,14 +344,17 @@ def classify_definiteness(matrix) -> PsdClass:
 def clip_spectrum(w: np.ndarray, name: str = "matrix") -> np.ndarray:
     """The support rule on the ascending spectrum of the PSD ``name``, or on
     each spectrum along the last axis of a stack: NotPsd if ``w[0] < -PSD_TOL
-    * max(1, w_max)``, else a copy with each ``w_i <= ZERO_THRESHOLD * w_max``
-    set to 0.  A cleaned spectrum passes unchanged."""
+    * max(1, w_max)``, SideOverflow if ``w_max`` is past the float range, else
+    a copy with each ``w_i <= ZERO_THRESHOLD * w_max`` set to 0.  A cleaned
+    spectrum passes unchanged."""
     # the ends of each spectrum: scalars for one, one entry per spectrum of a stack
     w_min, w_max = w.T[0], w.T[-1]
     # w_min < -PSD_TOL * max(1, w_max), without a ufunc on scalars
     low = (w_min < -PSD_TOL) & (w_min < -PSD_TOL * w_max)
     if np.count_nonzero(low):
         raise NotPsd(f"{name} has eigenvalue {np.extract(low, w_min)[0]:.3e}")
+    if np.count_nonzero(~(w_max < np.inf)):
+        raise SideOverflow(f"{name} has an eigenvalue past the float range")
     out = w.copy()
     out.T[out.T <= ZERO_THRESHOLD * w_max] = 0.0
     return out

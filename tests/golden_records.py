@@ -82,11 +82,15 @@ def _run(argv: list[str]) -> dict:
 
 def write_inputs(directory: str) -> None:
     """Write the read commands' inputs that ``gen`` does not into ``directory``:
-    files the reader cannot decode or parse."""
+    files the reader cannot decode or parse, and two whose values overflow."""
     for name, data in (
         ("not-utf8", b'{"p": [\xff]}\n'),
         ("deep", b"[" * 100_000 + b"\n"),
         ("long-int", b'{"dim": 1' + b"0" * 4300 + b"}\n"),
+        # eigenvalues 0 and 2e308, and probabilities that sum to 2e308
+        ("overflow-spectrum", b'{"dim": 2, "matrix": [[[1e308, 0], [1e308, 0]], '
+                              b'[[1e308, 0], [1e308, 0]]]}\n'),
+        ("overflow-sum", b'{"p": [1e308, 1e308]}\n'),
     ):
         with open(os.path.join(directory, f"{name}.json"), "wb") as fh:
             fh.write(data)
@@ -149,6 +153,21 @@ def commands(directory: str) -> dict[str, tuple[int, list[str]]]:
         "deep": (1, ["entropy", "quantum", "--state", path("deep"), "--alpha", "2"]),
         "long-int": (1, ["divergence", "--state", path("long-int"), "--sigma", path("pd"),
                          "--alpha", "2"]),
+        # values past the float range: each command exits 1 with one error object
+        "entropy-quantum-overflow": (1, ["entropy", "quantum", "--state", path("overflow-spectrum"),
+                                         "--alpha", "2", "--json"]),
+        "divergence-state-overflow": (1, ["divergence", "--state", path("overflow-spectrum"),
+                                          "--sigma", path("pd"), "--alpha", "2", "--json"]),
+        "divergence-sigma-overflow": (1, ["divergence", "--state", path("density"), "--sigma",
+                                          path("overflow-spectrum"), "--alpha", "2", "--json"]),
+        "bounds-t4-overflow": (1, ["bounds", "t4", "--state", path("overflow-spectrum"), "--sigma",
+                                   path("pd"), "--alpha", "2", "--json"]),
+        "mutual-info-overflow": (1, ["mutual-info", "--state", path("overflow-spectrum"), "--dims",
+                                     "1,2", "--alpha", "2", "--json"]),
+        "entropy-classical-overflow": (1, ["entropy", "classical", "--dist", path("overflow-sum"),
+                                           "--beta", "2", "--json"]),
+        "bounds-t1-overflow": (1, ["bounds", "t1", "--dist", path("overflow-sum"), "--beta", "2",
+                                   "--json"]),
     })
     for beta in ("0.5", "2"):
         table[f"bounds-t1-{beta}"] = (0, ["bounds", "t1", *simplex, "--beta", beta, "--json"])

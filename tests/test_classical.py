@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,12 @@ class TestProbabilityVector:
     def test_rejects_real_negatives(self):
         with pytest.raises(InvalidDistribution):
             probability_vector([1.1, -0.1])
+
+    def test_rejects_a_sum_past_the_float_range_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDistribution, match="sum to inf"):
+                probability_vector([1e308, 1e308])
 
 
 class TestInfoFunction:

@@ -728,22 +728,33 @@ def test_overflowing_lemma_sides_are_one_error_object(capsys, tmp_path, theorem)
 
 
 # each command on a matrix with entries near the float maximum, and the
-# error it ends in for 1e308 I (whose trace overflows) and for a Hermitian
-# matrix with +-1e308 i off the diagonal (eigenvalues +-1e308)
+# error it ends in for 1e308 I (whose trace overflows), for a Hermitian
+# matrix with +-1e308 i off the diagonal (eigenvalues +-1e308) and for the
+# matrix of 1e308s (eigenvalues 0 and 2e308, past the float range)
 NEAR_FLOAT_MAX_COMMANDS = {
-    "entropy quantum --state {x} --alpha 2": ("InvalidDensityMatrix", "NotPsd"),
-    "divergence --state {x} --sigma {pd} --alpha 2": ("InvalidDensityMatrix", "NotPsd"),
-    "bounds lemma4 --a {x}": ("SideOverflow", "NotPd"),
-    "bounds t3 --state {x} --alpha 2": ("InvalidDensityMatrix", "NotPsd"),
-    "bounds t4 --state {x} --sigma {pd} --alpha 2": ("InvalidDensityMatrix", "NotPsd"),
-    "mutual-info --state {x} --dims 2,1 --alpha 2": ("InvalidDensityMatrix", "NotPsd"),
+    "entropy quantum --state {x} --alpha 2": ("InvalidDensityMatrix", "NotPsd", "SideOverflow"),
+    "divergence --state {x} --sigma {pd} --alpha 2": (
+        "InvalidDensityMatrix", "NotPsd", "SideOverflow"
+    ),
+    "bounds lemma4 --a {x}": ("SideOverflow", "NotPd", "NotPd"),
+    "bounds t3 --state {x} --alpha 2": ("InvalidDensityMatrix", "NotPsd", "SideOverflow"),
+    "bounds t4 --state {x} --sigma {pd} --alpha 2": (
+        "InvalidDensityMatrix", "NotPsd", "SideOverflow"
+    ),
+    "mutual-info --state {x} --dims 2,1 --alpha 2": (
+        "InvalidDensityMatrix", "NotPsd", "SideOverflow"
+    ),
 }
 
 
 @pytest.mark.parametrize("command", sorted(NEAR_FLOAT_MAX_COMMANDS))
 def test_entries_near_the_float_maximum_are_one_error_object(capsys, tmp_path, command):
     pd = write_matrix(tmp_path / "pd.json", np.eye(2))
-    inputs = (1e308 * np.eye(2), np.array([[0.5, 1e308j], [-1e308j, 0.5]]))
+    inputs = (
+        1e308 * np.eye(2),
+        np.array([[0.5, 1e308j], [-1e308j, 0.5]]),
+        np.full((2, 2), 1e308),
+    )
     for matrix, want in zip(inputs, NEAR_FLOAT_MAX_COMMANDS[command]):
         x = write_matrix(tmp_path / "x.json", matrix)
         with warnings.catch_warnings():

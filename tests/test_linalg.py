@@ -544,11 +544,13 @@ class TestSidesPastTheFloatRange:
         assert all(math.isfinite(r.lhs) and math.isfinite(r.rhs) for r in reports)
 
 
-# a PSD matrix whose trace overflows, and an indefinite one whose entries
-# sit near the float maximum off the diagonal
+# a PSD matrix whose trace overflows, an indefinite one whose entries sit
+# near the float maximum off the diagonal, and a PSD one with eigenvalues 0
+# and 2e308, past the float range
 NEAR_FLOAT_MAX = {
     "diagonal": 1e308 * np.eye(2),
     "off-diagonal": np.array([[0.5, 1e308j], [-1e308j, 0.5]]),
+    "eigenvalue-past-the-range": np.full((2, 2), 1e308),
 }
 
 
@@ -580,7 +582,12 @@ class TestEntriesNearTheFloatMaximum:
                     as_hermitian(a)
 
     @pytest.mark.parametrize(
-        "name,error", [("diagonal", InvalidDensityMatrix), ("off-diagonal", NotPsd)]
+        "name,error",
+        [
+            ("diagonal", InvalidDensityMatrix),
+            ("off-diagonal", NotPsd),
+            ("eigenvalue-past-the-range", SideOverflow),
+        ],
     )
     def test_state_is_a_typed_rejection(self, name, error):
         from renyi.quantum import _density_values
@@ -590,6 +597,14 @@ class TestEntriesNearTheFloatMaximum:
                 warnings.simplefilter("error")
                 with pytest.raises(error):
                     build(NEAR_FLOAT_MAX[name])
+
+    def test_a_spectrum_past_the_float_range_is_not_zeroed(self):
+        # every entry is <= ZERO_THRESHOLD * inf, so the support rule would zero it
+        for w in (np.array([0.5, 1.0, np.inf]), np.array([[0.0, 1.0], [0.0, np.inf]])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SideOverflow, match="past the float range"):
+                    clip_spectrum(w)
 
 
 class TestLemma4:
