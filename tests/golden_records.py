@@ -97,8 +97,8 @@ def write_inputs(directory: str) -> None:
 
 
 def commands(directory: str) -> dict[str, tuple[int, list[str]]]:
-    """Every command of the determinism check, by name: its exit code and its
-    argv, on inputs in ``directory``.  The ``gen`` runs come first and write
+    """Every command that ``determinism.py`` runs, by name: its exit code and
+    its argv, on inputs in ``directory``.  The ``gen`` runs come first and write
     the inputs that ``write_inputs`` does not; then the ``verify`` runs; then
     the read commands, whose records ``cli.json`` holds."""
     path = lambda name: os.path.join(directory, f"{name}.json")  # noqa: E731
@@ -110,19 +110,19 @@ def commands(directory: str) -> dict[str, tuple[int, list[str]]]:
         ("simplex", ["simplex", "--dim", "6", "--seed", "5", "--zeros", "2"]),
     ):
         table[name] = (0, ["gen", *argv, "--out", path(name)])
-    seed = ["--seed", "9", "--json"]
+    seeded = ["--seed", "9", "--json"]
     for suite in ("t1", "t2_2", "info_fn_eq", "eq4_roundtrip"):
-        table[suite] = (0, ["verify", suite, "--trials", "500", *seed])
+        table[suite] = (0, ["verify", suite, "--trials", "500", *seeded])
     for suite in ("lemma2", "lemma3", "lemma4", "t3", "t3_2", "t4", "triangle", "diag_oracle"):
-        table[suite] = (0, ["verify", suite, "--trials", "200", *seed])
-    table["t6"] = (0, ["verify", "t6", "--trials", "40", *seed])
+        table[suite] = (0, ["verify", suite, "--trials", "200", *seeded])
+    table["t6"] = (0, ["verify", "t6", "--trials", "40", *seeded])
     # 4 blocks, the last one partial: block and shape-group boundaries
-    table["diag_oracle-882"] = (0, ["verify", "diag_oracle", "--trials", "882", *seed])
+    table["diag_oracle-882"] = (0, ["verify", "diag_oracle", "--trials", "882", *seeded])
     # 3 blocks, the last one partial, each checked per shape group, so every
     # kernel suite's verdict join is compared across blocks (t6's blocks each
     # hold both dims tags of its 6x6 states)
     for suite in ("t4", "lemma2", "lemma3", "lemma4", "t3", "t3_2", "triangle", "t6"):
-        table[f"{suite}-600"] = (0, ["verify", suite, "--trials", "600", *seed])
+        table[f"{suite}-600"] = (0, ["verify", suite, "--trials", "600", *seeded])
     simplex = ["--dist", path("simplex")]
     pair = ["--state", path("density"), "--sigma", path("pd")]
     bipartite = ["--state", path("bipartite")]
