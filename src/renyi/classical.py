@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DomainError, EmptySupport, InvalidDistribution
+from .exceptions import DomainError, InvalidDistribution
 from .linalg import (
     _LN2,
     NORM_TOL,
@@ -75,10 +75,7 @@ def _type_scale(beta: np.ndarray) -> np.ndarray:
 def _log2_support(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Support size ``n - n0`` and ``sum log2 p'_i`` over the support, per row."""
     mask = p > ZERO_THRESHOLD
-    m = mask.sum(axis=-1)
-    if not m.all():
-        raise EmptySupport("distribution has no entry above the zero threshold")
-    return m, _row_sum(np.log2(np.where(mask, p, 1.0)))
+    return mask.sum(axis=-1), _row_sum(np.log2(np.where(mask, p, 1.0)))
 
 
 def _info_function(x: np.ndarray, beta: np.ndarray) -> np.ndarray:

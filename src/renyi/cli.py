@@ -6,9 +6,10 @@ Subcommands: ``entropy classical|quantum``, ``type-beta``, ``divergence``,
 and :func:`_emit` prints it: by default as ``key value`` lines, numbers with
 12 significant digits; under ``--json`` as one object with the tolerances,
 the command, the fields and every input needed to recompute the result.
-One reader, :func:`_read`, turns each file flag into its input: it caps a
-matrix's declared ``dim`` at ``RENYI_MAX_DIM`` (default 64, as ``gen``) before
-any row is parsed.  A file that does not decode or parse is a FileFormatError.
+One reader, :func:`_read`, turns each file flag into its input; the matrix
+parser caps a declared ``dim`` at ``RENYI_MAX_DIM`` (default 64), as ``gen``
+caps ``--dim``, with one ``fileformat.check_dim``, before any row is parsed.
+A file that does not decode or parse is a FileFormatError.
 Exit codes: 0 success, 1 computation/validation error (machine-readable error
 object on stderr; a reader that closes stdout early, as ``| head`` does, is an
 ``IoError``), 2 usage error (for ``bounds`` also a missing input flag, or a
@@ -29,6 +30,7 @@ from . import harness
 from .classical import entropy_type_beta, renyi_entropy
 from .exceptions import FileFormatError, IoError, RenyiError, SuiteFailures
 from .fileformat import (
+    check_dim,
     distribution_from_payload,
     distribution_payload,
     dump_payload,
@@ -37,7 +39,7 @@ from .fileformat import (
     matrix_payload,
 )
 from .linalg import _LN2, CHAIN_TOL, EQ_TOL, HERM_TOL, PSD_TOL, ZERO_THRESHOLD
-from .quantum import DensityMatrix, _renyi_entropy
+from .quantum import DensityMatrix, _renyi_entropy, _spectra
 
 # the flag that names each suite input, where the two differ
 _FLAGS = {"rho": "state", "p": "dist"}
@@ -58,18 +60,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _check_dim(dim) -> None:
-    """Reject a declared or requested ``dim`` over ``RENYI_MAX_DIM`` (default
-    64), before any array of that size is allocated."""
-    raw = os.environ.get("RENYI_MAX_DIM", "64")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise IoError(f"RENYI_MAX_DIM must be an integer, got {raw!r}")
-    if isinstance(dim, int) and dim > cap:
-        raise FileFormatError(f"dim {dim} exceeds RENYI_MAX_DIM={cap}", "dim")
-
-
 def _read(args, flag: str):
     """The input of one file flag and the payload the output echoes: the
     distribution for ``--dist``, else ``(matrix, dims)``, a ``--state``'s tag
@@ -83,7 +73,6 @@ def _read(args, flag: str):
     payload = load_payload(data)
     if flag == "dist":
         return distribution_from_payload(payload), payload
-    _check_dim(payload.get("dim"))
     matrix, dims = matrix_from_payload(payload)
     if flag == "state" and getattr(args, "dims", None):
         dims = _parse_dims(args.dims)
@@ -137,7 +126,7 @@ def _cmd_entropy(args) -> int:
         inputs = {"dist": payload}
     else:
         state, payload = _read(args, "state")
-        value = _renyi_entropy(harness._spectra(*state), args.alpha, args.units).value
+        value = _renyi_entropy(_spectra(*state), args.alpha, args.units).value
         record = {"value": value, "units": args.units, "alpha": args.alpha}
         inputs = {"state": payload}
     _emit(args, f"entropy {args.which}", record, inputs)
@@ -225,7 +214,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen(args) -> int:
     dim = args.dim
-    _check_dim(dim)
+    check_dim(dim)
     if args.kind == "density":
         rho = harness.random_density_array(dim, args.seed, rank=args.rank)
         dims = _parse_dims(args.dims) if args.dims else None

@@ -54,10 +54,6 @@ class BetaOutOfRange(RenyiError):
     pass
 
 
-class EmptySupport(RenyiError):
-    pass
-
-
 class InvalidDistribution(RenyiError):
     pass
 

@@ -3,19 +3,21 @@
 A matrix file is ``{"dim": n, "matrix": [[[re, im], ...], ...]}`` with an
 optional ``"dims": [d_a, d_b]`` bipartite tag; a distribution file is
 ``{"p": [...]}``.  Each number read is finite as a float and never a
-boolean (``_number``), else a FileFormatError names its field.  Numbers are
-serialized as shortest round-trip decimals, so dump(parse(text))
-reproduces a generated file byte for byte.
+boolean (``_number``), else a FileFormatError names its field.  A matrix's
+``dim`` is capped at ``RENYI_MAX_DIM`` (default 64; ``check_dim``) before
+its tag or any row is read.  Numbers are serialized as shortest round-trip
+decimals, so dump(parse(text)) reproduces a generated file byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
-from .exceptions import FileFormatError
+from .exceptions import FileFormatError, IoError
 
 
 def _number(x) -> bool:
@@ -28,6 +30,19 @@ def _number(x) -> bool:
 
 def _positive_int(x) -> bool:
     return _number(x) and isinstance(x, int) and x > 0
+
+
+def check_dim(dim: int) -> None:
+    """Reject a declared or requested ``dim`` over ``RENYI_MAX_DIM`` (default
+    64), before any array of that size is allocated; a cap that is not an
+    integer is an IoError."""
+    raw = os.environ.get("RENYI_MAX_DIM", "64")
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise IoError(f"RENYI_MAX_DIM must be an integer, got {raw!r}")
+    if dim > cap:
+        raise FileFormatError(f"dim {dim} exceeds RENYI_MAX_DIM={cap}", "dim")
 
 
 def matrix_payload(matrix, dims=None) -> dict:
@@ -48,6 +63,7 @@ def matrix_from_payload(obj) -> tuple[np.ndarray, tuple[int, int] | None]:
     dim = obj.get("dim")
     if not _positive_int(dim):
         raise FileFormatError(f"dim must be a positive integer, got {dim!r}", "dim")
+    check_dim(dim)
     dims = None
     if "dims" in obj:
         raw = obj["dims"]

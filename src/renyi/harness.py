@@ -25,10 +25,10 @@ verdicts: each array and each extra concatenated, then put back in trial
 order.  lemma2, lemma3, lemma4, t3, t3_2, t4, t6 and
 triangle run their library bound's kernel, whose verdict the public bound
 reads as row 0, on each matrix operand as one stack.  A state is built by
-what its kernel reads, validated as one stack: a ``DensityMatrix``
-decomposed as one (``_states``), or for t3 and t3_2 its clipped
-``eigvalsh`` spectra alone (``_spectra``).  ``diag_oracle`` runs its own
-kernel on two stacks of distributions, with one order per row.
+what its kernel reads, validated as one stack by :mod:`renyi.quantum`: a
+``DensityMatrix`` decomposed as one (``_states``), or for t3 and t3_2 its
+clipped ``eigvalsh`` spectra alone (``_spectra``).  ``diag_oracle`` runs its
+own kernel on two stacks of distributions, with one order per row.
 ``bounds`` and :func:`replay` run the same check on a batch of one and
 take its report.  A matrix input is an ``(array, dims)`` pair and a
 distribution a float array; they are serialized to the CLI file format
@@ -66,15 +66,7 @@ from .fileformat import (
 from .linalg import (
     _lemma2, _lemma3, _lemma4, check_order, psd_decompose, recombine, spectral_entropy
 )
-from .quantum import (
-    DensityMatrix,
-    _bipartite_tag,
-    _density_decompose,
-    _density_values,
-    _log_dim_cap,
-    _t3,
-    _unit_scale,
-)
+from .quantum import DensityMatrix, _log_dim_cap, _spectra, _states, _t3, _unit_scale
 from .report import BoundReport, Verdict, chain, chain_gap, identities, identity_gap
 
 _MASK64 = (1 << 64) - 1
@@ -488,21 +480,6 @@ def _joined(verdicts: list[Verdict], groups: list[list[int]]) -> Verdict:
         *(join([getattr(v, name) for v in verdicts]) for name in fields),
         {key: join([v.extras[key] for v in verdicts]) for key in verdicts[0].extras},
     )
-
-
-def _states(stack: np.ndarray, dims):
-    """A group's states as one ``DensityMatrix``, validated and decomposed
-    as one stack, then its one dims tag checked."""
-    dec = _density_decompose(stack)
-    return DensityMatrix._trusted(dec, _bipartite_tag(dims, stack.shape[-1]))
-
-
-def _spectra(stack: np.ndarray, dims) -> np.ndarray:
-    """A group's states as their clipped spectra alone, validated as one
-    stack, then its one dims tag checked, which no spectrum reads."""
-    w = _density_values(stack)
-    _bipartite_tag(dims, stack.shape[-1])
-    return w
 
 
 def _kernel_suite(

@@ -5,8 +5,8 @@ from an explicitly powered matrix, by ``linalg.spectral_entropy``, the
 package's one Renyi entropy kernel, and default to natural log;
 ``units="bits"`` rescales by 1/ln 2.  ``_renyi_entropy`` is the one quantum
 entropy kernel on a spectrum: ``quantum_renyi_entropy`` is it on
-``rho.eigenvalues``, and ``entropy quantum`` it on ``_density_values``, so
-that command forms no eigenvectors.  Orders go through
+``rho.eigenvalues``, and ``entropy quantum`` it on ``_spectra``, so that
+command forms no eigenvectors.  Orders go through
 ``linalg.check_order``: alpha > 0, with alpha = 1 the kernel's von Neumann
 limit for the entropy and ``log_dim_cap``; ``t3_bound`` excludes the band
 around 1.  Each bound reads a state's spectrum alone, so its kernel takes a
@@ -15,7 +15,9 @@ bound is its kernel on ``rho.eigenvalues``.  A density matrix, or a stack
 of them, is checked by ``_density_decompose`` where eigenvectors are read
 and by ``_density_values`` (``eigvalsh``) where the spectrum alone is:
 the same checks in the same order, with ``_unit_trace`` the one trace
-check of both.
+check of both.  Every state is built here, with its tag checked by
+``_bipartite_tag``: by the ``DensityMatrix`` constructor and ``_states`` (a
+stack) through ``_validated``, or as a spectrum alone by ``_spectra``.
 """
 
 from __future__ import annotations
@@ -90,16 +92,27 @@ def _density_values(matrix) -> np.ndarray:
 
 def _bipartite_tag(dims, dim: int) -> tuple[int, int] | None:
     """The ``(d_a, d_b)`` tag of a state of dimension ``dim``, or None for
-    none; a tag whose parts are not positive or do not multiply to ``dim``
-    is a DimensionMismatch."""
+    none; a tag that is not two positive integers (Python or numpy, not
+    bool) multiplying to ``dim`` is a DimensionMismatch."""
     if dims is None:
         return None
-    d_a, d_b = int(dims[0]), int(dims[1])
-    if d_a <= 0 or d_b <= 0 or d_a * d_b != dim:
+    parts = tuple(dims) if isinstance(dims, (tuple, list, np.ndarray)) else ()
+    whole = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in parts)
+    tag = tuple(int(x) for x in parts) if whole else ()
+    if len(tag) != 2 or min(tag) <= 0 or tag[0] * tag[1] != dim:
         raise DimensionMismatch(f"bipartite tag {dims} incompatible with dimension {dim}")
-    return d_a, d_b
+    return tag
 
 
+def _validated(matrix, dims) -> tuple[SpectralDecomposition, tuple[int, int] | None]:
+    """A state, or stack of states, validated and decomposed as one
+    (``_density_decompose``), then its one tag checked: what ``_trusted``
+    holds."""
+    dec = _density_decompose(matrix)
+    return dec, _bipartite_tag(dims, dec.matrix.shape[-1])
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with its spectrum precomputed.
 
@@ -107,17 +120,17 @@ class DensityMatrix:
     eigenvalue ``<= ZERO_THRESHOLD * w_max`` is exactly 0 (after rejecting
     anything below ``-PSD_TOL``), so support counts, bounds, entropies and
     ``is_positive_definite`` (full support) share one notion of rank.
-    ``dims=(d_a, d_b)`` tags a bipartite state.  Instances are immutable.
+    ``dims=(d_a, d_b)`` tags a bipartite state.  Frozen plain data, its
+    matrix and spectrum read-only; a pickle or copy rebuilds by ``_trusted``.
     The constructor takes one matrix; a bound's kernel also takes a stack of
-    states of one shape and one tag, which ``_trusted`` builds from the
-    stack's ``_density_decompose`` and its tag, each checked once.
+    states of one shape and one tag, which ``_states`` builds.
     """
 
-    __slots__ = ("_matrix", "_spectrum", "_dims")
+    spectrum: SpectralDecomposition
+    dims: tuple[int, int] | None
 
     def __init__(self, matrix, dims: tuple[int, int] | None = None):
-        dec = _density_decompose(_single(matrix))
-        self._hold(dec, _bipartite_tag(dims, dec.matrix.shape[0]))
+        self._hold(*_validated(_single(matrix), dims))
 
     @classmethod
     def _trusted(cls, spectrum: SpectralDecomposition, dims) -> DensityMatrix:
@@ -130,39 +143,46 @@ class DensityMatrix:
     def _hold(self, dec: SpectralDecomposition, dims) -> None:
         dec.matrix.setflags(write=False)
         dec.eigenvalues.setflags(write=False)
-        for name, value in zip(self.__slots__, (dec.matrix, dec, dims)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "spectrum", dec)
+        object.__setattr__(self, "dims", dims)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
+    def __reduce__(self):
+        return DensityMatrix._trusted, (self.spectrum, self.dims)
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def spectrum(self) -> SpectralDecomposition:
-        return self._spectrum
+        return self.spectrum.matrix
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._spectrum.eigenvalues
+        return self.spectrum.eigenvalues
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[-1]
-
-    @property
-    def dims(self) -> tuple[int, int] | None:
-        return self._dims
+        return self.spectrum.matrix.shape[-1]
 
     @property
     def is_positive_definite(self) -> bool:
         return bool(positive_definite(self.eigenvalues))
 
     def __repr__(self):
-        tag = f", dims={self._dims}" if self._dims else ""
+        tag = f", dims={self.dims}" if self.dims else ""
         return f"DensityMatrix(dim={self.dim}{tag})"
+
+
+def _states(stack: np.ndarray, dims) -> DensityMatrix:
+    """A group's states as one ``DensityMatrix``, validated and decomposed
+    as one stack, then its one dims tag checked."""
+    return DensityMatrix._trusted(*_validated(stack, dims))
+
+
+def _spectra(stack: np.ndarray, dims) -> np.ndarray:
+    """A group's states, or one state, as their clipped spectra alone,
+    validated as one stack, then its one dims tag checked, which no spectrum
+    reads."""
+    w = _density_values(stack)
+    _bipartite_tag(dims, stack.shape[-1])
+    return w
 
 
 def von_neumann_entropy(rho: DensityMatrix, units: str = "nats") -> float:

@@ -60,6 +60,17 @@ def _fields(report) -> str:
     return json.dumps((report.gap, report.equality, report.tolerance, report.violation))
 
 
+def _refuse_big_arrays(monkeypatch) -> None:
+    """Make ``np.empty`` fail the test, not allocate, past 10**6 entries."""
+    empty = np.empty
+
+    def guarded(shape, *args, **kwargs):
+        assert np.prod(shape) <= 10**6, f"np.empty{shape}"
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", guarded)
+
+
 class TestGenerators:
     def test_density_contract(self):
         rho = random_density(3, 123)
@@ -352,17 +363,28 @@ class TestRunSuite:
     def test_replay_checks_every_row_before_allocating(self, monkeypatch):
         # a declared dim of 10**6 with 10**6 empty rows is 8 MB of references;
         # its 10**6 x 10**6 array would be 14.6 TiB, and none is requested
-        empty = np.empty
-
-        def guarded(shape, *args, **kwargs):
-            assert np.prod(shape) <= 10**6, f"np.empty{shape}"
-            return empty(shape, *args, **kwargs)
-
-        monkeypatch.setattr(np, "empty", guarded)
+        _refuse_big_arrays(monkeypatch)
+        # a cap that admits the declared dim, so the row check is what rejects it
+        monkeypatch.setenv("RENYI_MAX_DIM", str(10**6))
         with pytest.raises(FileFormatError) as info:
             replay("lemma4", {"a": {"dim": 10**6, "matrix": [[]] * 10**6}})
         assert info.value.offending_field == "matrix"
         assert str(info.value) == "row 0 must have 1000000 entries"
+
+    @pytest.mark.parametrize("cap,dim", [("3", 4), (None, 10**6)], ids=["cap-3", "default-cap"])
+    def test_replay_caps_the_declared_dim_before_any_row(self, monkeypatch, cap, dim):
+        # every row aliases one full-length row, so each row passes the row
+        # check; at dim 10**6 the array would be 14.6 TiB, and none is requested
+        _refuse_big_arrays(monkeypatch)
+        if cap is None:
+            monkeypatch.delenv("RENYI_MAX_DIM", raising=False)
+        else:
+            monkeypatch.setenv("RENYI_MAX_DIM", cap)
+        row = [[0.0, 0.0]] * dim
+        with pytest.raises(FileFormatError) as info:
+            replay("lemma4", {"a": {"dim": dim, "matrix": [row] * dim}})
+        assert info.value.offending_field == "dim"
+        assert str(info.value) == f"dim {dim} exceeds RENYI_MAX_DIM={cap or 64}"
 
     def test_negative_trials_rejected(self):
         with pytest.raises(BadTrials):

@@ -53,6 +53,22 @@ class TestDensityMatrix:
         with pytest.raises(DimensionMismatch):
             DensityMatrix(np.eye(4) / 4, dims=(2, 3))
 
+    @pytest.mark.parametrize(
+        "dims",
+        [(2.9, 2.1), "22", (True, 4), (2, 2, 7), (4,), 4, (2, 2.0), (-2, -2), (np.bool_(1), 4)],
+        ids=["floats", "string", "bool", "three-parts", "one-part", "scalar", "int-float",
+             "negative", "numpy-bool"],
+    )
+    def test_rejects_malformed_dims(self, dims):
+        # exactly two positive integers, not bools, whose product is dim
+        with pytest.raises(DimensionMismatch):
+            DensityMatrix(np.eye(4) / 4, dims=dims)
+
+    @pytest.mark.parametrize("dims", [[2, 2], (np.int64(2), 2), np.array([2, 2])])
+    def test_integer_dims_are_a_tuple_of_ints(self, dims):
+        tag = DensityMatrix(np.eye(4) / 4, dims=dims).dims
+        assert tag == (2, 2) and all(type(d) is int for d in tag)
+
     def test_immutability(self):
         rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(AttributeError):
