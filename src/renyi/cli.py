@@ -1,19 +1,20 @@
 """Command-line front end.
 
 Subcommands: ``entropy classical|quantum``, ``type-beta``, ``divergence``,
-``conditional``, ``mutual-info``, ``bounds <theorem-id>``, ``verify``, and
-``gen``.  Each read command builds one ordered record of its output fields,
-and :func:`_emit` prints it: by default as ``key value`` lines, numbers with
-12 significant digits; under ``--json`` as one object with the tolerances,
-the command, the fields and every input needed to recompute the result.
+``conditional``, ``mutual-info``, ``bounds <theorem-id>`` (one subcommand per
+theorem, whose flags are its suite's inputs), ``verify``, and ``gen``.  Each
+read command builds one ordered record of its output fields, and
+:func:`_emit` prints it: by default as ``key value`` lines, numbers with 12
+significant digits; under ``--json`` as one object with the tolerances, the
+command, the fields and every input needed to recompute the result.
 One reader, :func:`_read`, turns each file flag into its input; the matrix
 parser caps a declared ``dim`` at ``RENYI_MAX_DIM`` (default 64), as ``gen``
 caps ``--dim``, with one ``fileformat.check_dim``, before any row is parsed.
 A file that does not decode or parse is a FileFormatError.
 Exit codes: 0 success, 1 computation/validation error (machine-readable error
 object on stderr; a reader that closes stdout early, as ``| head`` does, is an
-``IoError``), 2 usage error (for ``bounds`` also a missing input flag, or a
-given one its theorem does not read; for ``gen`` a flag its kind does not read).
+``IoError``), 2 usage error, argparse's: also a missing input flag, or one the
+command does not read (a ``bounds`` theorem's input, a ``gen`` kind's flag).
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ from .quantum import DensityMatrix, _renyi_entropy, _spectra
 
 # the flag that names each suite input, where the two differ
 _FLAGS = {"rho": "state", "p": "dist"}
-# the input flags of ``bounds``: a theorem reads the flags of its suite's
-# inputs, and ``--dims`` when it reads ``rho``
-_BOUNDS_FLAGS = ("a", "b", "dist", "state", "sigma", "dims", "beta", "alpha")
 
 LINALG_TOLERANCES = {
     "herm_tol": HERM_TOL,
@@ -167,22 +165,14 @@ def _optimized(args, mode: str, quantity) -> int:
 
 def _cmd_bounds(args) -> int:
     suite = harness.SUITES[args.theorem]
-    flags = [_FLAGS.get(name, name) for name in suite.inputs]
-    missing = [flag for flag in flags if getattr(args, flag) is None]
-    reads = flags + (["dims"] if "rho" in suite.inputs else [])
-    unread = [f for f in _BOUNDS_FLAGS if f not in reads and getattr(args, f) is not None]
-    for problem, names in (("requires", missing), ("does not read", unread)):
-        if names:
-            message = f"error: bounds {args.theorem} {problem} --" + " --".join(names)
-            print(message, file=sys.stderr)
-            return 2
     inputs, echo = {}, {}
-    for (name, kind), flag in zip(suite.inputs.items(), flags):
+    for name, kind in suite.inputs.items():
+        flag = _FLAGS.get(name, name)
         if kind == harness.NUMBER:
             inputs[name] = echo[flag] = getattr(args, flag)
         else:
             inputs[name], echo[flag] = _read(args, flag)
-    if args.dims:
+    if getattr(args, "dims", None):
         echo["dims"] = list(inputs["rho"][1])
     report = suite.check([inputs])[0]
     # the human form flattens the report under "check", its extras sorted
@@ -236,16 +226,17 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _read_command(sub, name: str, func, flags, units=None, required=True, **kwargs):
+def _read_command(sub, name: str, func, flags, units=None, **kwargs):
     """Add one read subcommand: a flag for each input, ``--alpha`` and
-    ``--beta`` floats and every flag but ``--dims`` required (in ``bounds``
-    none is), ``--units`` with the command's default, and ``--json``."""
+    ``--beta`` floats and every flag but ``--dims`` required, ``--units``
+    with the command's default, and ``--json``; argparse rejects a missing
+    flag, and one the command does not read, as a usage error."""
     cmd = sub.add_parser(name, **kwargs)
     for flag in flags:
         cmd.add_argument(
             f"--{flag}",
             type=float if flag in ("alpha", "beta") else str,
-            required=required and flag != "dims",
+            required=flag != "dims",
             help="dA,dB bipartite split" if flag == "dims" else None,
         )
     if units:
@@ -274,12 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
                                  ("mutual", "mutual-info", dv.mutual_information)):
         _read_command(sub, name, lambda args, m=mode, q=quantity: _optimized(args, m, q),
                       ("state", "dims", "alpha"), "nats", help=f"optimized {mode} quantity")
-    bounds = _read_command(sub, "bounds", _cmd_bounds, _BOUNDS_FLAGS, required=False,
-                           help="evaluate one theorem's bound report")
-    bounds.add_argument(
-        "theorem",
-        choices=("lemma2", "lemma3", "lemma4", "t1", "t2_2", "t3", "t3_2", "t4", "t6", "triangle"),
-    )
+    bounds = sub.add_parser("bounds", help="evaluate one theorem's bound report")
+    # each theorem takes the flags of its suite's inputs, and --dims with a state
+    theorems = bounds.add_subparsers(dest="theorem", required=True)
+    for theorem in ("lemma2", "lemma3", "lemma4", "t1", "t2_2", "t3", "t3_2", "t4", "t6",
+                    "triangle"):
+        inputs = harness.SUITES[theorem].inputs
+        dims = ["dims"] if "rho" in inputs else []
+        _read_command(theorems, theorem, _cmd_bounds, [_FLAGS.get(n, n) for n in inputs] + dims)
 
     verify = sub.add_parser("verify", help="run a randomized property suite")
     verify.add_argument("suite", choices=sorted(harness.SUITES))

@@ -32,7 +32,8 @@ own kernel on two stacks of distributions, with one order per row.
 ``bounds`` and :func:`replay` run the same check on a batch of one and
 take its report.  A matrix input is an ``(array, dims)`` pair and a
 distribution a float array; they are serialized to the CLI file format
-only when a failure is recorded, and :func:`replay` parses that form back.
+only when a failure is recorded, and :func:`replay` parses that form back,
+exactly the inputs its suite declares.
 One trial in a hundred is a constructed equality-case instance so the
 equality flags get exercised.
 """
@@ -56,8 +57,11 @@ from .classical import (
     probability_vector,
 )
 from .divergence import _petz, _sigma_spectrum, _t4, _t6, _triangle
-from .exceptions import BadCap, BadDim, BadRank, BadTrials, BadZeros, UnknownSuite
+from .exceptions import (
+    BadCap, BadDim, BadRank, BadTrials, BadZeros, DomainError, FileFormatError, UnknownSuite
+)
 from .fileformat import (
+    _number,
     distribution_from_payload,
     distribution_payload,
     matrix_from_payload,
@@ -362,6 +366,14 @@ def _check_info_fn_eq(batch: list[dict]) -> Verdict:
     x, y, beta = (
         np.array([float(inputs[key]) for inputs in batch]) for key in ("x", "y", "beta")
     )
+    # the identity's domain, x + y <= 1 as y <= 1 - x and x <= 1 - y, so each
+    # ratio below lies in [0, 1] as rounded
+    bad = ~((x >= 0.0) & (y >= 0.0) & (x < 1.0) & (y < 1.0) & (y <= 1.0 - x) & (x <= 1.0 - y))
+    if bad.any():
+        raise DomainError(
+            "x, y must lie in [0, 1) with x + y <= 1, "
+            f"got x = {float(x[bad][0])!r}, y = {float(y[bad][0])!r}"
+        )
     f = info_function_beta
     lhs = f(x, beta) + np.power(1.0 - x, beta) * f(y / (1.0 - x), beta)
     rhs = f(y, beta) + np.power(1.0 - y, beta) * f(x / (1.0 - y), beta)
@@ -455,14 +467,23 @@ class Suite:
         }
 
     def parse(self, inputs: dict) -> dict:
-        """Inverse of :meth:`serialize`, validating each payload."""
-        kind = self.inputs.get
-        return {
-            key: matrix_from_payload(value) if kind(key) == MATRIX
-            else distribution_from_payload(value) if kind(key) == DISTRIBUTION
-            else value
-            for key, value in inputs.items()
-        }
+        """Inverse of :meth:`serialize` on the inputs the check reads,
+        validating each payload; a number is an int or float, not a bool,
+        and converts to a float."""
+        parsed = {}
+        for key, kind in self.inputs.items():
+            if key not in inputs:
+                raise FileFormatError(f"missing input {key}", key)
+            value = inputs[key]
+            if kind == MATRIX:
+                value = matrix_from_payload(value)
+            elif kind == DISTRIBUTION:
+                value = distribution_from_payload(value)
+            elif not (_number(value) or isinstance(value, float)):
+                # the format's number rule; check_order rejects a non-finite order
+                raise FileFormatError(f"{key} must be a number in the float range", key)
+            parsed[key] = value
+        return parsed
 
 
 def _joined(verdicts: list[Verdict], groups: list[list[int]]) -> Verdict:

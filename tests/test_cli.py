@@ -293,8 +293,9 @@ class TestBounds:
         code, out, err = run(capsys, ["bounds", theorem])
         assert code == 2
         assert out == ""
-        flags = " --".join(BOUNDS_FLAGS[theorem])
-        assert err == f"error: bounds {theorem} requires --{flags}\n"
+        flags = ", --".join(BOUNDS_FLAGS[theorem])
+        line = f"renyi bounds {theorem}: error: the following arguments are required: --{flags}"
+        assert err.splitlines()[-1] == line
 
     @pytest.mark.parametrize("theorem", sorted(UNREAD_FLAGS))
     def test_unread_flag_is_usage_error(self, capsys, tmp_path, theorem):
@@ -305,7 +306,24 @@ class TestBounds:
         assert run(capsys, argv)[0] == 0
         code, out, err = run(capsys, argv + [f"--{flag}", value])
         assert (code, out) == (2, "")
-        assert err == f"error: bounds {theorem} does not read --{flag}\n"
+        assert err.splitlines()[-1] == f"renyi: error: unrecognized arguments: --{flag} {value}"
+
+    @pytest.mark.parametrize("theorem", sorted(BOUNDS_FLAGS))
+    def test_help_lists_exactly_the_flags_the_theorem_reads(self, capsys, theorem):
+        code, out, _ = run(capsys, ["bounds", theorem, "--help"])
+        assert code == 0
+        reads = BOUNDS_FLAGS[theorem] + (("dims",) if "state" in BOUNDS_FLAGS[theorem] else ())
+        options = out.split("options:")[1]
+        shown = {word for word in options.split() if word.startswith("--")}
+        assert shown == {f"--{flag}" for flag in reads + ("help", "json")}
+
+    def test_flag_before_the_theorem_is_usage_error(self, capsys, mm4):
+        # as in gen, a command's flags follow its last subcommand
+        argv = ["bounds", "t4", "--state", mm4, "--sigma", mm4, "--alpha", "2", "--json"]
+        assert run(capsys, argv)[0] == 0
+        code, out, err = run(capsys, ["bounds", "--json", *argv[1:-1]])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "renyi: error: unrecognized arguments: --json"
 
     def test_t6_dims_flag_retags_the_state(self, capsys, tmp_path):
         # the JSON report echoes the split it used, so it replays itself

@@ -21,6 +21,7 @@ from renyi.exceptions import (
     BadTrials,
     BadZeros,
     DimensionMismatch,
+    DomainError,
     FileFormatError,
     InvalidDistribution,
     NonHermitianInput,
@@ -359,6 +360,36 @@ class TestRunSuite:
         with pytest.raises(FileFormatError) as info:
             replay(name, inputs)
         assert info.value.offending_field == field
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("alpha", "2"), ("alpha", "abc"), ("alpha", [2, 3]), ("alpha", {"a": 1}),
+         ("alpha", True), ("alpha", None), ("alpha", 10**400), ("sigma", "missing")],
+        ids=["str-number", "str", "list", "object", "bool", "null", "int-huge", "missing"],
+    )
+    def test_replay_reads_each_input_as_its_kind(self, key, value):
+        # a number is an int or float, not a bool, that converts to a float;
+        # a missing input is named
+        inputs = SUITES["t4"].serialize(SUITES["t4"].gen(derive_rng(9, 1), 1))
+        if value == "missing":
+            del inputs[key]
+        else:
+            inputs[key] = value
+        with pytest.raises(FileFormatError) as info:
+            replay("t4", inputs)
+        assert info.value.offending_field == key
+
+    @pytest.mark.parametrize(
+        "x,y", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.6), (0.1, 0.9), (-0.1, 0.5), (math.nan, 0.5)]
+    )
+    def test_info_fn_eq_replay_names_the_values_off_its_domain(self, x, y):
+        # x, y in [0, 1) with x + y <= 1 (0.1 + 0.9 exceeds 1 as the floats are
+        # stored), checked before any ratio is formed
+        with pytest.raises(DomainError) as info:
+            replay("info_fn_eq", {"x": x, "y": y, "beta": 2.0})
+        assert str(info.value) == (
+            f"x, y must lie in [0, 1) with x + y <= 1, got x = {x!r}, y = {y!r}"
+        )
 
     def test_replay_checks_every_row_before_allocating(self, monkeypatch):
         # a declared dim of 10**6 with 10**6 empty rows is 8 MB of references;
